@@ -27,11 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MassConservationError
-from .grids import ScalarPath, VectorPath, reconstruct_flux_1d
+from .grids import ScalarPath, VectorPath, reconstruct_flux_1d, shift_next, shift_prev
 from .mfg import MFGSolution, SolverParams, solve_mfg
 from .model import Coupling, Problem, TerminalCost, delta_ghat, residual_field
-from .planner import PlannerSolution, planner_cost, solve_planner_descent, solve_planner_system
-from .stepping import d1_central, fp_forward_sweep, time_weights
+from .planner import (
+    PlannerSolution,
+    planner_cost,
+    running_cost,
+    solve_planner_descent,
+    solve_planner_system,
+    terminal_cost,
+)
+from .stepping import check_mass_drift, fp_forward_sweep, fp_step, time_weights
 
 
 def social_cost(sol: MFGSolution, problem: Problem) -> float:
@@ -221,6 +228,32 @@ def phi_eval(sol: MFGSolution, pert: Perturbation, h: float,
     return planner_cost(m_resolved, alpha_h, problem)
 
 
+def _phi_stack(sol: MFGSolution, pert: Perturbation, hs: np.ndarray,
+               problem: Problem) -> np.ndarray:
+    """phi(h) for every h > 0 in hs, each bitwise equal to phi_eval's value.
+
+    All h advance together through fp_step as one (len(hs), n) stack.
+    Each step forms its slice of every alpha_h on the fly and adds each
+    h's running cost through the per-slice cost of planner_cost; only the
+    current slices are held, never the (len(hs), nt+1, n) paths.
+    """
+    grid = problem.grid
+    m, alpha = sol.m.values, sol.alpha_star.values[..., 0]
+    mu, beta = pert.mu.values, pert.beta.values[..., 0]
+    h = hs[:, None]
+    x = grid.xs()
+    target = problem.m0.sum() * grid.dx
+    m_h = np.tile(problem.m0, (len(hs), 1))
+    running = np.zeros(len(hs))
+    for k in range(grid.nt):
+        a_h = (m[k] * alpha[k] + h * beta[k]) / (m[k] + h * mu[k])
+        running += grid.dt * np.array([running_cost(problem, x, mb, ab)
+                                       for mb, ab in zip(m_h, a_h)])
+        m_h = fp_step(grid, m_h, a_h)
+        check_mass_drift(grid, m_h, target, k + 1)
+    return running + np.array([terminal_cost(problem, mb) for mb in m_h])
+
+
 def certificate(sol: MFGSolution, problem: Problem, eps: float,
                 h_samples: int = 32) -> float:
     """Constant-free lower bound on the inefficiency gap.
@@ -228,7 +261,8 @@ def certificate(sol: MFGSolution, problem: Problem, eps: float,
     Builds both perturbation variants, samples h log-spaced over
     [1e-4 tau, tau] and returns max(0, max_h (cost(u,m) - phi(h))).  Valid
     because every phi(h) is the cost of a feasible pair, hence at least
-    the planner optimum.
+    the planner optimum.  The samples of a variant are evaluated together
+    (see _phi_stack), with the same values as phi_eval one h at a time.
     """
     cost_eq = social_cost(sol, problem)
     best = 0.0
@@ -237,8 +271,9 @@ def certificate(sol: MFGSolution, problem: Problem, eps: float,
         if float(np.abs(pert.mu.values).max()) == 0.0:
             continue  # residual vanishes; this variant certifies nothing
         tau = pert.tau if np.isfinite(pert.tau) else 1.0
-        for h in np.geomspace(1e-4 * tau, tau, h_samples):
-            best = max(best, cost_eq - phi_eval(sol, pert, h, problem))
+        hs = np.geomspace(1e-4 * tau, tau, h_samples)
+        for phi in _phi_stack(sol, pert, hs, problem):
+            best = max(best, cost_eq - float(phi))
     return best
 
 
@@ -280,11 +315,13 @@ def duality_check(mfg: MFGSolution, plan: PlannerSolution,
     u, uh = mfg.u.values, plan.u_hat.values
     m, mh = mfg.m.values, plan.m_hat.values
 
+    du_path = (shift_next(u) - shift_prev(u)) / (2.0 * grid.dx)
+    duh_path = (shift_next(uh) - shift_prev(uh)) / (2.0 * grid.dx)
+
     lhs = 0.0
     rhs = 0.0
     for k in range(grid.nt + 1):
-        du = d1_central(u[k], grid.dx)
-        duh = d1_central(uh[k], grid.dx)
+        du, duh = du_path[k], duh_path[k]
         breg_m = ham.h0(x, duh) - ham.h0(x, du) - ham.dp_h0(x, du) * (duh - du)
         breg_mh = ham.h0(x, du) - ham.h0(x, duh) - ham.dp_h0(x, duh) * (du - duh)
         lhs += w[k] * float(m[k] @ breg_m + mh[k] @ breg_mh) * grid.dx
@@ -303,7 +340,9 @@ def holder_diagnostic(sol: MFGSolution, problem: Problem, eps: float) -> float:
     """sup over t1 != t2 in [t0+eps, T-eps] of |F(m(t2)) - F(m(t1))| / sqrt(dt).
 
     Only meaningful for x-free couplings, where this modulus controls the
-    gap from below; raises for any other catalog label.
+    gap from below; raises for any other catalog label.  Returns nan when
+    the window holds a single time level, so that no pair t1 != t2 exists
+    (the default eps on a grid with nt=8 leaves only t = 1/2).
     """
     if problem.coupling.label != "xfree":
         raise ValueError(
@@ -317,6 +356,8 @@ def holder_diagnostic(sol: MFGSolution, problem: Problem, eps: float) -> float:
     df = np.abs(f[:, None] - f[None, :])
     dts = np.abs(tt[:, None] - tt[None, :])
     mask = dts > 0
+    if not mask.any():
+        return float("nan")
     return float(np.max(df[mask] / np.sqrt(dts[mask])))
 
 

@@ -157,6 +157,27 @@ def check_density_slice(m: np.ndarray, grid: Grid, tol: float = MASS_SLICE_TOL) 
 
 
 # ---------------------------------------------------------------------------
+# periodic shifts along the last axis (plain slicing: np.roll's generic axis
+# handling costs several times more on the short rows of the time loops)
+# ---------------------------------------------------------------------------
+
+def shift_prev(f: np.ndarray) -> np.ndarray:
+    """out[..., i] = f[..., i-1], wrapping periodically (np.roll(f, 1, axis=-1))."""
+    out = np.empty_like(f)
+    out[..., 1:] = f[..., :-1]
+    out[..., 0] = f[..., -1]
+    return out
+
+
+def shift_next(f: np.ndarray) -> np.ndarray:
+    """out[..., i] = f[..., i+1], wrapping periodically (np.roll(f, -1, axis=-1))."""
+    out = np.empty_like(f)
+    out[..., :-1] = f[..., 1:]
+    out[..., -1] = f[..., 0]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # differential operators (central, periodic; exact on constants)
 # ---------------------------------------------------------------------------
 
@@ -221,7 +242,7 @@ def reconstruct_flux_1d(mu: ScalarPath, grid: Grid, mean_tol: float = 1e-9) -> V
         )
     beta = np.zeros((grid.nt + 1, grid.n, 1))
     for k in range(grid.nt):
-        lap = (np.roll(v[k], -1) - 2.0 * v[k] + np.roll(v[k], 1)) / grid.dx**2
+        lap = (shift_next(v[k]) - 2.0 * v[k] + shift_prev(v[k])) / grid.dx**2
         r = (v[k + 1] - v[k]) / grid.dt - lap
         r = r - r.mean()  # kill round-off so the periodic wrap is exact
         b = -grid.dx * np.concatenate(([0.0], np.cumsum(r[:-1])))
@@ -239,8 +260,8 @@ def continuity_residual_1d(mu: ScalarPath, beta: VectorPath, grid: Grid) -> floa
     v, b = mu.values, beta.values[..., 0]
     worst = 0.0
     for k in range(grid.nt):
-        lap = (np.roll(v[k], -1) - 2.0 * v[k] + np.roll(v[k], 1)) / grid.dx**2
-        div = (np.roll(b[k], -1) - b[k]) / grid.dx
+        lap = (shift_next(v[k]) - 2.0 * v[k] + shift_prev(v[k])) / grid.dx**2
+        div = (shift_next(b[k]) - b[k]) / grid.dx
         res = (v[k + 1] - v[k]) / grid.dt - lap + div
         worst = max(worst, float(np.abs(res).max()))
     return worst

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DensityPath, Grid, ScalarPath, VectorPath
+from .grids import DensityPath, Grid, ScalarPath, VectorPath, shift_next, shift_prev
 from .model import Problem
-from .stepping import (
-    d1_central,
-    fp_forward_sweep,
-    fp_residual,
-    hjb_backward_sweep,
-    hjb_residual,
-)
+from .stepping import fp_forward_sweep, fp_residual, hjb_backward_sweep, hjb_residual
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,7 @@ class MFGSolution:
 def feedback_drift(problem: Problem, u: np.ndarray) -> np.ndarray:
     """Optimal feedback -dp_h0(x, Du) on every time level."""
     grid = problem.grid
-    du = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * grid.dx)
+    du = (shift_next(u) - shift_prev(u)) / (2.0 * grid.dx)
     return -problem.hamiltonian.dp_h0(grid.xs()[None, :], du)
 
 

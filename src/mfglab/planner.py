@@ -23,16 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .grids import DensityPath, ScalarPath, VectorPath
+from .grids import DensityPath, ScalarPath, VectorPath, shift_next, shift_prev
 from .mfg import SolverParams, _sup_l1, feedback_drift, solve_mfg
 from .model import Problem, delta_ghat, residual_field, weighted_average
 from .stepping import (
-    _face_drift,
     fp_forward_sweep,
     fp_residual,
     hjb_backward_sweep,
     hjb_residual,
     solve_periodic_tridiag,
+    upwind_bands,
 )
 
 
@@ -86,10 +86,20 @@ def planner_cost(m, alpha, problem: Problem) -> float:
     x = grid.xs()
     running = 0.0
     for k in range(grid.nt):
-        kinetic = float(problem.hamiltonian.l0(x, av[k]) @ mv[k]) * grid.dx
-        running += grid.dt * (kinetic + weighted_average(problem.coupling, mv[k]))
-    terminal = float(problem.terminal.eval(mv[-1]) @ mv[-1]) * grid.dx
-    return running + terminal
+        running += grid.dt * running_cost(problem, x, mv[k], av[k])
+    return running + terminal_cost(problem, mv[-1])
+
+
+def running_cost(problem: Problem, x: np.ndarray, m_k: np.ndarray,
+                 a_k: np.ndarray) -> float:
+    """Space integral of [l0(x, a_k) + F(x, m_k)] m_k: one slice of the running cost."""
+    kinetic = float(problem.hamiltonian.l0(x, a_k) @ m_k) * problem.grid.dx
+    return kinetic + weighted_average(problem.coupling, m_k)
+
+
+def terminal_cost(problem: Problem, m_T: np.ndarray) -> float:
+    """Space integral of G(x, m_T) m_T."""
+    return float(problem.terminal.eval(m_T) @ m_T) * problem.grid.dx
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +196,6 @@ class ControlObjective:
         # left-endpoint running-cost weights; the terminal level pays nothing
         self.w = np.full(g.nt + 1, g.dt)
         self.w[g.nt] = 0.0
-        r = g.dt / g.dx**2
-        self._r = r
-        self._c = g.dt / g.dx
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         return fp_forward_sweep(self.grid, self.problem.m0, a)
@@ -212,36 +219,41 @@ class ControlObjective:
     def gradient(self, a: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
         if m is None:
             m = self.forward(a)
+        return self.adjoint(a, m)[0]
+
+    def adjoint(self, a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One backward adjoint sweep: the gradient and the multipliers.
+
+        Returns (grad, lam_path).  lam_path[k] multiplies the step that
+        produces level k; level 0, which no step produces, copies level 1.
+        """
         g = self.grid
         n, nt, dx, dt = g.n, g.nt, g.dx, g.dt
         ham = self.problem.hamiltonian
         grad = np.empty((nt + 1, n))
         grad[nt] = self.w[nt] * ham.da_l0(self.x, a[nt]) * m[nt] * dx
+        lam_path = np.empty((nt + 1, n))
 
         lam = np.zeros(n)
         for k in range(nt - 1, -1, -1):
             rhs = self.w[k + 1] * self._running_cost_grad_m(m[k + 1], a[k + 1]) + lam
             if k + 1 == nt:
                 rhs = rhs + self._terminal_grad_m(m[nt])
-            bf = _face_drift(a[k])
-            bp = np.maximum(bf, 0.0)
-            bm = np.minimum(bf, 0.0)
-            lower = -self._r - self._c * bp
-            upper = -self._r + self._c * np.roll(bm, -1)
-            diag = 1.0 + 2.0 * self._r + self._c * (np.roll(bp, -1) - bm)
-            # transpose of the step matrix: swap and roll the bands
-            lam = solve_periodic_tridiag(np.roll(upper, 1), diag,
-                                         np.roll(lower, -1), rhs)
+            bf, _, _, lower, diag, upper = upwind_bands(g, a[k])
+            # transpose of the step matrix: swap and shift the bands
+            lam = solve_periodic_tridiag(shift_prev(upper), diag, shift_next(lower), rhs)
+            lam_path[k + 1] = lam
             # control sensitivity through the upwind face flux
-            dl = (lam - np.roll(lam, 1)) / dx
+            dl = (lam - shift_prev(lam)) / dx
             m_next = m[k + 1]
-            m_left = np.roll(m_next, 1)
+            m_left = shift_prev(m_next)
             h_face = np.where(bf > 0.0, m_left,
                               np.where(bf < 0.0, m_next, 0.5 * (m_left + m_next)))
             t_face = dl * h_face
             grad[k] = (self.w[k] * ham.da_l0(self.x, a[k]) * m[k] * dx
-                       + 0.5 * dt * (t_face + np.roll(t_face, -1)))
-        return grad
+                       + 0.5 * dt * (t_face + shift_next(t_face)))
+        lam_path[0] = lam_path[1]
+        return grad, lam_path
 
 
 def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
@@ -268,27 +280,48 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
         raise ValueError(f"initial control has shape {a0.shape}, expected {shape}")
 
     obj = ControlObjective(problem)
-    history = [obj.objective(a0)]
+    history = []
+    # (m, f) of the latest evaluation and of the latest accepted iterate,
+    # keyed on the exact bytes of x: the callback and the final result
+    # reuse them instead of sweeping again
+    latest: dict = {}
+    accepted: dict = {}
 
     def fun(vec):
         a = vec.reshape(shape)
         m = obj.forward(a)
-        return obj.objective(a, m), obj.gradient(a, m).ravel()
+        f = obj.objective(a, m)
+        latest.clear()
+        latest[vec.tobytes()] = (m, f)
+        if not history:
+            history.append(f)  # the first evaluation is at a0
+        return f, obj.gradient(a, m).ravel()
+
+    def recall(vec):
+        key = vec.tobytes()
+        for seen in (latest, accepted):
+            if key in seen:
+                return seen[key]
+        a = vec.reshape(shape)
+        m = obj.forward(a)
+        return m, obj.objective(a, m)
 
     def cb(vec):
-        history.append(obj.objective(vec.reshape(shape)))
+        hit = recall(vec)
+        accepted.clear()
+        accepted[vec.tobytes()] = hit
+        history.append(hit[1])
 
     res = minimize(fun, a0.ravel(), jac=True, method="L-BFGS-B", callback=cb,
                    options={"maxiter": max_iters, "maxcor": 20,
                             "ftol": 1e-18, "gtol": gtol})
     a_opt = res.x.reshape(shape)
-    m_opt = obj.forward(a_opt)
-    cost = obj.objective(a_opt, m_opt)
+    m_opt, cost = recall(res.x)
     grad_norm = float(np.abs(res.jac).max())
     stagnated = res.status == 2
 
     # discrete adjoint in value-function units, for inspection only
-    lam_path = _adjoint_path(obj, a_opt, m_opt)
+    lam_path = obj.adjoint(a_opt, m_opt)[1]
 
     return PlannerSolution(
         u_hat=ScalarPath(lam_path / grid.dx, grid),
@@ -306,25 +339,3 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
         grad_norm=grad_norm,
         stagnated=stagnated,
     )
-
-
-def _adjoint_path(obj: ControlObjective, a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Adjoint multipliers on all levels (level 0 extrapolated flat)."""
-    g = obj.grid
-    nt = g.nt
-    lam_path = np.zeros((nt + 1, g.n))
-    lam = np.zeros(g.n)
-    for k in range(nt - 1, -1, -1):
-        rhs = obj.w[k + 1] * obj._running_cost_grad_m(m[k + 1], a[k + 1]) + lam
-        if k + 1 == nt:
-            rhs = rhs + obj._terminal_grad_m(m[nt])
-        bf = _face_drift(a[k])
-        bp = np.maximum(bf, 0.0)
-        bm = np.minimum(bf, 0.0)
-        lower = -obj._r - obj._c * bp
-        upper = -obj._r + obj._c * np.roll(bm, -1)
-        diag = 1.0 + 2.0 * obj._r + obj._c * (np.roll(bp, -1) - bm)
-        lam = solve_periodic_tridiag(np.roll(upper, 1), diag, np.roll(lower, -1), rhs)
-        lam_path[k + 1] = lam
-    lam_path[0] = lam_path[1]
-    return lam_path

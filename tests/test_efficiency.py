@@ -21,6 +21,8 @@ from mfglab import (
     ub_norm,
     planner_cost,
 )
+from mfglab import harness
+from mfglab.efficiency import _phi_stack
 from mfglab.grids import continuity_residual_1d
 from mfglab.model import coupling_from_label, coupling_spatial
 
@@ -275,6 +277,27 @@ class TestCertificate:
         assert cert > 1e-9
         assert cert <= gap + 1e-6 * (1 + abs(social_cost(sol, prob)))
 
+    def test_equals_per_h_reference_loop(self):
+        # a nonzero terminal cost, so both perturbation variants run
+        g = Grid(n=32, nt=64)
+        prob = make_problem(g, "convolution", lam=1.0,
+                            terminal=coupling_from_label(g, "convolution", lam=0.5))
+        sol = solve_mfg(prob)
+        eps = default_epsilon(g)
+        cost_eq = social_cost(sol, prob)
+        best = 0.0
+        for builder in (build_perturbation_running, build_perturbation_terminal):
+            pert = builder(sol, prob, eps)
+            assert float(np.abs(pert.mu.values).max()) > 0.0
+            tau = pert.tau if np.isfinite(pert.tau) else 1.0
+            hs = np.geomspace(1e-4 * tau, tau, 32)
+            phis = [phi_eval(sol, pert, h, prob) for h in hs]
+            assert np.array_equal(_phi_stack(sol, pert, hs, prob), phis)
+            for phi in phis:
+                best = max(best, cost_eq - phi)
+        assert best > 0.0
+        assert certificate(sol, prob, eps) == best
+
 
 class TestDuality:
     def test_decoupled_both_sides_zero(self, bench64, fast_params):
@@ -322,6 +345,15 @@ class TestHolder:
         h2 = holder_diagnostic(sol, prob2, eps)
         assert h2 == pytest.approx(2.0 * h1, rel=1e-12)
         assert h1 > 0.0
+
+    def test_single_level_window_gives_nan(self, tmp_path):
+        # at nt=8 the default eps leaves only t = 1/2 in the window
+        cfg = {"schema": 1, "grid": {"n": 16, "nt": 8},
+               "coupling": {"label": "xfree", "lambda": 1.0}, "terminal": {"label": "zero"},
+               "m0": {"kind": "cosine", "amplitude": 0.5}}
+        rows = harness.run(cfg, tmp_path / "rows.csv")
+        assert len(rows) == 1 and np.isnan(rows[0]["holder"])
+        assert len(harness.read_rows(tmp_path / "rows.csv")) == 1
 
 
 class TestFullReport:

@@ -17,8 +17,8 @@ from mfglab import (
     reconstruct_flux_1d,
     w1_distance_1d,
 )
-from mfglab.errors import MassConservationError, ShapeMismatchError
-from mfglab.grids import check_density_slice
+from mfglab.errors import LinearSolveError, MassConservationError, ShapeMismatchError
+from mfglab.grids import check_density_slice, shift_next, shift_prev
 from mfglab.stepping import solve_periodic_tridiag
 
 TWO_PI = 2.0 * np.pi
@@ -287,3 +287,52 @@ class TestPeriodicTridiag:
         for j in range(3):
             xj = solve_periodic_tridiag(lower, diag, upper, rhs[:, j])
             np.testing.assert_allclose(x[:, j], xj, atol=1e-13)
+
+    @staticmethod
+    def dense(lower, diag, upper):
+        n = diag.shape[0]
+        a = np.diag(diag)
+        for i in range(n):
+            a[i, (i - 1) % n] += lower[i]
+            a[i, (i + 1) % n] += upper[i]
+        return a
+
+    @pytest.mark.parametrize("dominant", [True, False])
+    def test_stack_equals_single_solves(self, rng, dominant):
+        # non-dominant bands make LAPACK swap rows inside a block
+        n, batch = 24, 7
+        lower = rng.uniform(-1, 1, (batch, n)) * (1.0 if dominant else 3.0)
+        upper = rng.uniform(-1, 1, (batch, n)) * (1.0 if dominant else 3.0)
+        diag = rng.uniform(4, 6, (batch, n)) if dominant else rng.uniform(-1, 1, (batch, n))
+        rhs = rng.standard_normal((batch, n))
+        x = solve_periodic_tridiag(lower, diag, upper, rhs)
+        assert x.shape == (batch, n)
+        for b in range(batch):
+            single = solve_periodic_tridiag(lower[b], diag[b], upper[b], rhs[b])
+            assert np.array_equal(x[b], single)
+            a = self.dense(lower[b], diag[b], upper[b])
+            np.testing.assert_allclose(a @ x[b], rhs[b], atol=1e-9 * np.abs(a).max() * np.abs(x[b]).max())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_non_finite_input_rejected(self, which, bad, batch):
+        n = 16
+        shape = (n,) if batch is None else (batch, n)
+        args = [np.full(shape, -1.0), np.full(shape, 4.0), np.full(shape, -1.0), np.ones(shape)]
+        args[which][..., 5] = bad
+        with pytest.raises(ValueError):
+            solve_periodic_tridiag(*args)
+
+    def test_singular_periodic_laplacian(self):
+        # constants span the kernel; the rank-one update divides by zero
+        n = 16
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(LinearSolveError):
+            solve_periodic_tridiag(np.full(n, -1.0), np.full(n, 2.0), np.full(n, -1.0), np.ones(n))
+
+
+def test_shifts_match_roll(rng):
+    f = rng.standard_normal((3, 10))
+    for a in (f, f[0]):
+        assert np.array_equal(shift_prev(a), np.roll(a, 1, axis=-1))
+        assert np.array_equal(shift_next(a), np.roll(a, -1, axis=-1))

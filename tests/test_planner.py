@@ -14,6 +14,7 @@ from mfglab import (
     solve_planner_system,
     weighted_average,
 )
+from mfglab import planner
 from mfglab.mfg import feedback_drift
 from mfglab.model import coupling_spatial
 from mfglab.planner import ControlObjective
@@ -182,3 +183,50 @@ class TestPlannerDescent:
         prob = make_problem(grid64, "zero", amplitude=0.0)
         with pytest.raises(ValueError):
             solve_planner_descent(prob, fast_params, init=np.zeros((3, grid64.n)))
+
+    # the second case ends in a line-search stagnation, where L-BFGS-B
+    # returns the last accepted iterate rather than the last evaluated point
+    @pytest.mark.parametrize("n, nt, label, stagnates", [(64, 64, "convolution", False),
+                                                         (16, 8, "efficient", True)])
+    def test_one_forward_sweep_per_evaluation(self, n, nt, label, stagnates, fast_params,
+                                              monkeypatch):
+        grid = Grid(n=n, nt=nt)
+        prob = make_problem(grid, label, lam=1.0)
+        mfg = solve_mfg(prob, fast_params)
+        a0 = mfg.alpha_star.values[..., 0]
+        sweep, gradient, minimize = (planner.fp_forward_sweep, ControlObjective.gradient,
+                                     planner.minimize)
+        counts = {"sweeps": 0, "evals": 0}
+        accepted = []
+
+        def counting_sweep(*args):
+            counts["sweeps"] += 1
+            return sweep(*args)
+
+        def counting_gradient(self, *args):
+            counts["evals"] += 1
+            return gradient(self, *args)
+
+        def recording_minimize(fun, x0, callback=None, **kwargs):
+            def record(vec):
+                accepted.append(vec.copy())
+                callback(vec)
+            return minimize(fun, x0, callback=record, **kwargs)
+
+        monkeypatch.setattr(planner, "fp_forward_sweep", counting_sweep)
+        monkeypatch.setattr(ControlObjective, "gradient", counting_gradient)
+        monkeypatch.setattr(planner, "minimize", recording_minimize)
+        plan = solve_planner_descent(prob, fast_params, init=mfg.alpha_star)
+        monkeypatch.undo()
+        assert plan.stagnated == stagnates
+        assert counts["sweeps"] == counts["evals"] > 1
+
+        # the values a fresh sweep and planner_cost give at every point
+        def cost_at(a):
+            a = a.reshape(a0.shape)
+            return planner_cost(sweep(grid, prob.m0, a), a, prob)
+
+        assert plan.objective_history == tuple(cost_at(a) for a in [a0] + accepted)
+        a_opt = plan.control.values[..., 0]
+        assert plan.cost == cost_at(a_opt)
+        assert np.array_equal(plan.m_hat.values, sweep(grid, prob.m0, a_opt))
