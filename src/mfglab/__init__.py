@@ -20,8 +20,6 @@ from .efficiency import (
     holder_diagnostic,
     lb_integrands,
     phi_eval,
-    residual_F,
-    residual_G,
     social_cost,
     ub_norm,
 )
@@ -29,9 +27,7 @@ from .grids import (
     DensityPath,
     Grid,
     ScalarPath,
-    VectorPath,
     continuity_residual_1d,
-    divergence,
     gradient,
     integrate,
     laplacian,

@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 at least one solver did
-not converge (results are still written).
+not converge (results are still written), 4 a solver failed with a
+MassConservationError, LinearSolveError or TimeStepDivergenceError (one
+stderr line names the error and its message; rows of the points that
+finished before it are kept).
 """
 
 from __future__ import annotations
@@ -10,7 +13,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import (
+    ConfigError,
+    LinearSolveError,
+    MassConservationError,
+    TimeStepDivergenceError,
+)
 from .harness import (
     RESULT_COLUMNS,
     SCHEMA_VERSION,
@@ -28,6 +36,7 @@ from .planner import solve_planner_descent, solve_planner_system
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
+EXIT_SOLVER = 4
 
 
 def _write_row(path: str | Path, columns: list[str], values: list) -> None:
@@ -161,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (MassConservationError, LinearSolveError, TimeStepDivergenceError) as exc:
+        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

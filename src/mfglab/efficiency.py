@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MassConservationError
-from .grids import ScalarPath, VectorPath, reconstruct_flux_1d, shift_next, shift_prev
+from .grids import ScalarPath, gradient, reconstruct_flux_1d
 from .mfg import MFGSolution, SolverParams, solve_mfg
-from .model import Coupling, Problem, TerminalCost, delta_ghat, residual_field
+from .model import Problem, delta_ghat, residual_field
 from .planner import (
     PlannerSolution,
     planner_cost,
@@ -38,7 +38,9 @@ from .planner import (
     solve_planner_system,
     terminal_cost,
 )
-from .stepping import check_mass_drift, fp_forward_sweep, fp_step, time_weights
+from .stepping import check_mass_drift, fp_forward_sweep, fp_step
+
+H_SAMPLES = 32  # log-spaced perturbation sizes the certificate tries per variant
 
 
 def social_cost(sol: MFGSolution, problem: Problem) -> float:
@@ -46,27 +48,21 @@ def social_cost(sol: MFGSolution, problem: Problem) -> float:
     return planner_cost(sol.m, sol.alpha_star, problem)
 
 
-def residual_F(coupling: Coupling, m: np.ndarray) -> np.ndarray:
-    """Efficiency residual field of the running coupling at one density slice."""
-    return residual_field(coupling, m)
-
-
-def residual_G(terminal: TerminalCost, m: np.ndarray) -> np.ndarray:
-    """Efficiency residual field of the terminal cost at the final density."""
-    return residual_field(terminal, m)
-
-
 # ---------------------------------------------------------------------------
 # lower/upper bound integrands
 # ---------------------------------------------------------------------------
+
+def _window_levels(grid, eps: float) -> np.ndarray:
+    """Indices of the time levels inside [t0+eps, T-eps]."""
+    t = grid.times()
+    return np.flatnonzero((t >= grid.t0 + eps - 1e-12) & (t <= grid.T - eps + 1e-12))
+
 
 def _window_weights(grid, eps: float) -> np.ndarray:
     """Trapezoidal weights supported on time levels inside [t0+eps, T-eps]."""
     if eps < 0 or 2 * eps >= grid.T - grid.t0:
         raise ValueError(f"need 0 <= eps < (T-t0)/2, got {eps}")
-    t = grid.times()
-    inside = (t >= grid.t0 + eps - 1e-12) & (t <= grid.T - eps + 1e-12)
-    idx = np.flatnonzero(inside)
+    idx = _window_levels(grid, eps)
     w = np.zeros(grid.nt + 1)
     w[idx] = grid.dt
     w[idx[0]] = w[idx[-1]] = 0.5 * grid.dt
@@ -76,9 +72,9 @@ def _window_weights(grid, eps: float) -> np.ndarray:
 def lb_integrands(sol: MFGSolution, problem: Problem, eps: float) -> tuple[float, float]:
     """Squared-residual integrals entering the gap lower bound.
 
-    lb_F integrates ||residual_F(m(t))||_L2^2 over [t0+eps, T-eps]; lb_G is
-    the squared L2 norm of the terminal residual.  eps = 0 gives the
-    full-interval quantity used by ub_norm.
+    lb_F integrates ||residual_field(F, m(t))||_L2^2 over [t0+eps, T-eps];
+    lb_G is the squared L2 norm of the terminal residual.  eps = 0 gives
+    the full-interval quantity used by ub_norm.
     """
     grid = problem.grid
     m = sol.m.values
@@ -118,7 +114,7 @@ class Perturbation:
     """
 
     mu: ScalarPath
-    beta: VectorPath
+    beta: ScalarPath
     gamma: np.ndarray
     tau: float
     variant: str
@@ -216,13 +212,13 @@ def phi_eval(sol: MFGSolution, pert: Perturbation, h: float,
     if not 0.0 <= h <= pert.tau:
         raise ValueError(f"h={h} outside the admissible range [0, {pert.tau}]")
     grid = problem.grid
-    alpha = sol.alpha_star.values[..., 0]
+    alpha = sol.alpha_star.values
     if h == 0.0:
         alpha_h = alpha
     else:
         m = sol.m.values
         mu = pert.mu.values
-        beta = pert.beta.values[..., 0]
+        beta = pert.beta.values
         alpha_h = (m * alpha + h * beta) / (m + h * mu)
     m_resolved = fp_forward_sweep(grid, problem.m0, alpha_h)
     return planner_cost(m_resolved, alpha_h, problem)
@@ -238,8 +234,8 @@ def _phi_stack(sol: MFGSolution, pert: Perturbation, hs: np.ndarray,
     current slices are held, never the (len(hs), nt+1, n) paths.
     """
     grid = problem.grid
-    m, alpha = sol.m.values, sol.alpha_star.values[..., 0]
-    mu, beta = pert.mu.values, pert.beta.values[..., 0]
+    m, alpha = sol.m.values, sol.alpha_star.values
+    mu, beta = pert.mu.values, pert.beta.values
     h = hs[:, None]
     x = grid.xs()
     target = problem.m0.sum() * grid.dx
@@ -254,12 +250,12 @@ def _phi_stack(sol: MFGSolution, pert: Perturbation, hs: np.ndarray,
     return running + np.array([terminal_cost(problem, mb) for mb in m_h])
 
 
-def certificate(sol: MFGSolution, problem: Problem, eps: float,
-                h_samples: int = 32) -> float:
+def certificate(sol: MFGSolution, problem: Problem, eps: float) -> float:
     """Constant-free lower bound on the inefficiency gap.
 
-    Builds both perturbation variants, samples h log-spaced over
-    [1e-4 tau, tau] and returns max(0, max_h (cost(u,m) - phi(h))).  Valid
+    Builds both perturbation variants, samples H_SAMPLES values of h
+    log-spaced over [1e-4 tau, tau] and returns
+    max(0, max_h (cost(u,m) - phi(h))).  Valid
     because every phi(h) is the cost of a feasible pair, hence at least
     the planner optimum.  The samples of a variant are evaluated together
     (see _phi_stack), with the same values as phi_eval one h at a time.
@@ -271,7 +267,7 @@ def certificate(sol: MFGSolution, problem: Problem, eps: float,
         if float(np.abs(pert.mu.values).max()) == 0.0:
             continue  # residual vanishes; this variant certifies nothing
         tau = pert.tau if np.isfinite(pert.tau) else 1.0
-        hs = np.geomspace(1e-4 * tau, tau, h_samples)
+        hs = np.geomspace(1e-4 * tau, tau, H_SAMPLES)
         for phi in _phi_stack(sol, pert, hs, problem):
             best = max(best, cost_eq - float(phi))
     return best
@@ -311,12 +307,10 @@ def duality_check(mfg: MFGSolution, plan: PlannerSolution,
     grid = problem.grid
     ham = problem.hamiltonian
     x = grid.xs()
-    w = time_weights(grid)
-    u, uh = mfg.u.values, plan.u_hat.values
+    w = _window_weights(grid, 0.0)
     m, mh = mfg.m.values, plan.m_hat.values
-
-    du_path = (shift_next(u) - shift_prev(u)) / (2.0 * grid.dx)
-    duh_path = (shift_next(uh) - shift_prev(uh)) / (2.0 * grid.dx)
+    du_path = gradient(mfg.u.values, grid)
+    duh_path = gradient(plan.u_hat.values, grid)
 
     lhs = 0.0
     rhs = 0.0
@@ -349,10 +343,9 @@ def holder_diagnostic(sol: MFGSolution, problem: Problem, eps: float) -> float:
             f"Holder diagnostic needs an x-free coupling, got {problem.coupling.label!r}"
         )
     grid = problem.grid
-    t = grid.times()
-    idx = np.flatnonzero((t >= grid.t0 + eps - 1e-12) & (t <= grid.T - eps + 1e-12))
+    idx = _window_levels(grid, eps)
     f = np.array([problem.coupling.eval(sol.m.values[k])[0] for k in idx])
-    tt = t[idx]
+    tt = grid.times()[idx]
     df = np.abs(f[:, None] - f[None, :])
     dts = np.abs(tt[:, None] - tt[None, :])
     mask = dts > 0

@@ -10,6 +10,11 @@ until the best-response defect sup_t ||m_next(t) - m(t)||_L1 drops below
 tolerance.  Non-convergence is reported through a flag, not an exception:
 uniqueness is only guaranteed for monotone couplings, and for nonconvex
 ones the fixed point may select any equilibrium.
+
+``fixed_point`` is the one damped loop of the package.  The planner's
+optimality system runs it too: it differs from the equilibrium system
+only in the data of the backward equation (an extra source and another
+terminal condition), which each caller supplies as a function of m.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DensityPath, Grid, ScalarPath, VectorPath, shift_next, shift_prev
+from .grids import DensityPath, ScalarPath, gradient
 from .model import Problem
 from .stepping import fp_forward_sweep, fp_residual, hjb_backward_sweep, hjb_residual
 
@@ -30,14 +35,11 @@ class SolverParams:
     damping is either a fixed factor in (0, 1], the string "averaging"
     (fictitious-play schedule 2/(k+2)) or "auto": plain iteration that
     falls back to averaging as soon as the defect stops decreasing.
-    linear_tol is reserved for iterative linear backends; the periodic
-    tridiagonal solves used here are direct.
     """
 
     damping: float | str = "auto"
     max_iters: int = 200
     tol_fixed_point: float = 1e-8
-    linear_tol: float = 1e-12
 
     def __post_init__(self):
         if isinstance(self.damping, str):
@@ -53,7 +55,10 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class MFGSolution:
-    """Equilibrium pair (u, m) with feedback and solver diagnostics.
+    """Forward-backward pair (u, m) with feedback and solver diagnostics.
+
+    solve_mfg returns the equilibrium; fixed_point returns this record
+    for whichever backward data it ran.
 
     fp_residual is the final best-response defect sup_t L1; hjb_residual
     and fpk_residual are the sup-norm defects of the discrete equations
@@ -62,7 +67,7 @@ class MFGSolution:
 
     u: ScalarPath
     m: DensityPath
-    alpha_star: VectorPath
+    alpha_star: ScalarPath
     iterations: int
     fp_residual: float
     hjb_residual: float
@@ -73,33 +78,32 @@ class MFGSolution:
 def feedback_drift(problem: Problem, u: np.ndarray) -> np.ndarray:
     """Optimal feedback -dp_h0(x, Du) on every time level."""
     grid = problem.grid
-    du = (shift_next(u) - shift_prev(u)) / (2.0 * grid.dx)
-    return -problem.hamiltonian.dp_h0(grid.xs()[None, :], du)
+    return -problem.hamiltonian.dp_h0(grid.xs()[None, :], gradient(u, grid))
 
 
 def _coupling_fields(problem: Problem, m: np.ndarray) -> np.ndarray:
     return np.stack([problem.coupling.eval(m[k]) for k in range(problem.grid.nt + 1)])
 
 
-def _check_1d(grid: Grid):
-    if grid.d != 1:
-        raise ValueError("the forward-backward solvers are implemented for d=1")
+def _equilibrium_data(problem: Problem, m: np.ndarray):
+    """Backward data of the equilibrium system along the flow m (see fixed_point)."""
+    return _coupling_fields(problem, m), problem.terminal.eval(m[-1]), None
 
 
-def solve_hjb_backward(m: DensityPath, problem: Problem,
-                       params: SolverParams | None = None) -> ScalarPath:
+def _heat_flow(problem: Problem) -> np.ndarray:
+    grid = problem.grid
+    return fp_forward_sweep(grid, problem.m0, np.zeros((grid.nt + 1, grid.n)))
+
+
+def solve_hjb_backward(m: DensityPath, problem: Problem) -> ScalarPath:
     """Backward equation given the population flow m (terminal from m(T))."""
-    _check_1d(problem.grid)
-    fields = _coupling_fields(problem, m.values)
-    terminal = problem.terminal.eval(m.values[-1])
-    u = hjb_backward_sweep(problem.grid, problem.hamiltonian, fields, terminal)
+    u = hjb_backward_sweep(problem.grid, problem.hamiltonian,
+                           *_equilibrium_data(problem, m.values))
     return ScalarPath(u, problem.grid)
 
 
-def solve_fp_forward(u: ScalarPath, problem: Problem,
-                     params: SolverParams | None = None) -> DensityPath:
+def solve_fp_forward(u: ScalarPath, problem: Problem) -> DensityPath:
     """Forward equation from m0 under the feedback drift of u."""
-    _check_1d(problem.grid)
     drift = feedback_drift(problem, u.values)
     m = fp_forward_sweep(problem.grid, problem.m0, drift)
     return DensityPath(m, problem.grid)
@@ -109,40 +113,27 @@ def _sup_l1(a: np.ndarray, b: np.ndarray, dx: float) -> float:
     return float(np.abs(a - b).sum(axis=1).max() * dx)
 
 
-def solve_mfg(problem: Problem, params: SolverParams | None = None,
-              init_m: DensityPath | None = None) -> MFGSolution:
-    """Damped fixed point on the population flow.
+def fixed_point(problem: Problem, params: SolverParams, backward_data,
+                m_bar: np.ndarray) -> MFGSolution:
+    """Damped best-response iteration on the population flow, from m_bar.
 
-    The iteration starts from the drift-free heat flow unless a warm
-    start is given.  The returned density is exactly the forward solve
-    under the returned feedback (one extra sweep at acceptance), so the
-    discrete forward residual of the output pair is at round-off level
-    and the terminal slice of u is rebuilt from the returned m(T).
+    backward_data(m) returns (coupling fields, terminal field, source or
+    None) of the backward equation along the flow m.  Without
+    convergence the iterate of smallest defect is returned.  The returned
+    density is exactly the forward solve under the returned feedback, the
+    terminal slice of u is rebuilt from the returned m(T), and the
+    residuals are those of the returned pair.
     """
-    params = params or SolverParams()
-    _check_1d(problem.grid)
-    grid = problem.grid
-    nt = grid.nt
-
-    if init_m is not None:
-        m_bar = init_m.values.copy()
-    else:
-        m_bar = fp_forward_sweep(grid, problem.m0, np.zeros((nt + 1, grid.n)))
-
+    grid, ham = problem.grid, problem.hamiltonian
     best = None
     averaging = params.damping == "averaging"
     avg_count = 0
     prev_defect = np.inf
     converged = False
-    iterations = 0
 
-    for it in range(1, params.max_iters + 1):
-        iterations = it
-        fields = _coupling_fields(problem, m_bar)
-        terminal = problem.terminal.eval(m_bar[nt])
-        u = hjb_backward_sweep(grid, problem.hamiltonian, fields, terminal)
-        drift = feedback_drift(problem, u)
-        m_new = fp_forward_sweep(grid, problem.m0, drift)
+    for iterations in range(1, params.max_iters + 1):
+        u = hjb_backward_sweep(grid, ham, *backward_data(m_bar))
+        m_new = fp_forward_sweep(grid, problem.m0, feedback_drift(problem, u))
         defect = _sup_l1(m_new, m_bar, grid.dx)
 
         if best is None or defect < best[0]:
@@ -161,26 +152,31 @@ def solve_mfg(problem: Problem, params: SolverParams | None = None,
             delta = 1.0 if isinstance(params.damping, str) else float(params.damping)
         m_bar = m_bar + delta * (m_new - m_bar)
 
-    if not converged:
-        _, u, m_new = best
-    defect = best[0] if not converged else defect
-
-    # terminal condition holds exactly for the returned density
-    u = u.copy()
-    u[nt] = problem.terminal.eval(m_new[nt])
+    # on convergence the last iterate is also the best one
+    defect, u, m_new = best
+    fields, terminal, source = backward_data(m_new)
+    u[-1] = terminal
     drift = feedback_drift(problem, u)
-
-    fields = _coupling_fields(problem, m_new)
-    res_hjb = hjb_residual(grid, problem.hamiltonian, u, fields)
-    res_fpk = fp_residual(grid, m_new, drift)
 
     return MFGSolution(
         u=ScalarPath(u, grid),
         m=DensityPath(m_new, grid),
-        alpha_star=VectorPath(drift[:, :, None], grid),
+        alpha_star=ScalarPath(drift, grid),
         iterations=iterations,
         fp_residual=float(defect),
-        hjb_residual=res_hjb,
-        fpk_residual=res_fpk,
+        hjb_residual=hjb_residual(grid, ham, u, fields, source),
+        fpk_residual=fp_residual(grid, m_new, drift),
         converged=converged,
     )
+
+
+def solve_mfg(problem: Problem, params: SolverParams | None = None,
+              init_m: DensityPath | None = None) -> MFGSolution:
+    """Equilibrium by the damped fixed point.
+
+    The iteration starts from the drift-free heat flow unless a warm
+    start is given.
+    """
+    m_bar = _heat_flow(problem) if init_m is None else init_m.values
+    return fixed_point(problem, params or SolverParams(),
+                       lambda m: _equilibrium_data(problem, m), m_bar)

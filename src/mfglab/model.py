@@ -124,7 +124,7 @@ def coupling_convolution(grid: Grid, kernel: Callable | None = None,
                          lam: float = 1.0) -> Coupling:
     """F(x, m) = lam * int phi(x, y) m(dy)."""
     phi = _kernel_matrix(grid, kernel or kernel_cos_diff)
-    dx = grid.cell_volume
+    dx = grid.dx
 
     def ev(m):
         return lam * (phi @ m) * dx
@@ -146,7 +146,7 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
     gap from every start.
     """
     phi = _kernel_matrix(grid, kernel or kernel_cos_diff)
-    dx = grid.cell_volume
+    dx = grid.dx
 
     def parts(m):
         a1 = (phi @ m) * dx        # int phi(x, y) m(dy)
@@ -175,7 +175,7 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
     """
     k = _kernel_matrix(grid, kernel or kernel_cos_diff)
     k = 0.5 * (k + k.T)  # potential structure needs a symmetric kernel
-    dx = grid.cell_volume
+    dx = grid.dx
 
     def ev(m):
         km = (k @ m) * dx
@@ -198,7 +198,7 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
     g = profile or (lambda s: 0.5 * s**2)
     gp = profile_prime or (lambda s: s)
     c = np.asarray((weight or (lambda z: np.cos(TWO_PI * z)))(grid.xs()), dtype=float)
-    dx = grid.cell_volume
+    dx = grid.dx
     ones = np.ones(grid.n)
 
     def ev(m):
@@ -261,7 +261,7 @@ COUPLING_LABELS = ("zero", "convolution", "efficient", "potential", "xfree", "sp
 def convention_defect(coupling: Coupling, m: np.ndarray) -> float:
     """Max over base points of |int delta(x, m, .) dm| (should vanish)."""
     d = coupling.delta(m)
-    return float(np.abs(d @ m * coupling.grid.cell_volume).max())
+    return float(np.abs(d @ m * coupling.grid.dx).max())
 
 
 def delta_m_fd_check(coupling: Coupling, m: np.ndarray, i: int, j: int,
@@ -271,7 +271,7 @@ def delta_m_fd_check(coupling: Coupling, m: np.ndarray, i: int, j: int,
     Compares delta(m)[i, j] minus its m-average (which re-applies the
     normalization convention) against the one-sided quotient
     (eval(x_i, (1-s) m + s delta_y) - eval(x_i, m)) / s, where delta_y is
-    the grid delta of mass 1 (a single-cell spike of height 1/dx^d).
+    the grid delta of mass 1 (a single-cell spike of height 1/dx).
     Returns |lhs - rhs| / max(1, |lhs|, |rhs|), an error relative to the
     natural O(1) scale of the catalog couplings.
     """
@@ -282,9 +282,9 @@ def delta_m_fd_check(coupling: Coupling, m: np.ndarray, i: int, j: int,
     if m.min() <= 0.0:
         raise MassConservationError("degenerate density: FD check needs m > 0")
     row = coupling.delta(m)[i]
-    lhs = row[j] - float(row @ m) * grid.cell_volume
+    lhs = row[j] - float(row @ m) * grid.dx
     m_pert = (1.0 - s) * m
-    m_pert[j] += s / grid.cell_volume
+    m_pert[j] += s / grid.dx
     rhs = (coupling.eval(m_pert)[i] - coupling.eval(m)[i]) / s
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
@@ -292,7 +292,7 @@ def delta_m_fd_check(coupling: Coupling, m: np.ndarray, i: int, j: int,
 def weighted_average(coupling: Coupling, m: np.ndarray) -> float:
     """int F(x, m) m(dx) -- the averaged coupling along m."""
     m = np.asarray(m, dtype=float)
-    return float(coupling.eval(m) @ m) * coupling.grid.cell_volume
+    return float(coupling.eval(m) @ m) * coupling.grid.dx
 
 
 def residual_field(coupling: Coupling, m: np.ndarray) -> np.ndarray:
@@ -303,7 +303,7 @@ def residual_field(coupling: Coupling, m: np.ndarray) -> np.ndarray:
     planner optimality system.
     """
     m = np.asarray(m, dtype=float)
-    return (m @ coupling.delta(m)) * coupling.grid.cell_volume
+    return (m @ coupling.delta(m)) * coupling.grid.dx
 
 
 def delta_ghat(terminal: TerminalCost, m: np.ndarray) -> np.ndarray:
@@ -315,7 +315,7 @@ def delta_ghat(terminal: TerminalCost, m: np.ndarray) -> np.ndarray:
     grid = terminal.grid
     m = np.asarray(m, dtype=float)
     g_field = terminal.eval(m)
-    return residual_field(terminal, m) + g_field - float(g_field @ m) * grid.cell_volume
+    return residual_field(terminal, m) + g_field - float(g_field @ m) * grid.dx
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +323,20 @@ def delta_ghat(terminal: TerminalCost, m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def density_uniform(grid: Grid) -> np.ndarray:
-    return np.ones(grid.spatial_shape)
+    return np.ones(grid.n)
 
 
 def density_cosine(grid: Grid, amplitude: float = 0.5) -> np.ndarray:
-    """1 + amplitude * cos(2 pi x) (d=1); amplitude in (-1, 1) keeps it positive."""
+    """1 + amplitude * cos(2 pi x); amplitude in (-1, 1) keeps it positive."""
     if not -1.0 < amplitude < 1.0:
         raise ValueError(f"amplitude {amplitude} does not keep the density positive")
-    if grid.d != 1:
-        raise ValueError("cosine bump density is defined for d=1")
     return 1.0 + amplitude * np.cos(TWO_PI * grid.xs())
 
 
 def grid_delta(grid: Grid, j: int) -> np.ndarray:
     """Unit-mass single-cell spike at index j."""
-    m = np.zeros(grid.spatial_shape)
-    m.flat[j] = 1.0 / grid.cell_volume
+    m = np.zeros(grid.n)
+    m[j] = 1.0 / grid.dx
     return m
 
 

@@ -6,9 +6,10 @@ except the backward equation carries the source
 
     S(t, x) = int dF/dm(y, m(t), x) m(t, y) dy
 
-and the terminal condition is the derivative of m -> int G dm.  The
-descent route never looks at optimality conditions: it runs exact
-adjoint gradient descent on the discrete control objective (the
+and the terminal condition is the derivative of m -> int G dm, so it
+runs the equilibrium's damped loop (mfg.fixed_point) on that backward
+data.  The descent route never looks at optimality conditions: it runs
+exact adjoint gradient descent on the discrete control objective (the
 discretize-then-optimize gradient of the very quadrature reported as
 cost), warm-started at the equilibrium feedback so its first objective
 value is the equilibrium social cost.  The two values cross-validate
@@ -23,17 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .grids import DensityPath, ScalarPath, VectorPath, shift_next, shift_prev
-from .mfg import SolverParams, _sup_l1, feedback_drift, solve_mfg
+from .grids import DensityPath, ScalarPath, shift_next, shift_prev
+from .mfg import SolverParams, _coupling_fields, _heat_flow, fixed_point, solve_mfg
 from .model import Problem, delta_ghat, residual_field, weighted_average
-from .stepping import (
-    fp_forward_sweep,
-    fp_residual,
-    hjb_backward_sweep,
-    hjb_residual,
-    solve_periodic_tridiag,
-    upwind_bands,
-)
+from .stepping import fp_forward_sweep, fp_residual, solve_periodic_tridiag, upwind_bands
+
+DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
+DESCENT_GTOL = 1e-12     # L-BFGS projected-gradient tolerance
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,7 @@ class PlannerSolution:
 
     u_hat: ScalarPath
     m_hat: DensityPath
-    w_hat: VectorPath
+    w_hat: ScalarPath
     cost: float
     method: str
     iterations: int
@@ -58,7 +55,7 @@ class PlannerSolution:
     hjb_residual: float
     fpk_residual: float
     converged: bool
-    control: VectorPath | None = None
+    control: ScalarPath | None = None
     objective_history: tuple[float, ...] = ()
     grad_norm: float = float("nan")
     stagnated: bool = False
@@ -77,9 +74,7 @@ def planner_cost(m, alpha, problem: Problem) -> float:
     """
     grid = problem.grid
     mv = m.values if isinstance(m, ScalarPath) else np.asarray(m, dtype=float)
-    av = alpha.values if isinstance(alpha, VectorPath) else np.asarray(alpha, dtype=float)
-    if av.ndim == 3:
-        av = av[..., 0]
+    av = alpha.values if isinstance(alpha, ScalarPath) else np.asarray(alpha, dtype=float)
     expect = (grid.nt + 1, grid.n)
     if mv.shape != expect or av.shape != expect:
         raise ValueError(f"paths must have shape {expect}, got {mv.shape} and {av.shape}")
@@ -109,68 +104,22 @@ def terminal_cost(problem: Problem, m_T: np.ndarray) -> float:
 def solve_planner_system(problem: Problem,
                          params: SolverParams | None = None) -> PlannerSolution:
     """Fixed point on the sourced forward-backward optimality system."""
-    params = params or SolverParams()
-    grid = problem.grid
-    if grid.d != 1:
-        raise ValueError("the planner solvers are implemented for d=1")
-    nt = grid.nt
+    def backward_data(m):
+        source = np.stack([residual_field(problem.coupling, m_k) for m_k in m])
+        return _coupling_fields(problem, m), delta_ghat(problem.terminal, m[-1]), source
 
-    m_bar = fp_forward_sweep(grid, problem.m0, np.zeros((nt + 1, grid.n)))
-    best = None
-    averaging = params.damping == "averaging"
-    avg_count = 0
-    prev_defect = np.inf
-    converged = False
-    iterations = 0
-
-    for it in range(1, params.max_iters + 1):
-        iterations = it
-        fields = np.stack([problem.coupling.eval(m_bar[k]) for k in range(nt + 1)])
-        source = np.stack([residual_field(problem.coupling, m_bar[k])
-                           for k in range(nt + 1)])
-        terminal = delta_ghat(problem.terminal, m_bar[nt])
-        u = hjb_backward_sweep(grid, problem.hamiltonian, fields, terminal, source)
-        drift = feedback_drift(problem, u)
-        m_new = fp_forward_sweep(grid, problem.m0, drift)
-        defect = _sup_l1(m_new, m_bar, grid.dx)
-
-        if best is None or defect < best[0]:
-            best = (defect, u, m_new)
-        if defect < params.tol_fixed_point:
-            converged = True
-            break
-        if params.damping == "auto" and not averaging and defect > prev_defect:
-            averaging = True
-        prev_defect = defect
-        if averaging:
-            avg_count += 1
-            delta = 2.0 / (avg_count + 2.0)
-        else:
-            delta = 1.0 if isinstance(params.damping, str) else float(params.damping)
-        m_bar = m_bar + delta * (m_new - m_bar)
-
-    if not converged:
-        defect, u, m_new = best
-    u = u.copy()
-    u[nt] = delta_ghat(problem.terminal, m_new[nt])
-    drift = feedback_drift(problem, u)
-
-    fields = np.stack([problem.coupling.eval(m_new[k]) for k in range(nt + 1)])
-    source = np.stack([residual_field(problem.coupling, m_new[k]) for k in range(nt + 1)])
-    res_hjb = hjb_residual(grid, problem.hamiltonian, u, fields, source)
-    res_fpk = fp_residual(grid, m_new, drift)
-
+    sol = fixed_point(problem, params or SolverParams(), backward_data, _heat_flow(problem))
     return PlannerSolution(
-        u_hat=ScalarPath(u, grid),
-        m_hat=DensityPath(m_new, grid),
-        w_hat=VectorPath((m_new * drift)[:, :, None], grid),
-        cost=planner_cost(m_new, drift, problem),
+        u_hat=sol.u,
+        m_hat=sol.m,
+        w_hat=ScalarPath(sol.m.values * sol.alpha_star.values, problem.grid),
+        cost=planner_cost(sol.m, sol.alpha_star, problem),
         method="system",
-        iterations=iterations,
-        fp_residual=float(defect),
-        hjb_residual=res_hjb,
-        fpk_residual=res_fpk,
-        converged=converged,
+        iterations=sol.iterations,
+        fp_residual=sol.fp_residual,
+        hjb_residual=sol.hjb_residual,
+        fpk_residual=sol.fpk_residual,
+        converged=sol.converged,
     )
 
 
@@ -207,7 +156,7 @@ class ControlObjective:
 
     def _running_cost_grad_m(self, m_k: np.ndarray, a_k: np.ndarray) -> np.ndarray:
         # d/dm_i of sum_j [l0 + F] m_j dx, up to an additive constant that
-        # cancels in the control gradient (divergence-form dynamics)
+        # cancels in the control gradient (the dynamics conserve mass)
         p = self.problem
         return self.grid.dx * (p.hamiltonian.l0(self.x, a_k) + p.coupling.eval(m_k)
                                + residual_field(p.coupling, m_k))
@@ -257,8 +206,7 @@ class ControlObjective:
 
 
 def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
-                          init=None, max_iters: int = 500,
-                          gtol: float = 1e-12) -> PlannerSolution:
+                          init=None) -> PlannerSolution:
     """Minimize the discrete control objective with L-BFGS and exact gradients.
 
     The start control is the equilibrium feedback (computed on the fly if
@@ -268,13 +216,9 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
     reported as stagnation, not an error.
     """
     grid = problem.grid
-    if grid.d != 1:
-        raise ValueError("the planner solvers are implemented for d=1")
     if init is None:
         init = solve_mfg(problem, params).alpha_star
-    a0 = init.values if isinstance(init, VectorPath) else np.asarray(init, dtype=float)
-    if a0.ndim == 3:
-        a0 = a0[..., 0]
+    a0 = init.values if isinstance(init, ScalarPath) else np.asarray(init, dtype=float)
     shape = (grid.nt + 1, grid.n)
     if a0.shape != shape:
         raise ValueError(f"initial control has shape {a0.shape}, expected {shape}")
@@ -313,8 +257,8 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
         history.append(hit[1])
 
     res = minimize(fun, a0.ravel(), jac=True, method="L-BFGS-B", callback=cb,
-                   options={"maxiter": max_iters, "maxcor": 20,
-                            "ftol": 1e-18, "gtol": gtol})
+                   options={"maxiter": DESCENT_MAX_ITERS, "maxcor": 20,
+                            "ftol": 1e-18, "gtol": DESCENT_GTOL})
     a_opt = res.x.reshape(shape)
     m_opt, cost = recall(res.x)
     grad_norm = float(np.abs(res.jac).max())
@@ -326,7 +270,7 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
     return PlannerSolution(
         u_hat=ScalarPath(lam_path / grid.dx, grid),
         m_hat=DensityPath(m_opt, grid),
-        w_hat=VectorPath((m_opt * a_opt)[:, :, None], grid),
+        w_hat=ScalarPath(m_opt * a_opt, grid),
         cost=cost,
         method="descent",
         iterations=int(res.nit),
@@ -334,7 +278,7 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
         hjb_residual=float("nan"),
         fpk_residual=fp_residual(grid, m_opt, a_opt),
         converged=bool(res.success) or stagnated,
-        control=VectorPath(a_opt[:, :, None], grid),
+        control=ScalarPath(a_opt, grid),
         objective_history=tuple(history),
         grad_norm=grad_norm,
         stagnated=stagnated,

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import LinearSolveError, MassConservationError, TimeStepDivergenceError
-from .grids import Grid, shift_next, shift_prev
+from .grids import Grid, gradient, laplacian, shift_next, shift_prev
 
 MASS_DRIFT_RAISE = 1e-10  # larger drift than this indicates a scheme bug
 
@@ -94,13 +94,6 @@ def solve_periodic_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarra
     return x[0] if rhs.ndim == diag.ndim else x.T
 
 
-def time_weights(grid: Grid) -> np.ndarray:
-    """Trapezoidal weights on the time levels 0..nt."""
-    w = np.full(grid.nt + 1, grid.dt)
-    w[0] = w[-1] = 0.5 * grid.dt
-    return w
-
-
 # ---------------------------------------------------------------------------
 # backward Hamilton-Jacobi-Bellman sweep
 # ---------------------------------------------------------------------------
@@ -123,7 +116,7 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
     u = np.empty((nt + 1, n))
     u[nt] = terminal_field
     for k in range(nt - 1, -1, -1):
-        du = (shift_next(u[k + 1]) - shift_prev(u[k + 1])) / (2.0 * dx)
+        du = gradient(u[k + 1], grid)
         with np.errstate(over="ignore", invalid="ignore"):
             ham = hamiltonian.h0(x, du) - coupling_fields[k]
             if source_fields is not None:
@@ -144,12 +137,10 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
 def hjb_residual(grid: Grid, hamiltonian, u: np.ndarray, coupling_fields: np.ndarray,
                  source_fields: np.ndarray | None = None) -> float:
     """Sup-norm defect of the discrete backward equation over all steps."""
-    nt, dx = grid.nt, grid.dx
+    nt = grid.nt
     now, later = u[:nt], u[1:]
-    du = (shift_next(later) - shift_prev(later)) / (2.0 * dx)
-    lap = (shift_next(now) - 2.0 * now + shift_prev(now)) / dx**2
-    res = ((now - later) / grid.dt - lap
-           + hamiltonian.h0(grid.xs(), du) - coupling_fields[:nt])
+    res = ((now - later) / grid.dt - laplacian(now, grid)
+           + hamiltonian.h0(grid.xs(), gradient(later, grid)) - coupling_fields[:nt])
     if source_fields is not None:
         res = res - source_fields[:nt]
     return float(np.abs(res).max())
@@ -236,6 +227,5 @@ def fp_residual(grid: Grid, m: np.ndarray, a_path: np.ndarray) -> float:
     now, later = m[:nt], m[1:]
     _, bp, bm, *_ = upwind_bands(grid, a_path[:nt])
     w = bp * shift_prev(later) + bm * later
-    lap = (shift_next(later) - 2.0 * later + shift_prev(later)) / dx**2
-    res = (later - now) / grid.dt - lap + (shift_next(w) - w) / dx
+    res = (later - now) / grid.dt - laplacian(later, grid) + (shift_next(w) - w) / dx
     return float(np.abs(res).max())

@@ -27,7 +27,7 @@ from mfglab import (
     duality_check,
     lb_integrands,
     phi_eval,
-    residual_F,
+    residual_field,
     social_cost,
     solve_mfg,
     solve_planner_descent,
@@ -93,7 +93,7 @@ def phi_samples(b: Bundle, h_samples: int = 32):
 class TestCriterion1:
     def test_efficient_structure_zero_gap(self, desk):
         b = desk["efficient"]
-        res_sup = max(np.abs(residual_F(b.problem.coupling, b.sol.m.values[k])).max()
+        res_sup = max(np.abs(residual_field(b.problem.coupling, b.sol.m.values[k])).max()
                       for k in range(b.problem.grid.nt + 1))
         ok_res = res_sup <= 1e-6
         ok_gap = abs(b.gap) <= 1e-3 * (1.0 + b.cost)
@@ -196,7 +196,7 @@ class TestCriterion7:
         m = b.sol.m.values
         fhat = max(abs(weighted_average(b.problem.coupling, m[k]))
                    for k in range(g.nt + 1))
-        resid_vs_f = max(float(np.abs(residual_F(b.problem.coupling, m[k])
+        resid_vs_f = max(float(np.abs(residual_field(b.problem.coupling, m[k])
                                       + b.problem.coupling.eval(m[k])).max())
                          for k in range(g.nt + 1))
         lb_f, _ = lb_integrands(b.sol, b.problem, 0.0)

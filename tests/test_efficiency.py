@@ -12,8 +12,7 @@ from mfglab import (
     holder_diagnostic,
     lb_integrands,
     phi_eval,
-    residual_F,
-    residual_G,
+    residual_field,
     social_cost,
     solve_mfg,
     solve_planner_descent,
@@ -59,12 +58,12 @@ class TestResiduals:
     def test_m_independent_coupling_vanishes(self, grid32, rng):
         c = coupling_spatial(grid32, lambda x: np.cos(TWO_PI * x))
         m = np.ones(grid32.n)
-        assert np.abs(residual_F(c, m)).max() == 0.0
+        assert np.abs(residual_field(c, m)).max() == 0.0
 
     def test_efficient_vanishes_along_path(self, bench64):
         g, b = bench64
         prob, sol = b["efficient"]
-        worst = max(np.abs(residual_F(prob.coupling, sol.m.values[k])).max()
+        worst = max(np.abs(residual_field(prob.coupling, sol.m.values[k])).max()
                     for k in range(g.nt + 1))
         assert worst <= 1e-8
 
@@ -72,13 +71,13 @@ class TestResiduals:
         g, b = bench64
         prob, sol = b["potential"]
         m_T = sol.m.values[-1]
-        np.testing.assert_allclose(residual_F(prob.coupling, m_T),
+        np.testing.assert_allclose(residual_field(prob.coupling, m_T),
                                    -prob.coupling.eval(m_T), atol=1e-8)
 
     def test_terminal_residual_zero_cases(self, bench64):
         g, b = bench64
         prob, sol = b["convolution"]
-        assert np.abs(residual_G(prob.terminal, sol.m.values[-1])).max() == 0.0
+        assert np.abs(residual_field(prob.terminal, sol.m.values[-1])).max() == 0.0
 
     def test_terminal_residual_against_quadrature_oracle(self, bench64, rng):
         g, b = bench64
@@ -90,7 +89,7 @@ class TestResiduals:
         phi = np.cos(TWO_PI * (x[:, None] - x[None, :]))
         delta = lam * (phi - (phi @ m * g.dx)[:, None])
         oracle = m @ delta * g.dx
-        np.testing.assert_allclose(residual_G(term, m), oracle, atol=1e-12)
+        np.testing.assert_allclose(residual_field(term, m), oracle, atol=1e-12)
 
 
 class TestBoundIntegrands:
@@ -179,7 +178,7 @@ class TestPerturbations:
         support = np.abs(pert.mu.values).max(axis=1) > 0
         assert not support[t < g.T - eps - 1e-12].any()
         m_T = sol.m.values[-1]
-        expect = -m_T * residual_G(prob.terminal, m_T)
+        expect = -m_T * residual_field(prob.terminal, m_T)
         np.testing.assert_allclose(pert.mu.values[-1], expect, atol=1e-14)
 
     def test_efficient_direction_vanishes(self, bench64):
@@ -229,7 +228,7 @@ class TestPhi:
         c0 = social_cost(sol, prob)
         m = sol.m.values
         formula = -sum(g.dt * pert.gamma[k]
-                       * float((residual_F(prob.coupling, m[k]) ** 2) @ m[k]) * g.dx
+                       * float((residual_field(prob.coupling, m[k]) ** 2) @ m[k]) * g.dx
                        for k in range(g.nt))
         h = 1e-4 * pert.tau
         fd = (phi_eval(sol, pert, h, prob) - c0) / h

@@ -10,7 +10,6 @@ from mfglab import (
     Grid,
     ScalarPath,
     continuity_residual_1d,
-    divergence,
     gradient,
     integrate,
     laplacian,
@@ -32,8 +31,7 @@ class TestGrid:
         assert g.times()[0] == 0.25 and g.times()[-1] == pytest.approx(1.25)
 
     @pytest.mark.parametrize("kw", [dict(n=3, nt=16), dict(n=8, nt=2),
-                                    dict(n=8, nt=8, t0=1.0, T=0.5),
-                                    dict(n=8, nt=8, d=3)])
+                                    dict(n=8, nt=8, t0=1.0, T=0.5)])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             Grid(**kw)
@@ -44,14 +42,12 @@ class TestOperators:
         c = np.full(32, 3.7)
         assert np.all(gradient(c, grid32) == 0.0)
         assert np.all(laplacian(c, grid32) == 0.0)
-        v = np.full((32, 1), -1.2)
-        assert np.all(divergence(v, grid32) == 0.0)
 
     def test_gradient_impulse_stencil(self):
         g = Grid(n=8, nt=4)
         f = np.zeros(8)
         f[3] = 1.0
-        gr = gradient(f, g)[:, 0]
+        gr = gradient(f, g)
         expect = np.zeros(8)
         expect[2] = 1.0 / (2 * g.dx)
         expect[4] = -1.0 / (2 * g.dx)
@@ -73,7 +69,7 @@ class TestOperators:
         for n in (64, 128):
             g = Grid(n=n, nt=4)
             x = g.xs()
-            gr = gradient(np.sin(TWO_PI * x), g)[:, 0]
+            gr = gradient(np.sin(TWO_PI * x), g)
             errs[n] = np.abs(gr - TWO_PI * np.cos(TWO_PI * x)).max()
             assert errs[n] <= 1.05 * TWO_PI**3 / 6 * g.dx**2
         assert 3.7 <= errs[64] / errs[128] <= 4.3
@@ -88,36 +84,13 @@ class TestOperators:
             assert errs[n] <= 1.05 * TWO_PI**4 / 12 * g.dx**2
         assert 3.7 <= errs[64] / errs[128] <= 4.3
 
-    def test_divergence_sine(self):
-        g = Grid(n=128, nt=4)
-        x = g.xs()
-        v = np.sin(TWO_PI * x)[:, None]
-        dv = divergence(v, g)
-        assert np.abs(dv - TWO_PI * np.cos(TWO_PI * x)).max() <= 1.05 * TWO_PI**3 / 6 * g.dx**2
-
-    def test_divergence_impulse_stencil(self):
-        g = Grid(n=8, nt=4)
-        v = np.zeros((8, 1))
-        v[2, 0] = 1.0
-        dv = divergence(v, g)
-        expect = np.zeros(8)
-        expect[1] = 1.0 / (2 * g.dx)
-        expect[3] = -1.0 / (2 * g.dx)
-        np.testing.assert_array_equal(dv, expect)
-
-    def test_2d_operators(self):
-        g = Grid(n=32, nt=4, d=2)
-        xs = g.xs()
-        f = np.cos(TWO_PI * xs)[:, None] + np.sin(TWO_PI * xs)[None, :]
-        lap = laplacian(f, g)
-        # each axis contributes its own (2 pi)^4 dx^2 / 12 truncation error
-        assert np.abs(lap + TWO_PI**2 * f).max() <= 2 * TWO_PI**4 / 12 * g.dx**2 * 1.05
-        gr = gradient(f, g)
-        assert gr.shape == (32, 32, 2)
-        assert np.abs(gr[..., 0] + TWO_PI * np.sin(TWO_PI * xs)[:, None]).max() < 0.1
-        # divergence of a gradient is the Laplacian for these stencils up to
-        # the wide (2dx) second-difference; just check shape and constants
-        assert np.all(divergence(np.ones((32, 32, 2)), g) == 0.0)
+    def test_path_rows_match_slices(self, grid32, rng):
+        # the stencils act along the last axis: a path is its slices stacked
+        path = rng.standard_normal((5, 32))
+        for op in (gradient, laplacian):
+            out = op(path, grid32)
+            for k in range(5):
+                assert np.array_equal(out[k], op(path[k], grid32))
 
     def test_discrete_divergence_theorem(self, rng):
         g = Grid(n=64, nt=4)
@@ -128,7 +101,7 @@ class TestOperators:
         with pytest.raises(ShapeMismatchError):
             gradient(np.ones(31), grid32)
         with pytest.raises(ShapeMismatchError):
-            divergence(np.ones((32, 2)), grid32)
+            laplacian(np.ones((17, 31)), grid32)
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-5, 5), b=st.floats(-5, 5), seed=st.integers(0, 2**31))
@@ -213,19 +186,13 @@ class TestFluxReconstruction:
         beta = reconstruct_flux_1d(mu, g)
         assert continuity_residual_1d(mu, beta, g) < 1e-10
         dmu = (prof - np.roll(prof, 1)) / g.dx
-        diff = beta.values[0, :, 0] - dmu
+        diff = beta.values[0] - dmu
         assert np.ptp(diff) < 1e-10
 
     def test_nonzero_mean_rejected(self, grid32):
         mu = ScalarPath(np.ones((17, 32)) * 1e-3, grid32)
         with pytest.raises(ValueError, match="nonzero mean"):
             reconstruct_flux_1d(mu, grid32)
-
-    def test_needs_1d(self):
-        g = Grid(n=8, nt=4, d=2)
-        mu = ScalarPath(np.zeros((5, 8, 8)), g)
-        with pytest.raises(ValueError):
-            reconstruct_flux_1d(mu, g)
 
 
 class TestW1:

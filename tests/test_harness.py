@@ -214,6 +214,15 @@ class TestCli:
         path = write_cfg(tmp_path, c)
         assert main(["report", "--config", path, "--out", str(tmp_path / "o.csv")]) == 3
 
+    def test_solver_error_exit_code(self, tmp_path, capsys):
+        # the planner system's density dips to -4.7e-12 on this stiff point
+        c = {"grid": {"n": 64, "nt": 8}, "coupling": {"label": "convolution", "lambda": 400.0},
+             "m0": {"kind": "cosine", "amplitude": 0.9}}
+        path = write_cfg(tmp_path, c)
+        assert main(["report", "--config", path, "--out", str(tmp_path / "o.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "MassConservationError" in err and "Traceback" not in err
+
     def test_fit_unknown_column(self, tmp_path):
         c = cfg(fit={"x_column": "nope", "y_column": "gap"})
         path = write_cfg(tmp_path, c)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mfglab import Grid, SolverParams, density_cosine, solve_mfg
+from mfglab import Grid, SolverParams, density_cosine, solve_mfg, solve_planner_system
 from mfglab.errors import TimeStepDivergenceError
 from mfglab.grids import DensityPath, ScalarPath
 from mfglab.mfg import feedback_drift, solve_fp_forward, solve_hjb_backward
-from mfglab.model import coupling_spatial, coupling_zero
+from mfglab.model import coupling_spatial
 from mfglab.stepping import fp_forward_sweep, fp_residual, hjb_residual
 
 from conftest import make_problem
@@ -199,7 +199,7 @@ class TestSolveMFG:
         prob = make_problem(grid64, "potential", lam=0.5)
         sol = solve_mfg(prob)
         drift = feedback_drift(prob, sol.u.values)
-        np.testing.assert_array_equal(sol.alpha_star.values[..., 0], drift)
+        np.testing.assert_array_equal(sol.alpha_star.values, drift)
 
     def test_warm_start_idempotent(self, grid64):
         prob = make_problem(grid64, "convolution", lam=1.0)
@@ -210,10 +210,14 @@ class TestSolveMFG:
         assert np.abs(again.m.values - sol.m.values).sum(axis=1).max() * grid64.dx <= 1e-9
 
     def test_non_convergence_is_flagged_not_raised(self, grid64):
+        # both solvers run the one fixed-point driver
         prob = make_problem(grid64, "convolution", lam=1.0)
-        sol = solve_mfg(prob, SolverParams(max_iters=1, tol_fixed_point=1e-14))
-        assert not sol.converged
-        assert np.isfinite(sol.fp_residual)
+        params = SolverParams(max_iters=1, tol_fixed_point=1e-14)
+        for solve in (solve_mfg, solve_planner_system):
+            sol = solve(prob, params)
+            assert not sol.converged
+            assert sol.iterations == 1
+            assert np.isfinite(sol.fp_residual)
 
     def test_plugged_back_residuals(self, grid64, fast_params):
         prob = make_problem(grid64, "potential", lam=0.5)
@@ -221,17 +225,9 @@ class TestSolveMFG:
         fields = np.stack([prob.coupling.eval(sol.m.values[k])
                            for k in range(grid64.nt + 1)])
         r_hjb = hjb_residual(grid64, prob.hamiltonian, sol.u.values, fields)
-        r_fp = fp_residual(grid64, sol.m.values, sol.alpha_star.values[..., 0])
+        r_fp = fp_residual(grid64, sol.m.values, sol.alpha_star.values)
         assert r_hjb <= 10 * fast_params.tol_fixed_point
         assert r_fp <= 10 * fast_params.tol_fixed_point
-
-    def test_d2_rejected(self):
-        g = Grid(n=8, nt=8, d=2)
-        with pytest.raises(ValueError):
-            from mfglab.model import Problem, quadratic_hamiltonian
-            prob = Problem(quadratic_hamiltonian(), coupling_zero(g), coupling_zero(g),
-                           np.ones((8, 8)), g)
-            solve_mfg(prob)
 
     def test_refinement_consistency_of_costs(self):
         from mfglab import social_cost

@@ -136,7 +136,7 @@ class TestPlannerSystem:
         u = plan.u_hat.values
         du = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2 * grid64.dx)
         dp = prob.hamiltonian.dp_h0(grid64.xs()[None, :], du)
-        defect = plan.w_hat.values[..., 0] + plan.m_hat.values * dp
+        defect = plan.w_hat.values + plan.m_hat.values * dp
         assert np.abs(defect).max() <= 1e-10
 
     def test_cost_field_matches_quadrature(self, grid64, fast_params):
@@ -193,7 +193,7 @@ class TestPlannerDescent:
         grid = Grid(n=n, nt=nt)
         prob = make_problem(grid, label, lam=1.0)
         mfg = solve_mfg(prob, fast_params)
-        a0 = mfg.alpha_star.values[..., 0]
+        a0 = mfg.alpha_star.values
         sweep, gradient, minimize = (planner.fp_forward_sweep, ControlObjective.gradient,
                                      planner.minimize)
         counts = {"sweeps": 0, "evals": 0}
@@ -227,6 +227,6 @@ class TestPlannerDescent:
             return planner_cost(sweep(grid, prob.m0, a), a, prob)
 
         assert plan.objective_history == tuple(cost_at(a) for a in [a0] + accepted)
-        a_opt = plan.control.values[..., 0]
+        a_opt = plan.control.values
         assert plan.cost == cost_at(a_opt)
         assert np.array_equal(plan.m_hat.values, sweep(grid, prob.m0, a_opt))
