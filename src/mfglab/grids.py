@@ -109,7 +109,7 @@ class DensityPath(ScalarPath):
 def check_density_slice(m: np.ndarray, grid: Grid) -> np.ndarray:
     """Validate a single density slice (nonnegativity and unit mass)."""
     m = grid.check_field(m)
-    if m.min() < -EPS_MASS:
+    if not m.min() >= -EPS_MASS:  # also catches nan entries
         raise MassConservationError(f"density slice has min {m.min():.3e}")
     mass = m.sum() * grid.dx
     if abs(mass - 1.0) > MASS_SLICE_TOL:

@@ -192,8 +192,11 @@ def build_problem(cfg: dict) -> tuple[Problem, SolverParams, float]:
         m0 = density_cosine(grid, _need(cfg, "m0.amplitude", float, 0.5))
     else:
         path = _need(cfg, "m0.path", str, required=True)
-        m0 = np.load(path) if path.endswith(".npy") else np.loadtxt(path)
-        m0 = check_density_slice(m0, grid)
+        try:
+            m0 = check_density_slice(np.load(path) if path.endswith(".npy")
+                                     else np.loadtxt(path), grid)
+        except (OSError, ValueError) as exc:  # unreadable file, wrong length, not a density
+            raise ConfigError(f"m0.path: {path}: {exc}") from exc
 
     damping = cfg.get("solver", {}).get("damping", "auto")
     params = SolverParams(

@@ -27,7 +27,7 @@ from scipy.optimize import minimize
 from .grids import DensityPath, ScalarPath, shift_next, shift_prev
 from .mfg import SolverParams, _coupling_fields, _heat_flow, fixed_point, solve_mfg
 from .model import Problem, delta_ghat, residual_field, weighted_average
-from .stepping import fp_forward_sweep, fp_residual, solve_periodic_tridiag, upwind_bands
+from .stepping import PeriodicTridiagLU, fp_forward_sweep, fp_residual, upwind_bands
 
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
 DESCENT_GTOL = 1e-12     # L-BFGS projected-gradient tolerance
@@ -178,30 +178,32 @@ class ControlObjective:
         """
         g = self.grid
         n, nt, dx, dt = g.n, g.nt, g.dx, g.dt
-        ham = self.problem.hamiltonian
-        grad = np.empty((nt + 1, n))
-        grad[nt] = self.w[nt] * ham.da_l0(self.x, a[nt]) * m[nt] * dx
-        lam_path = np.empty((nt + 1, n))
+        # weighted running-cost gradient of level k + 1, the source of step k
+        # (taken first, so the factors stay out of the dense delta(m) memory peak)
+        source = [self.w[k] * self._running_cost_grad_m(m[k], a[k]) for k in range(1, nt + 1)]
+        terminal = self._terminal_grad_m(m[nt])
+        bf, _, _, lower, diag, upper = upwind_bands(g, a[:nt])
+        # transpose of every step matrix: swap and shift the bands
+        lu = PeriodicTridiagLU(shift_prev(upper), diag, shift_next(lower))
 
+        lam_path = np.empty((nt + 1, n))
         lam = np.zeros(n)
         for k in range(nt - 1, -1, -1):
-            rhs = self.w[k + 1] * self._running_cost_grad_m(m[k + 1], a[k + 1]) + lam
+            rhs = source[k] + lam
             if k + 1 == nt:
-                rhs = rhs + self._terminal_grad_m(m[nt])
-            bf, _, _, lower, diag, upper = upwind_bands(g, a[k])
-            # transpose of the step matrix: swap and shift the bands
-            lam = solve_periodic_tridiag(shift_prev(upper), diag, shift_next(lower), rhs)
-            lam_path[k + 1] = lam
-            # control sensitivity through the upwind face flux
-            dl = (lam - shift_prev(lam)) / dx
-            m_next = m[k + 1]
-            m_left = shift_prev(m_next)
-            h_face = np.where(bf > 0.0, m_left,
-                              np.where(bf < 0.0, m_next, 0.5 * (m_left + m_next)))
-            t_face = dl * h_face
-            grad[k] = (self.w[k] * ham.da_l0(self.x, a[k]) * m[k] * dx
-                       + 0.5 * dt * (t_face + shift_next(t_face)))
+                rhs = rhs + terminal
+            lam = lam_path[k + 1] = lu.solve(rhs, k)
         lam_path[0] = lam_path[1]
+
+        # control sensitivity through the upwind face flux, all steps at once
+        dl = (lam_path[1:] - shift_prev(lam_path[1:])) / dx
+        m_next = m[1:]
+        m_left = shift_prev(m_next)
+        h_face = np.where(bf > 0.0, m_left,
+                          np.where(bf < 0.0, m_next, 0.5 * (m_left + m_next)))
+        t_face = dl * h_face
+        grad = self.w[:, None] * self.problem.hamiltonian.da_l0(self.x, a) * m * dx
+        grad[:nt] += 0.5 * dt * (t_face + shift_next(t_face))
         return grad, lam_path
 
 

@@ -21,22 +21,25 @@ also take a (B, n) stack: B independent drifts, densities or systems,
 one per row, advanced together (the certificate moves all its h-samples
 this way).  Row b of a batched result is bitwise the result of the
 single call on row b.  Everything outside the linear solve is
-elementwise.  The solve reduces each periodic system by Sherman-Morrison
-to an open tridiagonal one and hands all B of them to a single LAPACK
-``dgtsv`` call as one block-diagonal system of order B*n, whose lower
-band is zero at the first row of every block and whose upper band is
-zero at the last row.  Gaussian elimination then never mixes blocks: at
-a block boundary the subdiagonal entry is 0, so the pivot test
-|d| >= |0| keeps the row order and the multiplier 0/d adds nothing to
-the next block, and a row interchange inside a block can only bring in
-the zeroed entry at its edge.  Elimination and back substitution thus do
-in each block exactly the arithmetic of the single solve.
+elementwise.  ``PeriodicTridiagLU`` factors first, solves after: it
+reduces each periodic system by Sherman-Morrison to an open tridiagonal
+one and factors all B of them by a single LAPACK ``dgttrf`` call as one
+block-diagonal matrix of order B*n, whose lower band is zero at the
+first row of every block and whose upper band is zero at the last row.
+Elimination then never mixes blocks: at a block boundary the
+subdiagonal entry is 0, so the pivot test |d| >= |0| keeps the row order
+and the multiplier 0/d adds nothing to the next block, and a row
+interchange inside a block can only bring in the zeroed entry at its
+edge.  Each block's factors are those of its system alone, so a
+``dgttrs`` solve of one block or of the stack does exactly the
+arithmetic of eliminating that system afresh.  The sweeps factor every
+step matrix before their time loop, which then only solves.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import LinearSolveError, MassConservationError, TimeStepDivergenceError
 from .grids import Grid, gradient, laplacian, shift_next, shift_prev
@@ -44,54 +47,79 @@ from .grids import Grid, gradient, laplacian, shift_next, shift_prev
 MASS_DRIFT_RAISE = 1e-10  # larger drift than this indicates a scheme bug
 
 
+class PeriodicTridiagLU:
+    """LU factors of a periodic tridiagonal matrix (n,) or stack (B, n).
+
+    Bands as in solve_periodic_tridiag.  Construction does the
+    Sherman-Morrison reduction, one dgttrf call and the solve of every
+    rank-one column; it raises ValueError for non-finite bands and
+    LinearSolveError for a singular system.
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        beta0 = lower[..., 0]   # A[0, n-1]
+        betan = upper[..., -1]  # A[n-1, 0]
+        gamma = -diag[..., 0]
+        # the open bands and u = (gamma, 0, ..., 0, betan) of every block;
+        # the band entries that would couple two blocks stay zero
+        work = np.zeros((4,) + diag.shape)
+        dl, d, du, u = work
+        dl[..., :-1] = lower[..., 1:]
+        d[...] = diag
+        d[..., 0] -= gamma
+        d[..., -1] -= beta0 * betan / gamma
+        du[..., :-1] = upper[..., :-1]
+        u[..., 0], u[..., -1] = gamma, betan
+        if not np.isfinite(work).all():
+            raise ValueError("periodic tridiagonal system has non-finite bands")
+        size, self.n = diag.size, diag.shape[-1]
+        dl, d, du, u = work.reshape(4, size)
+        # dgttrf writes the factors over dl, d and du
+        *_, du2, ipiv, info = dgttrf(dl[:-1], d, du[:-1], 1, 1, 1)
+        if info > 0:
+            raise LinearSolveError(f"banded solve failed: singular matrix (pivot {info})")
+        self._stack = (dl[:-1], d, du[:-1], du2, ipiv)
+        self._block_ipiv = ipiv - np.arange(size, dtype=ipiv.dtype) // self.n * self.n
+        self._z = z = dgttrs(*self._stack, u, overwrite_b=1)[0].reshape(-1, self.n)  # z overwrites u
+        # v = (1, 0, ..., 0, beta0/gamma) applied to z
+        self._ratio = np.reshape(beta0 / gamma, -1)
+        self._denom = 1.0 + (z[:, 0] + self._ratio * z[:, -1])
+        if not (np.isfinite(z).all() and np.isfinite(self._denom).all() and self._denom.all()):
+            raise LinearSolveError("periodic tridiagonal system is singular (rank-one update)")
+
+    def solve(self, rhs: np.ndarray, row: int | None = None) -> np.ndarray:
+        """x for system ``row`` and rhs (n,); without a row, for every
+        system and rhs as in solve_periodic_tridiag."""
+        if not np.isfinite(rhs).all():
+            raise ValueError("periodic tridiagonal system has non-finite right-hand side")
+        if row is not None:
+            lo, hi = row * self.n, (row + 1) * self.n
+            dl, d, du, du2, _ = self._stack
+            y = dgttrs(dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1], du2[lo:hi - 2],
+                       self._block_ipiv[lo:hi], rhs)[0]
+            x = y - self._z[row] * ((y[0] + self._ratio[row] * y[-1]) / self._denom[row])
+        else:
+            shape = self._z.shape + (-1,)  # (B, n, k): k right-hand sides per system
+            y = dgttrs(*self._stack, rhs.reshape(self._z.size, -1))[0].reshape(shape)
+            v = y[:, 0] + self._ratio[:, None] * y[:, -1]
+            x = (y - self._z[..., None] * (v / self._denom[:, None])[:, None]).reshape(rhs.shape)
+        if not np.isfinite(x).all():
+            raise LinearSolveError("periodic tridiagonal solve produced non-finite values")
+        return x
+
+
 def solve_periodic_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                            rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for A periodic tridiagonal.
+    """Solve A x = rhs for A periodic tridiagonal: factor, then solve.
 
     Band convention is "rolled": lower[i] = A[i, i-1] with lower[0] the
     corner A[0, n-1], and upper[i] = A[i, i+1] with upper[n-1] = A[n-1, 0].
-    Uses the Sherman-Morrison rank-one reduction to an open tridiagonal
-    system with two right-hand sides, solved by LAPACK dgtsv.  With (n,)
-    bands, rhs may be (n,) or (n, k); with (B, n) bands, rhs is (B, n) and
-    row b solves system b (see the module docstring).  Raises ValueError
-    for non-finite bands or right-hand side and LinearSolveError when the
-    system is singular or the solution is not finite.
+    With (n,) bands, rhs may be (n,) or (n, k); with (B, n) bands, rhs is
+    (B, n) and row b solves system b.  Raises ValueError for non-finite
+    bands or right-hand side and LinearSolveError when the system is
+    singular or the solution is not finite.
     """
-    # right-hand sides as rows: (k, n) for (n,) bands, (1, B, n) for (B, n) ones
-    cols = rhs[None] if rhs.ndim == diag.ndim else rhs.T
-    k = cols.shape[0]
-    beta0 = lower[..., 0]   # A[0, n-1]
-    betan = upper[..., -1]  # A[n-1, 0]
-    gamma = -diag[..., 0]
-
-    # one buffer holds the open bands, the right-hand sides and the
-    # Sherman-Morrison column u = (gamma, 0, ..., 0, betan) of every block;
-    # the band entries that would couple two blocks stay zero
-    work = np.zeros((4 + k,) + diag.shape)
-    dl, d, du, b = work[0], work[1], work[2], work[3:]
-    dl[..., :-1] = lower[..., 1:]
-    d[...] = diag
-    d[..., 0] -= gamma
-    d[..., -1] -= beta0 * betan / gamma
-    du[..., :-1] = upper[..., :-1]
-    b[:k] = cols
-    b[k, ..., 0] = gamma
-    b[k, ..., -1] = betan
-    if not np.isfinite(work).all():
-        raise ValueError("periodic tridiagonal system has non-finite bands or right-hand side")
-
-    size = diag.size
-    *_, sol, info = dgtsv(dl.reshape(size)[:-1], d.reshape(size), du.reshape(size)[:-1],
-                          b.reshape(k + 1, size).T, 1, 1, 1, 1)
-    if info > 0:
-        raise LinearSolveError(f"banded solve failed: singular matrix (pivot {info})")
-    sol = sol.T.reshape(b.shape)
-    # v = (1, 0, ..., 0, beta0/gamma) applied to every column, y and z alike
-    v = sol[..., 0] + (beta0 / gamma) * sol[..., -1]
-    x = sol[:k] - sol[k] * (v[:k] / (1.0 + v[k]))[..., None]
-    if not np.isfinite(x).all():
-        raise LinearSolveError("periodic tridiagonal solve produced non-finite values")
-    return x[0] if rhs.ndim == diag.ndim else x.T
+    return PeriodicTridiagLU(lower, diag, upper).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +137,7 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
     n, nt, dt, dx = grid.n, grid.nt, grid.dt, grid.dx
     x = grid.xs()
     r = dt / dx**2
-    lower = np.full(n, -r)
-    diag = np.full(n, 1.0 + 2.0 * r)
-    upper = np.full(n, -r)
+    lu = PeriodicTridiagLU(np.full(n, -r), np.full(n, 1.0 + 2.0 * r), np.full(n, -r))
 
     u = np.empty((nt + 1, n))
     u[nt] = terminal_field
@@ -130,7 +156,7 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
                 f"needs a smaller step (try dt <= {suggested:.3e})",
                 suggested_dt=min(suggested, 0.5 * dt),
             )
-        u[k] = solve_periodic_tridiag(lower, diag, upper, rhs)
+        u[k] = lu.solve(rhs, 0)
     return u
 
 
@@ -178,10 +204,15 @@ def fp_step(grid: Grid, m: np.ndarray, a_cells: np.ndarray) -> np.ndarray:
     so the new slice has exactly the old mass up to round-off.  m and
     a_cells are one slice (n,) or a (B, n) stack stepped row by row.
     """
+    _, bp, bm, lower, diag, upper = upwind_bands(grid, a_cells)
+    return _flux_update(grid, m, solve_periodic_tridiag(lower, diag, upper, m), bp, bm)
+
+
+def _flux_update(grid: Grid, m: np.ndarray, m_t: np.ndarray, bp: np.ndarray,
+                 bm: np.ndarray) -> np.ndarray:
+    """m advanced by the face fluxes of the implicit solution m_t (see fp_step)."""
     dx = grid.dx
     c = grid.dt / dx
-    _, bp, bm, lower, diag, upper = upwind_bands(grid, a_cells)
-    m_t = solve_periodic_tridiag(lower, diag, upper, m)
     # total outgoing face flux: diffusive gradient minus upwind advective flux
     m_left = shift_prev(m_t)
     theta = (m_t - m_left) / dx - (bp * m_left + bm * m_t)
@@ -207,16 +238,19 @@ def check_mass_drift(grid: Grid, m: np.ndarray, target: float, step: int) -> Non
 def fp_forward_sweep(grid: Grid, m0: np.ndarray, a_path: np.ndarray) -> np.ndarray:
     """Integrate the density forward from m0 under the drift path a_path.
 
-    a_path has nt+1 (or nt) slices; slice k drives step k -> k+1.  Raises
+    a_path has nt+1 (or nt) slices; slice k drives step k -> k+1 as in
+    fp_step, with all nt step matrices factored before the loop.  Raises
     if per-slice mass drifts by more than 1e-10 (a scheme bug, not a data
     error).
     """
     nt = grid.nt
+    _, bp, bm, lower, diag, upper = upwind_bands(grid, a_path[:nt])
+    lu = PeriodicTridiagLU(lower, diag, upper)
     m = np.empty((nt + 1, grid.n))
     m[0] = m0
     target = m0.sum() * grid.dx
     for k in range(nt):
-        m[k + 1] = fp_step(grid, m[k], a_path[k])
+        m[k + 1] = _flux_update(grid, m[k], lu.solve(m[k], k), bp[k], bm[k])
         check_mass_drift(grid, m[k + 1], target, k + 1)
     return m
 

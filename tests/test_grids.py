@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgtsv
 
 from mfglab import (
     DensityPath,
@@ -18,7 +19,15 @@ from mfglab import (
 )
 from mfglab.errors import LinearSolveError, MassConservationError, ShapeMismatchError
 from mfglab.grids import check_density_slice, shift_next, shift_prev
-from mfglab.stepping import solve_periodic_tridiag
+from mfglab.model import quadratic_hamiltonian
+from mfglab.stepping import (
+    PeriodicTridiagLU,
+    check_mass_drift,
+    fp_forward_sweep,
+    fp_step,
+    hjb_backward_sweep,
+    solve_periodic_tridiag,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -280,6 +289,62 @@ class TestPeriodicTridiag:
             a = self.dense(lower[b], diag[b], upper[b])
             np.testing.assert_allclose(a @ x[b], rhs[b], atol=1e-9 * np.abs(a).max() * np.abs(x[b]).max())
 
+    @staticmethod
+    def dgtsv_solve(lower, diag, upper, rhs):
+        # reference: Sherman-Morrison reduction and one dgtsv elimination
+        # with the rank-one column as a second right-hand side
+        gamma, beta0, betan = -diag[0], lower[0], upper[-1]
+        d = diag.copy()
+        d[0] -= gamma
+        d[-1] -= beta0 * betan / gamma
+        b = np.zeros((rhs.size, 2))
+        b[:, 0], b[0, 1], b[-1, 1] = rhs, gamma, betan
+        y, z = dgtsv(lower[1:], d, upper[:-1], b)[3].T
+        v = y[0] + (beta0 / gamma) * y[-1], z[0] + (beta0 / gamma) * z[-1]
+        return y - z * (v[0] / (1.0 + v[1]))
+
+    @pytest.mark.parametrize("dominant", [True, False])
+    def test_factored_rows_equal_dgtsv(self, rng, dominant):
+        # one factorization of the stack, then one system at a time, is
+        # bitwise a fresh elimination of that system
+        n, batch = 24, 7
+        lower = rng.uniform(-1, 1, (batch, n)) * (1.0 if dominant else 3.0)
+        upper = rng.uniform(-1, 1, (batch, n)) * (1.0 if dominant else 3.0)
+        diag = rng.uniform(4, 6, (batch, n)) if dominant else rng.uniform(-1, 1, (batch, n))
+        rhs = rng.standard_normal((batch, n))
+        lu = PeriodicTridiagLU(lower, diag, upper)
+        for b in reversed(range(batch)):
+            single = solve_periodic_tridiag(lower[b], diag[b], upper[b], rhs[b])
+            assert np.array_equal(lu.solve(rhs[b], b), single)
+            assert np.array_equal(single, self.dgtsv_solve(lower[b], diag[b], upper[b], rhs[b]))
+            lu_b = PeriodicTridiagLU(lower[b], diag[b], upper[b])
+            assert np.array_equal(lu_b.solve(rhs[b]), single)
+            assert np.array_equal(lu_b.solve(rhs[b], 0), single)
+
+    def test_factor_singular_raises_without_warning(self):
+        # the kernel detects 1 + v'z = 0 itself; no floating-point warning
+        n = 16
+        bands = np.full((3, 3, n), -1.0)
+        bands[1] = 4.0
+        bands[1, 1] = 2.0  # the middle system is the periodic Laplacian
+        with pytest.raises(LinearSolveError):
+            PeriodicTridiagLU(*bands)
+        with pytest.raises(LinearSolveError):
+            PeriodicTridiagLU(*bands[:, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_factor_non_finite_rejected(self, bad):
+        bands = np.full((3, 3, 16), -1.0)
+        bands[1] = 4.0
+        lu = PeriodicTridiagLU(*bands)
+        rhs = np.ones(16)
+        rhs[3] = bad
+        with pytest.raises(ValueError):
+            lu.solve(rhs, 1)
+        bands[2, 1, 5] = bad
+        with pytest.raises(ValueError):
+            PeriodicTridiagLU(*bands)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("which", range(4))
     @pytest.mark.parametrize("batch", [None, 3])
@@ -303,3 +368,34 @@ def test_shifts_match_roll(rng):
     for a in (f, f[0]):
         assert np.array_equal(shift_prev(a), np.roll(a, 1, axis=-1))
         assert np.array_equal(shift_next(a), np.roll(a, -1, axis=-1))
+
+
+class TestSweeps:
+    """The sweeps factor their step matrices once; the results are bitwise
+    those of stepping and solving one level at a time."""
+
+    def test_forward_sweep_equals_step_loop(self, rng):
+        g = Grid(n=24, nt=12)
+        m0 = np.ones(g.n)
+        for scale in (0.5, 20.0):  # mild and upwind-dominated drifts
+            a = scale * rng.standard_normal((g.nt + 1, g.n))
+            m = [m0]
+            for k in range(g.nt):
+                m.append(fp_step(g, m[k], a[k]))
+                check_mass_drift(g, m[-1], 1.0, k + 1)
+            assert np.array_equal(fp_forward_sweep(g, m0, a), np.array(m))
+
+    def test_backward_sweep_equals_solve_loop(self, rng):
+        g = Grid(n=24, nt=12)
+        ham = quadratic_hamiltonian()
+        fields = rng.standard_normal((g.nt + 1, g.n))
+        source = rng.standard_normal((g.nt + 1, g.n))
+        terminal = rng.standard_normal(g.n)
+        r = g.dt / g.dx**2
+        bands = (np.full(g.n, -r), np.full(g.n, 1.0 + 2.0 * r), np.full(g.n, -r))
+        u = np.empty((g.nt + 1, g.n))
+        u[-1] = terminal
+        for k in range(g.nt - 1, -1, -1):
+            ham_k = ham.h0(g.xs(), gradient(u[k + 1], g)) - fields[k] - source[k]
+            u[k] = solve_periodic_tridiag(*bands, u[k + 1] - g.dt * ham_k)
+        assert np.array_equal(hjb_backward_sweep(g, ham, fields, terminal, source), u)

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfglab.cli import main
+from mfglab.efficiency import full_report
 from mfglab.errors import ConfigError
 from mfglab.harness import (
     RESULT_COLUMNS,
@@ -223,9 +225,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert "MassConservationError" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("values", [np.full(32, 0.5), np.ones(31), None,
+                                        np.where(np.arange(32) == 3, np.nan, 1.0)],
+                             ids=["half_mass", "wrong_length", "missing", "nan_entry"])
+    def test_m0_file_error_exit_code(self, tmp_path, capsys, values):
+        density = tmp_path / "m0.txt"
+        if values is not None:
+            np.savetxt(density, values)
+        path = write_cfg(tmp_path, cfg(m0={"kind": "file", "path": str(density)}))
+        assert main(["report", "--config", path, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: m0.path" in err and "Traceback" not in err
+
     def test_fit_unknown_column(self, tmp_path):
         c = cfg(fit={"x_column": "nope", "y_column": "gap"})
         path = write_cfg(tmp_path, c)
         run(cfg(), tmp_path / "rows.csv")
         assert main(["fit", "--config", path, "--rows", str(tmp_path / "rows.csv"),
                      "--out", str(tmp_path / "f.csv")]) == 2
+
+
+# The benchmark's reference rows for its tiny desk_catalog points (n=16,
+# nt=8), identical for one and two BLAS threads.  L-BFGS stops by
+# stagnation at round-off level, so any change of rounding in the
+# solvers can move the iteration counts the benchmark checks exactly.
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize("label", ["convolution", "efficient", "potential"])
+def test_tiny_reports_match_bench_reference(label):
+    ref = json.loads(REFERENCE.read_text())["1"]["tiny"]["desk_catalog"][label]
+    point = {"schema": 1, "grid": {"n": 16, "nt": 8},
+             "coupling": {"label": label, "lambda": 1.0}, "terminal": {"label": "zero"},
+             "m0": {"kind": "cosine", "amplitude": 0.5}}
+    report = full_report(*build_problem(point))
+    for key in ("cost_mfg", "cost_planner", "cost_planner_system"):
+        assert abs(getattr(report, key) - ref[key]) <= 1e-12 * (1.0 + abs(ref[key])), key
+    for key in ("mfg_converged", "system_converged", "descent_converged",
+                "mfg_iterations", "descent_iterations"):
+        assert getattr(report, key) == ref[key], key
+    assert report.cost_planner <= report.cost_mfg and report.certificate >= 0.0
