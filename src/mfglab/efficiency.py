@@ -63,10 +63,18 @@ def _window_weights(grid, eps: float) -> np.ndarray:
     if eps < 0 or 2 * eps >= grid.T - grid.t0:
         raise ValueError(f"need 0 <= eps < (T-t0)/2, got {eps}")
     idx = _window_levels(grid, eps)
+    if not idx.size:
+        raise ValueError(f"no time level lies in [t0+eps, T-eps] for eps={eps}")
     w = np.zeros(grid.nt + 1)
     w[idx] = grid.dt
     w[idx[0]] = w[idx[-1]] = 0.5 * grid.dt
     return w
+
+
+def _residual_paths(sol: MFGSolution, problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """The residual fields of F on every level of the flow m and of G at m(T)."""
+    m = sol.m.values
+    return problem.coupling._path_terms(m)[1], residual_field(problem.terminal, m[-1])
 
 
 def lb_integrands(sol: MFGSolution, problem: Problem, eps: float) -> tuple[float, float]:
@@ -76,15 +84,16 @@ def lb_integrands(sol: MFGSolution, problem: Problem, eps: float) -> tuple[float
     lb_G is the squared L2 norm of the terminal residual.  eps = 0 gives
     the full-interval quantity used by ub_norm.
     """
-    grid = problem.grid
-    m = sol.m.values
+    return _lb_integrands(problem.grid, *_residual_paths(sol, problem), eps)
+
+
+def _lb_integrands(grid, r_path: np.ndarray, r_g: np.ndarray,
+                   eps: float) -> tuple[float, float]:
     w = _window_weights(grid, eps)
     lb_f = 0.0
     for k in np.flatnonzero(w):
-        r = residual_field(problem.coupling, m[k])
-        lb_f += w[k] * float(r @ r) * grid.dx
-    rg = residual_field(problem.terminal, m[-1])
-    lb_g = float(rg @ rg) * grid.dx
+        lb_f += w[k] * float(r_path[k] @ r_path[k]) * grid.dx
+    lb_g = float(r_g @ r_g) * grid.dx
     return lb_f, lb_g
 
 
@@ -95,7 +104,11 @@ def ub_norm(sol: MFGSolution, problem: Problem) -> float:
     averaged couplings; it vanishes exactly for the efficient structure and
     scales linearly in the coupling strength.
     """
-    lb_f, lb_g = lb_integrands(sol, problem, 0.0)
+    return _ub_norm(problem.grid, *_residual_paths(sol, problem))
+
+
+def _ub_norm(grid, r_path: np.ndarray, r_g: np.ndarray) -> float:
+    lb_f, lb_g = _lb_integrands(grid, r_path, r_g, 0.0)
     return float(np.sqrt(lb_f + lb_g))
 
 
@@ -167,7 +180,12 @@ def _build_perturbation(sol: MFGSolution, grid, direction: np.ndarray,
 def build_perturbation_running(sol: MFGSolution, problem: Problem,
                                eps: float) -> Perturbation:
     """Perturbation along the running-cost residual with the four-piece ramp."""
-    grid = problem.grid
+    return _perturbation_running(sol, problem.grid, eps,
+                                 problem.coupling._path_terms(sol.m.values)[1])
+
+
+def _perturbation_running(sol: MFGSolution, grid, eps: float,
+                          r_path: np.ndarray) -> Perturbation:
     _check_eps(grid, eps)
     gamma = _ramp_running(grid, eps)
     m = sol.m.values
@@ -178,22 +196,24 @@ def build_perturbation_running(sol: MFGSolution, problem: Problem,
             f"density vanishes on slice {k}; the perturbation needs m > 0 "
             "wherever the ramp is active"
         )
-    direction = np.stack([m[k] * residual_field(problem.coupling, m[k])
-                          for k in range(grid.nt + 1)])
-    return _build_perturbation(sol, grid, direction, gamma, "running-cost")
+    return _build_perturbation(sol, grid, m * r_path, gamma, "running-cost")
 
 
 def build_perturbation_terminal(sol: MFGSolution, problem: Problem,
                                 eps: float) -> Perturbation:
     """Perturbation along the terminal residual, supported on [T-eps, T]."""
-    grid = problem.grid
+    return _perturbation_terminal(sol, problem.grid, eps,
+                                  residual_field(problem.terminal, sol.m.values[-1]))
+
+
+def _perturbation_terminal(sol: MFGSolution, grid, eps: float,
+                           r_g: np.ndarray) -> Perturbation:
     _check_eps(grid, eps)
     gamma = _ramp_terminal(grid, eps)
     m_T = sol.m.values[-1]
     if m_T.min() <= 0.0:
         raise MassConservationError("terminal density vanishes somewhere")
-    rg = residual_field(problem.terminal, m_T)
-    direction = np.tile(m_T * rg, (grid.nt + 1, 1))
+    direction = np.tile(m_T * r_g, (grid.nt + 1, 1))
     return _build_perturbation(sol, grid, direction, gamma, "terminal")
 
 
@@ -260,10 +280,16 @@ def certificate(sol: MFGSolution, problem: Problem, eps: float) -> float:
     the planner optimum.  The samples of a variant are evaluated together
     (see _phi_stack), with the same values as phi_eval one h at a time.
     """
-    cost_eq = social_cost(sol, problem)
+    return _certificate(sol, problem, eps, social_cost(sol, problem),
+                        *_residual_paths(sol, problem))
+
+
+def _certificate(sol: MFGSolution, problem: Problem, eps: float, cost_eq: float,
+                 r_path: np.ndarray, r_g: np.ndarray) -> float:
+    """certificate, given cost_eq and the residual paths of _residual_paths."""
     best = 0.0
-    for builder in (build_perturbation_running, build_perturbation_terminal):
-        pert = builder(sol, problem, eps)
+    for build, residual in ((_perturbation_running, r_path), (_perturbation_terminal, r_g)):
+        pert = build(sol, problem.grid, eps, residual)
         if float(np.abs(pert.mu.values).max()) == 0.0:
             continue  # residual vanishes; this variant certifies nothing
         tau = pert.tau if np.isfinite(pert.tau) else 1.0
@@ -421,12 +447,12 @@ def full_report(problem: Problem, params: SolverParams | None = None,
     descent = solve_planner_descent(problem, params, init=mfg.alpha_star)
     system = solve_planner_system(problem, params)
 
-    m = mfg.m.values
-    res_f_sup = max(float(np.abs(residual_field(problem.coupling, m[k])).max())
-                    for k in range(grid.nt + 1))
-    res_g_sup = float(np.abs(residual_field(problem.terminal, m[-1])).max())
-    lb_f, lb_g = lb_integrands(mfg, problem, eps)
-    cert = certificate(mfg, problem, eps)
+    # the equilibrium's residual fields, once, for the sups, bounds and certificate
+    r_path, r_g = _residual_paths(mfg, problem)
+    res_f_sup = float(np.abs(r_path).max())
+    res_g_sup = float(np.abs(r_g).max())
+    lb_f, lb_g = _lb_integrands(grid, r_path, r_g, eps)
+    cert = _certificate(mfg, problem, eps, cost_eq, r_path, r_g)
     hol = (holder_diagnostic(mfg, problem, eps)
            if problem.coupling.label == "xfree" else float("nan"))
     disagree = abs(system.cost - descent.cost) > 1e-3 * (1.0 + abs(descent.cost))
@@ -438,7 +464,7 @@ def full_report(problem: Problem, params: SolverParams | None = None,
         gap=cost_eq - descent.cost,
         lb_integrand_F=lb_f,
         lb_integrand_G=lb_g,
-        ub_norm=ub_norm(mfg, problem),
+        ub_norm=_ub_norm(grid, r_path, r_g),
         residual_F_sup=res_f_sup,
         residual_G_sup=res_g_sup,
         certificate=cert,

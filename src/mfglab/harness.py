@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .efficiency import EfficiencyReport, default_epsilon, full_report
+from .efficiency import EfficiencyReport, _window_levels, default_epsilon, full_report
 from .errors import ConfigError
 from .grids import Grid, check_density_slice
 from .mfg import SolverParams
@@ -79,9 +79,36 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    """Schema check with path-to-field diagnostics; raises ConfigError."""
+    """Schema check with path-to-field diagnostics; raises ConfigError.
+
+    A sweep is checked point by point before any point runs; an error in
+    the point of value i names sweep.values[i] and the field.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("top level: expected a JSON object")
+    _validate_point(cfg)
+    sweep = cfg.get("sweep")
+    if sweep is not None:
+        param = _need(cfg, "sweep.parameter", str, required=True)
+        if param not in SWEEPABLE:
+            raise ConfigError(f"sweep.parameter: {param!r} not sweepable; "
+                              f"choose from {SWEEPABLE}")
+        values = _need(cfg, "sweep.values", list, required=True)
+        if not values:
+            raise ConfigError("sweep.values: empty list")
+        for i, v in enumerate(values):
+            if not isinstance(v, (int, float)):
+                raise ConfigError(f"sweep.values[{i}]: expected a number")
+            if param in ("grid.n", "grid.nt") and not float(v).is_integer():
+                raise ConfigError(f"sweep.values[{i}]: {param}: expected an integer, got {v}")
+            try:
+                _validate_point(_apply_sweep_value(cfg, param, v))
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
+
+
+def _validate_point(cfg: dict) -> None:
+    """validate_config for everything but the sweep section."""
     schema = cfg.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"schema: unsupported version {schema}")
@@ -131,22 +158,19 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"solver.damping: need a factor in (0, 1], got {damping}")
     else:
         raise ConfigError("solver.damping: expected a number or schedule name")
-    _need(cfg, "solver.max_iters", int, 200)
+    max_iters = _need(cfg, "solver.max_iters", int, 200)
+    if max_iters < 1:
+        raise ConfigError(f"solver.max_iters: need >= 1, got {max_iters}")
     eps = cfg.get("epsilon")
-    if eps is not None and not isinstance(eps, (int, float)):
-        raise ConfigError("epsilon: expected a number or null")
-    sweep = cfg.get("sweep")
-    if sweep is not None:
-        param = _need(cfg, "sweep.parameter", str, required=True)
-        if param not in SWEEPABLE:
-            raise ConfigError(f"sweep.parameter: {param!r} not sweepable; "
-                              f"choose from {SWEEPABLE}")
-        values = _need(cfg, "sweep.values", list, required=True)
-        if not values:
-            raise ConfigError("sweep.values: empty list")
-        for i, v in enumerate(values):
-            if not isinstance(v, (int, float)):
-                raise ConfigError(f"sweep.values[{i}]: expected a number")
+    if eps is not None:
+        if not isinstance(eps, (int, float)):
+            raise ConfigError("epsilon: expected a number or null")
+        if not 0.0 < eps < 0.5 * (T - t0):
+            raise ConfigError(f"epsilon: need 0 < epsilon < (T-t0)/2 = {0.5 * (T - t0)}, "
+                              f"got {eps}")
+        if not _window_levels(Grid(n=n, nt=nt, t0=t0, T=T), eps).size:
+            raise ConfigError(f"epsilon: no time level of the grid lies in "
+                              f"[t0+epsilon, T-epsilon] for epsilon={eps}")
     _need(cfg, "seed", int, 0)
 
 

@@ -11,6 +11,16 @@ zero-mean convention for derivatives of functions of a probability
 measure).  The argument order is fixed once and for all: first index is
 the base point of F, second the direction of differentiation.
 
+Each catalog coupling writes delta(m) in one place, an in-place fill
+that shares the kernel products of m with the field F(., m).  delta(m)
+returns that fill in a fresh matrix and is the dense reference of the
+convention and finite-difference checks.  The hot paths (the planner's
+source and adjoint, the report's residual path) instead take the field
+and the residual field (m @ delta(m)) dx of each slice from
+Coupling._path_terms: one kernel product per slice, the matrix filled
+into a workspace the coupling owns, the result bitwise equal to the
+dense reference.
+
 The catalog covers the structurally distinct cases: a convolution
 coupling (never efficient unless m-independent), the efficient-by-
 construction coupling built from a quadratic functional, a potential
@@ -21,6 +31,7 @@ closed-form integrals so that every oracle is explicit.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,22 +91,47 @@ HAMILTONIANS = {"quadratic": quadratic_hamiltonian}
 class Coupling:
     """A function of (x, m) with its normalized measure derivative.
 
-    Serves both as running coupling F and as terminal cost G.  eval(m)
-    returns the field x -> F(x, m); delta(m) returns the full derivative
-    matrix [base point, direction].
+    Serves both as running coupling F and as terminal cost G.  A density
+    slice m costs one call of _slice(m): it forms the kernel products of m
+    once and returns (F(., m), fill), where fill(out) writes the
+    derivative matrix delta(m) [base point, direction] into out and
+    returns it, or fill is None when the derivative vanishes.  eval(m)
+    returns the field; delta(m) fills a fresh matrix, the dense reference
+    of the convention and finite-difference checks.  The residual fields
+    of the hot paths (_path_terms) fill the coupling's own n x n
+    workspace, which is never handed out, so one coupling must not be
+    used from two threads at once.
     """
 
     label: str
     strength: float
-    _eval: Callable[[np.ndarray], np.ndarray]
-    _delta: Callable[[np.ndarray], np.ndarray]
+    _slice: Callable[[np.ndarray], tuple[np.ndarray, Callable | None]]
     grid: Grid
+    _work: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def eval(self, m: np.ndarray) -> np.ndarray:
-        return self._eval(np.asarray(m, dtype=float))
+        return self._slice(np.asarray(m, dtype=float))[0]
 
     def delta(self, m: np.ndarray) -> np.ndarray:
-        return self._delta(np.asarray(m, dtype=float))
+        fill = self._slice(np.asarray(m, dtype=float))[1]
+        n = self.grid.n
+        return np.zeros((n, n)) if fill is None else fill(np.empty((n, n)))
+
+    def _path_terms(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fields and residual fields of every slice of the (K, n) stack m.
+
+        Row k of the pair is (eval(m[k]), (m[k] @ delta(m[k])) dx), bit for
+        bit, from one kernel product of m[k]; a vanishing derivative gives
+        an exact zero residual without a matrix.
+        """
+        m = np.asarray(m, dtype=float)
+        fields = np.empty_like(m)
+        residuals = np.zeros_like(m)
+        for k, m_k in enumerate(m):
+            fields[k], fill = self._slice(m_k)
+            if fill is not None:
+                residuals[k] = (m_k @ fill(self._work)) * self.grid.dx
+        return fields, residuals
 
 
 TerminalCost = Coupling
@@ -108,16 +144,14 @@ def _kernel_matrix(grid: Grid, kernel: Callable) -> np.ndarray:
 
 def coupling_zero(grid: Grid) -> Coupling:
     z_field = np.zeros(grid.n)
-    z_mat = np.zeros((grid.n, grid.n))
-    return Coupling("zero", 0.0, lambda m: z_field.copy(), lambda m: z_mat.copy(), grid)
+    return Coupling("zero", 0.0, lambda m: (z_field.copy(), None), grid)
 
 
 def coupling_spatial(grid: Grid, f: Callable[[np.ndarray], np.ndarray],
                      lam: float = 1.0, label: str = "spatial") -> Coupling:
     """m-independent coupling F(x, m) = lam * f(x); derivative vanishes."""
-    field = lam * np.asarray(f(grid.xs()), dtype=float)
-    z_mat = np.zeros((grid.n, grid.n))
-    return Coupling(label, lam, lambda m: field.copy(), lambda m: z_mat.copy(), grid)
+    values = lam * np.asarray(f(grid.xs()), dtype=float)
+    return Coupling(label, lam, lambda m: (values.copy(), None), grid)
 
 
 def coupling_convolution(grid: Grid, kernel: Callable | None = None,
@@ -126,14 +160,17 @@ def coupling_convolution(grid: Grid, kernel: Callable | None = None,
     phi = _kernel_matrix(grid, kernel or kernel_cos_diff)
     dx = grid.dx
 
-    def ev(m):
-        return lam * (phi @ m) * dx
+    def terms(m):
+        pm = phi @ m
 
-    def de(m):
-        a1 = (phi @ m) * dx
-        return lam * (phi - a1[:, None])
+        def fill(out):  # lam * (phi - a1[:, None]), a1 = int phi(x, y) m(dy)
+            np.subtract(phi, (pm * dx)[:, None], out=out)
+            out *= lam
+            return out
 
-    return Coupling("convolution", lam, ev, de, grid)
+        return lam * pm * dx, fill
+
+    return Coupling("convolution", lam, terms, grid, np.empty((grid.n, grid.n)))
 
 
 def coupling_efficient(grid: Grid, kernel: Callable | None = None,
@@ -146,24 +183,25 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
     gap from every start.
     """
     phi = _kernel_matrix(grid, kernel or kernel_cos_diff)
+    phi_sym = phi + phi.T  # the m-independent part of delta(m)
     dx = grid.dx
 
-    def parts(m):
+    def terms(m):
         a1 = (phi @ m) * dx        # int phi(x, y) m(dy)
         a2 = (phi.T @ m) * dx      # int phi(z, x) m(dz)
         q = float(m @ a1) * dx     # int int phi m m
-        return a1, a2, q
-
-    def ev(m):
-        a1, a2, q = parts(m)
-        return lam * (a1 + a2 - q)
-
-    def de(m):
-        a1, a2, q = parts(m)
         s = a1 + a2
-        return lam * (phi + phi.T - s[None, :] - s[:, None] + 2.0 * q)
 
-    return Coupling("efficient", lam, ev, de, grid)
+        def fill(out):  # lam * (phi + phi.T - s[None, :] - s[:, None] + 2 q)
+            np.subtract(phi_sym, s, out=out)
+            out -= s[:, None]
+            out += 2.0 * q
+            out *= lam
+            return out
+
+        return lam * (s - q), fill
+
+    return Coupling("efficient", lam, terms, grid, np.empty((grid.n, grid.n)))
 
 
 def coupling_potential(grid: Grid, kernel: Callable | None = None,
@@ -177,17 +215,20 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
     k = 0.5 * (k + k.T)  # potential structure needs a symmetric kernel
     dx = grid.dx
 
-    def ev(m):
+    def terms(m):
         km = (k @ m) * dx
         q = float(m @ km) * dx
-        return lam * (km - q)
 
-    def de(m):
-        km = (k @ m) * dx
-        q = float(m @ km) * dx
-        return lam * (k - 2.0 * km[None, :] - km[:, None] + 2.0 * q)
+        def fill(out):  # lam * (k - 2 km[None, :] - km[:, None] + 2 q)
+            np.subtract(k, 2.0 * km, out=out)
+            out -= km[:, None]
+            out += 2.0 * q
+            out *= lam
+            return out
 
-    return Coupling("potential", lam, ev, de, grid)
+        return lam * (km - q), fill
+
+    return Coupling("potential", lam, terms, grid, np.empty((grid.n, grid.n)))
 
 
 def coupling_xfree(grid: Grid, profile: Callable | None = None,
@@ -201,16 +242,16 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
     dx = grid.dx
     ones = np.ones(grid.n)
 
-    def ev(m):
+    def terms(m):
         s = float(c @ m) * dx
-        return lam * g(s) * ones
 
-    def de(m):
-        s = float(c @ m) * dx
-        row = lam * gp(s) * (c - s)
-        return np.tile(row, (grid.n, 1))
+        def fill(out):  # every base point has the row lam g'(s) (c - s)
+            out[:] = lam * gp(s) * (c - s)
+            return out
 
-    return Coupling("xfree", lam, ev, de, grid)
+        return lam * g(s) * ones, fill
+
+    return Coupling("xfree", lam, terms, grid, np.empty((grid.n, grid.n)))
 
 
 def kernel_cos_diff(x, y):
@@ -303,7 +344,7 @@ def residual_field(coupling: Coupling, m: np.ndarray) -> np.ndarray:
     planner optimality system.
     """
     m = np.asarray(m, dtype=float)
-    return (m @ coupling.delta(m)) * coupling.grid.dx
+    return coupling._path_terms(m[None])[1][0]
 
 
 def delta_ghat(terminal: TerminalCost, m: np.ndarray) -> np.ndarray:
@@ -312,10 +353,9 @@ def delta_ghat(terminal: TerminalCost, m: np.ndarray) -> np.ndarray:
     Equals int dG/dm(x, m, y) m(dx) + G(y, m) - int G dm, the terminal
     condition of the planner optimality system.
     """
-    grid = terminal.grid
     m = np.asarray(m, dtype=float)
-    g_field = terminal.eval(m)
-    return residual_field(terminal, m) + g_field - float(g_field @ m) * grid.dx
+    (g_field,), (r,) = terminal._path_terms(m[None])
+    return r + g_field - float(g_field @ m) * terminal.grid.dx
 
 
 # ---------------------------------------------------------------------------

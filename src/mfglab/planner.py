@@ -25,8 +25,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .grids import DensityPath, ScalarPath, shift_next, shift_prev
-from .mfg import SolverParams, _coupling_fields, _heat_flow, fixed_point, solve_mfg
-from .model import Problem, delta_ghat, residual_field, weighted_average
+from .mfg import SolverParams, _heat_flow, fixed_point, solve_mfg
+from .model import Problem, delta_ghat
 from .stepping import PeriodicTridiagLU, fp_forward_sweep, fp_residual, upwind_bands
 
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
@@ -78,18 +78,31 @@ def planner_cost(m, alpha, problem: Problem) -> float:
     expect = (grid.nt + 1, grid.n)
     if mv.shape != expect or av.shape != expect:
         raise ValueError(f"paths must have shape {expect}, got {mv.shape} and {av.shape}")
+    fields = [problem.coupling.eval(mv[k]) for k in range(grid.nt)]
+    return _path_cost(problem, mv, av, fields, problem.terminal.eval(mv[-1]))
+
+
+def _path_cost(problem: Problem, m: np.ndarray, alpha: np.ndarray, fields,
+               g_field: np.ndarray) -> float:
+    """planner_cost given the coupling fields of levels 0..nt-1 and G(., m(T))."""
+    grid = problem.grid
     x = grid.xs()
     running = 0.0
     for k in range(grid.nt):
-        running += grid.dt * running_cost(problem, x, mv[k], av[k])
-    return running + terminal_cost(problem, mv[-1])
+        running += grid.dt * _running_cost(problem, x, m[k], alpha[k], fields[k])
+    return running + float(g_field @ m[-1]) * grid.dx
 
 
 def running_cost(problem: Problem, x: np.ndarray, m_k: np.ndarray,
                  a_k: np.ndarray) -> float:
     """Space integral of [l0(x, a_k) + F(x, m_k)] m_k: one slice of the running cost."""
+    return _running_cost(problem, x, m_k, a_k, problem.coupling.eval(m_k))
+
+
+def _running_cost(problem: Problem, x: np.ndarray, m_k: np.ndarray, a_k: np.ndarray,
+                  f_k: np.ndarray) -> float:
     kinetic = float(problem.hamiltonian.l0(x, a_k) @ m_k) * problem.grid.dx
-    return kinetic + weighted_average(problem.coupling, m_k)
+    return kinetic + float(f_k @ m_k) * problem.grid.dx
 
 
 def terminal_cost(problem: Problem, m_T: np.ndarray) -> float:
@@ -105,8 +118,8 @@ def solve_planner_system(problem: Problem,
                          params: SolverParams | None = None) -> PlannerSolution:
     """Fixed point on the sourced forward-backward optimality system."""
     def backward_data(m):
-        source = np.stack([residual_field(problem.coupling, m_k) for m_k in m])
-        return _coupling_fields(problem, m), delta_ghat(problem.terminal, m[-1]), source
+        fields, source = problem.coupling._path_terms(m)
+        return fields, delta_ghat(problem.terminal, m[-1]), source
 
     sol = fixed_point(problem, params or SolverParams(), backward_data, _heat_flow(problem))
     return PlannerSolution(
@@ -145,25 +158,33 @@ class ControlObjective:
         # left-endpoint running-cost weights; the terminal level pays nothing
         self.w = np.full(g.nt + 1, g.dt)
         self.w[g.nt] = 0.0
+        self._terms = None  # (bytes of m, terms) of the latest path, see _path_terms
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         return fp_forward_sweep(self.grid, self.problem.m0, a)
 
+    def _path_terms(self, m: np.ndarray) -> tuple:
+        """(f_0, fields, residuals, g_field, g_residual) of the path m.
+
+        f_0 is F(., m[0]); fields and residuals hold F and the residual
+        field of levels 1..nt-1 (level 0 drives no adjoint step and level
+        nt has running weight 0); g_field and g_residual are those of G at
+        m[nt].  The objective and the adjoint of one path share them: the
+        latest path's terms are kept, keyed on the bytes of m.
+        """
+        key = m.tobytes()
+        if self._terms is None or self._terms[0] != key:
+            p, nt = self.problem, self.grid.nt
+            fields, residuals = p.coupling._path_terms(m[1:nt])
+            (g_field,), (g_residual,) = p.terminal._path_terms(m[nt:])
+            self._terms = key, (p.coupling.eval(m[0]), fields, residuals, g_field, g_residual)
+        return self._terms[1]
+
     def objective(self, a: np.ndarray, m: np.ndarray | None = None) -> float:
         if m is None:
             m = self.forward(a)
-        return planner_cost(m, a, self.problem)
-
-    def _running_cost_grad_m(self, m_k: np.ndarray, a_k: np.ndarray) -> np.ndarray:
-        # d/dm_i of sum_j [l0 + F] m_j dx, up to an additive constant that
-        # cancels in the control gradient (the dynamics conserve mass)
-        p = self.problem
-        return self.grid.dx * (p.hamiltonian.l0(self.x, a_k) + p.coupling.eval(m_k)
-                               + residual_field(p.coupling, m_k))
-
-    def _terminal_grad_m(self, m_T: np.ndarray) -> np.ndarray:
-        p = self.problem
-        return self.grid.dx * (p.terminal.eval(m_T) + residual_field(p.terminal, m_T))
+        f_0, fields, _, g_field, _ = self._path_terms(m)
+        return _path_cost(self.problem, m, a, (f_0, *fields), g_field)
 
     def gradient(self, a: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
         if m is None:
@@ -178,10 +199,13 @@ class ControlObjective:
         """
         g = self.grid
         n, nt, dx, dt = g.n, g.nt, g.dx, g.dt
-        # weighted running-cost gradient of level k + 1, the source of step k
-        # (taken first, so the factors stay out of the dense delta(m) memory peak)
-        source = [self.w[k] * self._running_cost_grad_m(m[k], a[k]) for k in range(1, nt + 1)]
-        terminal = self._terminal_grad_m(m[nt])
+        _, fields, residuals, g_field, g_residual = self._path_terms(m)
+        # weighted running-cost gradient of level k + 1, the source of step k:
+        # d/dm_i of sum_j [l0 + F] m_j dx, up to an additive constant that
+        # cancels in the control gradient (the dynamics conserve mass)
+        source = self.w[1:nt, None] * (dx * (self.problem.hamiltonian.l0(self.x, a[1:nt])
+                                             + fields + residuals))
+        terminal = dx * (g_field + g_residual)
         bf, _, _, lower, diag, upper = upwind_bands(g, a[:nt])
         # transpose of every step matrix: swap and shift the bands
         lu = PeriodicTridiagLU(shift_prev(upper), diag, shift_next(lower))
@@ -189,9 +213,8 @@ class ControlObjective:
         lam_path = np.empty((nt + 1, n))
         lam = np.zeros(n)
         for k in range(nt - 1, -1, -1):
-            rhs = source[k] + lam
-            if k + 1 == nt:
-                rhs = rhs + terminal
+            # level nt has running weight 0: its step sees the terminal gradient only
+            rhs = lam + terminal if k + 1 == nt else source[k] + lam
             lam = lam_path[k + 1] = lu.solve(rhs, k)
         lam_path[0] = lam_path[1]
 
@@ -236,7 +259,7 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
     def fun(vec):
         a = vec.reshape(shape)
         m = obj.forward(a)
-        f = obj.objective(a, m)
+        f = obj.objective(a, m)  # the gradient below reuses this path's terms
         latest.clear()
         latest[vec.tobytes()] = (m, f)
         if not history:

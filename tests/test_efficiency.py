@@ -21,9 +21,9 @@ from mfglab import (
     planner_cost,
 )
 from mfglab import harness
-from mfglab.efficiency import _phi_stack
+from mfglab.efficiency import EfficiencyReport, _phi_stack
 from mfglab.grids import continuity_residual_1d
-from mfglab.model import coupling_from_label, coupling_spatial
+from mfglab.model import Coupling, coupling_from_label, coupling_spatial
 
 from conftest import make_problem
 
@@ -126,6 +126,13 @@ class TestBoundIntegrands:
         prob, sol = b["convolution"]
         with pytest.raises(ValueError):
             lb_integrands(sol, prob, 0.6 * (g.T - g.t0))
+
+    def test_empty_window_rejected(self):
+        # on seven steps no time level lies in [0.45, 0.55]
+        g = Grid(n=16, nt=7)
+        prob = make_problem(g, "convolution")
+        with pytest.raises(ValueError, match="no time level"):
+            lb_integrands(solve_mfg(prob), prob, 0.45)
 
     def test_ub_norm_consistency(self, bench64):
         g, b = bench64
@@ -383,3 +390,29 @@ class TestFullReport:
         assert rep.gap == pytest.approx(rep.cost_mfg, rel=1e-6)
         assert rep.lb_integrand_G == 0.0
         assert rep.holder != rep.holder  # NaN for non-xfree couplings
+
+
+def _dense_path_terms(coupling, m):
+    """Coupling._path_terms by the dense reference: eval(m) and (m @ delta(m)) dx."""
+    m = np.asarray(m, dtype=float)
+    return (np.stack([coupling.eval(m_k) for m_k in m]),
+            np.stack([(m_k @ coupling.delta(m_k)) * coupling.grid.dx for m_k in m]))
+
+
+class TestFusedTermsBitwise:
+    # The solvers, bounds and certificate take every coupling field and
+    # residual from Coupling._path_terms.  Its fused fill must round
+    # exactly like the dense reference: L-BFGS stops by stagnation at
+    # round-off level, so any change of rounding can move iteration
+    # counts and costs.  The tiny bench reference misses such changes;
+    # this comparison does not.
+    @pytest.mark.parametrize("label", ["convolution", "efficient", "potential", "xfree"])
+    def test_report_equals_dense_reference_run(self, label, monkeypatch):
+        g = Grid(n=32, nt=32)
+        terminal = coupling_from_label(g, "convolution", lam=0.3)
+        prob = make_problem(g, label, lam=0.7, terminal=terminal)
+        fused = full_report(prob)
+        monkeypatch.setattr(Coupling, "_path_terms", _dense_path_terms)
+        dense = full_report(prob)
+        assert ({f: repr(getattr(fused, f)) for f in EfficiencyReport.SCHEMA}
+                == {f: repr(getattr(dense, f)) for f in EfficiencyReport.SCHEMA})

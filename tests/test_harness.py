@@ -62,6 +62,7 @@ class TestValidation:
         (dict(sweep={"parameter": "bogus", "values": [1]}), "sweep.parameter"),
         (dict(sweep={"parameter": "coupling.lambda", "values": []}), "sweep.values"),
         (dict(sweep={"parameter": "coupling.lambda", "values": [1, "x"]}), "sweep.values[1]"),
+        (dict(grid={"nt": 7}, epsilon=0.45), "epsilon"),  # no time level in the window
     ])
     def test_errors_name_the_field(self, bad, path):
         with pytest.raises(ConfigError, match=path.replace("[", r"\[").replace("]", r"\]")):
@@ -236,6 +237,27 @@ class TestCli:
         assert main(["report", "--config", path, "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert "config error: m0.path" in err and "Traceback" not in err
+
+    # values the schema used to pass, each then crashing in a solver with a traceback
+    @pytest.mark.parametrize("command,over,field", [
+        ("report", dict(solver={"max_iters": 0}), "solver.max_iters"),
+        ("report", dict(epsilon=0.5), "epsilon"),
+        ("sweep", dict(sweep={"parameter": "grid.n", "values": [16, 2.5]}),
+         "sweep.values[1]: grid.n"),
+        ("sweep", dict(sweep={"parameter": "grid.nt", "values": [8, 3]}),
+         "sweep.values[1]: grid.nt"),
+        ("sweep", dict(sweep={"parameter": "m0.amplitude", "values": [0.5, -1.0]}),
+         "sweep.values[1]: m0.amplitude"),
+        ("sweep", dict(sweep={"parameter": "epsilon", "values": [0.2, 0.0]}),
+         "sweep.values[1]: epsilon"),
+    ], ids=["max_iters", "epsilon", "sweep_n", "sweep_nt", "sweep_amplitude", "sweep_epsilon"])
+    def test_bad_value_exit_code(self, tmp_path, capsys, command, over, field):
+        path = write_cfg(tmp_path, cfg(grid={"n": 16, "nt": 8}, **over))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}" in err and "Traceback" not in err
+        assert not out.exists()  # every point is checked before the first one runs
 
     def test_fit_unknown_column(self, tmp_path):
         c = cfg(fit={"x_column": "nope", "y_column": "gap"})

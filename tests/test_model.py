@@ -22,7 +22,7 @@ from mfglab import (
     weighted_average,
 )
 from mfglab.errors import MassConservationError
-from mfglab.model import Problem, convention_defect, kernel_cos_prod
+from mfglab.model import COUPLING_LABELS, KERNELS, Problem, convention_defect, kernel_cos_prod
 
 from conftest import random_density
 
@@ -198,6 +198,94 @@ class TestFdCheck:
         m = random_density(g, r)
         i, j = r.integers(0, g.n, size=2)
         assert delta_m_fd_check(c, m, int(i), int(j), s=1e-7) < 1e-5
+
+
+FUSED_CASES = [(label, kernel, n) for label in COUPLING_LABELS for kernel in KERNELS
+               for n in (16, 128)]
+
+
+class TestFusedTerms:
+    """The fused per-slice terms (Coupling._path_terms) against the dense reference.
+
+    Every comparison is exact: the fused fill keeps the operation order of
+    the dense delta(m), so the hot paths that use it reproduce the
+    reference bit for bit.
+    """
+
+    @staticmethod
+    def densities(grid, seed, count=3):
+        r = np.random.default_rng(seed)
+        return np.stack([random_density(grid, r, roughness=1.0) for _ in range(count)])
+
+    @staticmethod
+    def reference_terms(label, grid, kernel, lam, m):
+        """(F, delta(m)) in the catalog's one-expression form, before the in-place fill.
+
+        The fill must keep this operation order: bench/reference.json pins
+        L-BFGS iteration counts that move with any change of rounding.
+        """
+        x, dx, n = grid.xs(), grid.dx, grid.n
+        phi = np.asarray(KERNELS[kernel](x[:, None], x[None, :]), dtype=float)
+        if label == "convolution":
+            a1 = (phi @ m) * dx
+            return lam * (phi @ m) * dx, lam * (phi - a1[:, None])
+        if label == "efficient":
+            a1, a2 = (phi @ m) * dx, (phi.T @ m) * dx
+            q = float(m @ a1) * dx
+            s = a1 + a2
+            return lam * (a1 + a2 - q), lam * (phi + phi.T - s[None, :] - s[:, None] + 2.0 * q)
+        if label == "potential":
+            k = 0.5 * (phi + phi.T)
+            km = (k @ m) * dx
+            q = float(m @ km) * dx
+            return lam * (km - q), lam * (k - 2.0 * km[None, :] - km[:, None] + 2.0 * q)
+        if label == "xfree":  # quadratic profile g(s) = s^2 / 2, weight cos(2 pi x)
+            c = np.cos(TWO_PI * x)
+            s = float(c @ m) * dx
+            return lam * (0.5 * s**2) * np.ones(n), np.tile(lam * s * (c - s), (n, 1))
+        field = lam * np.cos(TWO_PI * x) if label == "spatial_cos" else np.zeros(n)
+        return field, np.zeros((n, n))
+
+    @pytest.mark.parametrize("label,kernel,n", FUSED_CASES)
+    def test_fill_keeps_the_reference_operation_order(self, label, kernel, n):
+        g = Grid(n=n, nt=8)
+        c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+        for m in self.densities(g, n + 3):
+            field, dmat = self.reference_terms(label, g, kernel, 0.7, m)
+            assert np.array_equal(c.eval(m), field)
+            assert np.array_equal(c.delta(m), dmat)
+
+    @pytest.mark.parametrize("label,kernel,n", FUSED_CASES)
+    def test_slice_terms_equal_eval_and_dense_residual(self, label, kernel, n):
+        g = Grid(n=n, nt=8)
+        c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+        for m in self.densities(g, n):
+            (field,), (res,) = c._path_terms(m[None])
+            assert np.array_equal(field, c.eval(m))
+            assert np.array_equal(res, (m @ c.delta(m)) * g.dx)
+            assert np.array_equal(residual_field(c, m), res)
+
+    @pytest.mark.parametrize("label,kernel,n", FUSED_CASES)
+    def test_residual_never_overwrites_a_delta(self, label, kernel, n):
+        g = Grid(n=n, nt=8)
+        c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+        m1, m2 = self.densities(g, n + 1, count=2)
+        d1 = c.delta(m1)
+        kept = d1.copy()
+        c._path_terms(m2[None])
+        residual_field(c, m2)
+        assert np.array_equal(d1, kept)
+        assert c.delta(m2) is not c.delta(m2)
+
+    @pytest.mark.parametrize("label,kernel,n", FUSED_CASES)
+    def test_path_equals_per_slice_stack(self, label, kernel, n):
+        g = Grid(n=n, nt=8)
+        c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+        path = self.densities(g, n + 2, count=4)
+        fields, residuals = c._path_terms(path)
+        assert fields.shape == residuals.shape == path.shape
+        assert np.array_equal(fields, np.stack([c.eval(m) for m in path]))
+        assert np.array_equal(residuals, np.stack([(m @ c.delta(m)) * g.dx for m in path]))
 
 
 class TestDeltaGhat:
