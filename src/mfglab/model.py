@@ -96,8 +96,10 @@ class Coupling:
     once and returns (F(., m), fill), where fill(out) writes the
     derivative matrix delta(m) [base point, direction] into out and
     returns it, or fill is None when the derivative vanishes.  eval(m)
-    returns the field; delta(m) fills a fresh matrix, the dense reference
-    of the convention and finite-difference checks.  The residual fields
+    returns the field, and for a (B, n) stack the (B, n) fields from one
+    kernel product, each row within round-off of the row's own eval.
+    delta(m) fills a fresh matrix, the dense reference of the convention
+    and finite-difference checks.  The residual fields
     of the hot paths (_path_terms) fill the coupling's own n x n
     workspace, which is never handed out, so one coupling must not be
     used from two threads at once.
@@ -137,21 +139,25 @@ class Coupling:
 TerminalCost = Coupling
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for every row of the (..., n) stacks, each bit for bit a 1-D a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
+
+
 def _kernel_matrix(grid: Grid, kernel: Callable) -> np.ndarray:
     x = grid.xs()
     return np.asarray(kernel(x[:, None], x[None, :]), dtype=float)
 
 
 def coupling_zero(grid: Grid) -> Coupling:
-    z_field = np.zeros(grid.n)
-    return Coupling("zero", 0.0, lambda m: (z_field.copy(), None), grid)
+    return Coupling("zero", 0.0, lambda m: (np.zeros(m.shape), None), grid)
 
 
 def coupling_spatial(grid: Grid, f: Callable[[np.ndarray], np.ndarray],
                      lam: float = 1.0, label: str = "spatial") -> Coupling:
     """m-independent coupling F(x, m) = lam * f(x); derivative vanishes."""
     values = lam * np.asarray(f(grid.xs()), dtype=float)
-    return Coupling(label, lam, lambda m: (values.copy(), None), grid)
+    return Coupling(label, lam, lambda m: (np.broadcast_to(values, m.shape).copy(), None), grid)
 
 
 def coupling_convolution(grid: Grid, kernel: Callable | None = None,
@@ -161,7 +167,7 @@ def coupling_convolution(grid: Grid, kernel: Callable | None = None,
     dx = grid.dx
 
     def terms(m):
-        pm = phi @ m
+        pm = (phi @ m.T).T
 
         def fill(out):  # lam * (phi - a1[:, None]), a1 = int phi(x, y) m(dy)
             np.subtract(phi, (pm * dx)[:, None], out=out)
@@ -187,9 +193,9 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
     dx = grid.dx
 
     def terms(m):
-        a1 = (phi @ m) * dx        # int phi(x, y) m(dy)
-        a2 = (phi.T @ m) * dx      # int phi(z, x) m(dz)
-        q = float(m @ a1) * dx     # int int phi m m
+        a1 = (phi @ m.T).T * dx    # int phi(x, y) m(dy)
+        a2 = (phi.T @ m.T).T * dx  # int phi(z, x) m(dz)
+        q = row_dot(m, a1) * dx    # int int phi m m
         s = a1 + a2
 
         def fill(out):  # lam * (phi + phi.T - s[None, :] - s[:, None] + 2 q)
@@ -199,7 +205,7 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
             out *= lam
             return out
 
-        return lam * (s - q), fill
+        return lam * (s - q[..., None]), fill
 
     return Coupling("efficient", lam, terms, grid, np.empty((grid.n, grid.n)))
 
@@ -216,8 +222,8 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
     dx = grid.dx
 
     def terms(m):
-        km = (k @ m) * dx
-        q = float(m @ km) * dx
+        km = (k @ m.T).T * dx
+        q = row_dot(m, km) * dx
 
         def fill(out):  # lam * (k - 2 km[None, :] - km[:, None] + 2 q)
             np.subtract(k, 2.0 * km, out=out)
@@ -226,7 +232,7 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
             out *= lam
             return out
 
-        return lam * (km - q), fill
+        return lam * (km - q[..., None]), fill
 
     return Coupling("potential", lam, terms, grid, np.empty((grid.n, grid.n)))
 
@@ -243,13 +249,13 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
     ones = np.ones(grid.n)
 
     def terms(m):
-        s = float(c @ m) * dx
+        s = row_dot(c, m) * dx
 
         def fill(out):  # every base point has the row lam g'(s) (c - s)
             out[:] = lam * gp(s) * (c - s)
             return out
 
-        return lam * g(s) * ones, fill
+        return np.multiply.outer(lam * g(s), ones), fill
 
     return Coupling("xfree", lam, terms, grid, np.empty((grid.n, grid.n)))
 

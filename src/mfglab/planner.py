@@ -26,11 +26,12 @@ from scipy.optimize import minimize
 
 from .grids import DensityPath, ScalarPath, shift_next, shift_prev
 from .mfg import SolverParams, _heat_flow, fixed_point, solve_mfg
-from .model import Problem, delta_ghat
+from .model import Problem, delta_ghat, row_dot
 from .stepping import PeriodicTridiagLU, fp_forward_sweep, fp_residual, upwind_bands
 
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
 DESCENT_GTOL = 1e-12     # L-BFGS projected-gradient tolerance
+COST_ROWS = 32           # levels per slice_costs call: keeps its temporaries (32, n)
 
 
 @dataclass(frozen=True)
@@ -86,28 +87,20 @@ def _path_cost(problem: Problem, m: np.ndarray, alpha: np.ndarray, fields,
                g_field: np.ndarray) -> float:
     """planner_cost given the coupling fields of levels 0..nt-1 and G(., m(T))."""
     grid = problem.grid
-    x = grid.xs()
     running = 0.0
-    for k in range(grid.nt):
-        running += grid.dt * _running_cost(problem, x, m[k], alpha[k], fields[k])
+    for k in range(0, grid.nt, COST_ROWS):
+        rows = slice(k, min(k + COST_ROWS, grid.nt))
+        for cost in slice_costs(problem, m[rows], alpha[rows], np.asarray(fields[rows])).tolist():
+            running += grid.dt * cost
     return running + float(g_field @ m[-1]) * grid.dx
 
 
-def running_cost(problem: Problem, x: np.ndarray, m_k: np.ndarray,
-                 a_k: np.ndarray) -> float:
-    """Space integral of [l0(x, a_k) + F(x, m_k)] m_k: one slice of the running cost."""
-    return _running_cost(problem, x, m_k, a_k, problem.coupling.eval(m_k))
-
-
-def _running_cost(problem: Problem, x: np.ndarray, m_k: np.ndarray, a_k: np.ndarray,
-                  f_k: np.ndarray) -> float:
-    kinetic = float(problem.hamiltonian.l0(x, a_k) @ m_k) * problem.grid.dx
-    return kinetic + float(f_k @ m_k) * problem.grid.dx
-
-
-def terminal_cost(problem: Problem, m_T: np.ndarray) -> float:
-    """Space integral of G(x, m_T) m_T."""
-    return float(problem.terminal.eval(m_T) @ m_T) * problem.grid.dx
+def slice_costs(problem: Problem, m: np.ndarray, a: np.ndarray, f: np.ndarray):
+    """Space integral of [l0(x, a) + f] m for every row of the (..., n) stacks,
+    f the coupling field of m; each row bit for bit as if taken alone."""
+    dx = problem.grid.dx
+    kinetic = row_dot(problem.hamiltonian.l0(problem.grid.xs(), a), m) * dx
+    return kinetic + row_dot(f, m) * dx
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,12 @@ class TestCertificate:
         assert cert > 1e-9
         assert cert <= gap + 1e-6 * (1 + abs(social_cost(sol, prob)))
 
-    def test_equals_per_h_reference_loop(self):
-        # a nonzero terminal cost, so both perturbation variants run
+    def test_agrees_with_per_h_reference_loop(self):
+        # a nonzero terminal cost, so both perturbation variants run; the
+        # stack is priced by one kernel product per step, which sums in
+        # another order than phi_eval's per-slice products: each phi agrees
+        # on its own scale, the certificate (cost_eq - phi, a difference of
+        # two cost-sized numbers) on the cost scale
         g = Grid(n=32, nt=64)
         prob = make_problem(g, "convolution", lam=1.0,
                             terminal=coupling_from_label(g, "convolution", lam=0.5))
@@ -297,12 +301,13 @@ class TestCertificate:
             assert float(np.abs(pert.mu.values).max()) > 0.0
             tau = pert.tau if np.isfinite(pert.tau) else 1.0
             hs = np.geomspace(1e-4 * tau, tau, 32)
-            phis = [phi_eval(sol, pert, h, prob) for h in hs]
-            assert np.array_equal(_phi_stack(sol, pert, hs, prob), phis)
+            phis = np.array([phi_eval(sol, pert, h, prob) for h in hs])
+            stacked = _phi_stack(sol, pert, hs, prob)
+            assert np.all(np.abs(stacked - phis) <= 1e-12 * (1.0 + np.abs(phis)))
             for phi in phis:
                 best = max(best, cost_eq - phi)
         assert best > 0.0
-        assert certificate(sol, prob, eps) == best
+        assert abs(certificate(sol, prob, eps) - best) <= 1e-12 * (1.0 + abs(cost_eq))
 
 
 class TestDuality:

@@ -287,6 +287,19 @@ class TestFusedTerms:
         assert np.array_equal(fields, np.stack([c.eval(m) for m in path]))
         assert np.array_equal(residuals, np.stack([(m @ c.delta(m)) * g.dx for m in path]))
 
+    @pytest.mark.parametrize("count", (1, 5))
+    @pytest.mark.parametrize("label,kernel,n", FUSED_CASES)
+    def test_stacked_eval_matches_per_row_eval(self, label, kernel, n, count):
+        # one kernel product for the whole stack sums in another order than
+        # the per-row products, so rows agree on the scale of the field
+        g = Grid(n=n, nt=8)
+        c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+        stack = self.densities(g, n + 5, count=count)
+        fields = c.eval(stack)
+        assert fields.shape == (count, n)
+        rows = np.stack([c.eval(m) for m in stack])
+        assert np.all(np.abs(fields - rows) <= 1e-13 * (1.0 + np.abs(rows).max()))
+
 
 class TestDeltaGhat:
     def test_zero(self, g, rng):

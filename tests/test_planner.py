@@ -6,6 +6,7 @@ import pytest
 from mfglab import (
     Grid,
     SolverParams,
+    coupling_from_label,
     density_uniform,
     planner_cost,
     social_cost,
@@ -54,6 +55,32 @@ class TestPlannerCost:
             terms.append(g.dt * (kin + weighted_average(prob.coupling, m[k])))
         oracle = math.fsum(terms)
         assert planner_cost(m, a, prob) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("nt", (32, 40))  # one full block of COST_ROWS levels, a partial one
+    @pytest.mark.parametrize("label", ("convolution", "efficient", "potential", "xfree"))
+    def test_equals_per_slice_reference_loop(self, label, nt, rng):
+        # the stacked slice costs of planner_cost and of the descent objective
+        # keep the per-slice arithmetic bit for bit: cost_mfg, cost_planner
+        # and the descent's stop all read them
+        g = Grid(n=32, nt=nt)
+        prob = make_problem(g, label, lam=0.7,
+                            terminal=coupling_from_label(g, label, lam=0.5))
+        a = 0.3 * rng.standard_normal((g.nt + 1, g.n))
+        obj = ControlObjective(prob)
+        m = obj.forward(a)
+        x, dx = g.xs(), g.dx
+        fields = np.stack([prob.coupling.eval(m[k]) for k in range(g.nt)])
+        levels = [float(prob.hamiltonian.l0(x, a[k]) @ m[k]) * dx + float(fields[k] @ m[k]) * dx
+                  for k in range(g.nt)]
+        running = 0.0
+        for cost in levels:
+            running += g.dt * cost
+        expect = running + float(prob.terminal.eval(m[-1]) @ m[-1]) * dx
+        # the kernel's rows themselves, since one ulp of a level can round away in the sum
+        assert planner.slice_costs(prob, m[:-1], a[:-1], fields).tolist() == levels
+        assert planner_cost(m, a, prob) == expect
+        assert obj.objective(a, m) == expect
+        assert obj.objective(a) == expect
 
     def test_shape_check(self, grid32):
         prob = make_problem(grid32, "zero", amplitude=0.0)

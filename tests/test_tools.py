@@ -27,9 +27,19 @@ def test_report_fields_dump_and_compare(tmp_path):
     assert done.returncode == 0
     assert done.stdout.strip().endswith("4 points, 84 fields; 0 differ")
 
-    fields["desk_catalog/potential/tiny"]["gap"] = "0.5"
+    point = fields["desk_catalog/potential/tiny"]
+    diff = abs(float(point["gap"]) - 0.5)
+    scaled = diff / (1.0 + abs(float(point["cost_mfg"])))
+    point["gap"] = "0.5"
+    point["mfg_converged"] = "False" if point["mfg_converged"] == "True" else "True"
     changed = tmp_path / "b.json"
     changed.write_text(json.dumps(fields))
     done = report_fields("--compare", str(dump), str(changed))
     assert done.returncode == 1
-    assert done.stdout.splitlines()[0].startswith("desk_catalog/potential/tiny: gap: ")
+    gap_line, flag_line, summary = done.stdout.splitlines()
+    # numeric fields carry the absolute difference and the one on the cost scale
+    assert gap_line.startswith("desk_catalog/potential/tiny: gap: ")
+    assert gap_line.endswith(f" != 0.5  |a-b|={diff:.3g}  |a-b|/(1+|cost_mfg|)={scaled:.3g}")
+    assert flag_line.startswith("desk_catalog/potential/tiny: mfg_converged: ")
+    assert "|a-b|" not in flag_line
+    assert summary.endswith("4 points, 84 fields; 2 differ")

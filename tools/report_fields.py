@@ -13,8 +13,10 @@ Each point and probe of every workload in ``bench/workloads.py``
 field is recorded as its ``repr``, so two dumps agree exactly when the
 reports are bitwise equal.  A point that raises records the error type
 and message instead.  BLAS runs on one thread, since the thread count
-changes round-off.  ``--compare`` prints every field that differs and
-exits 1 if there is one.
+changes round-off.  ``--compare`` prints every field that differs, with
+the absolute difference and the difference on the cost scale
+(1 + |cost_mfg|) where both values are numbers, and exits 1 if there is
+one.
 """
 
 from __future__ import annotations
@@ -67,8 +69,19 @@ def dump(src: Path, workloads: list[str], scales: list[str]) -> dict:
     return out
 
 
+def _float(text):
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return None
+
+
 def compare(a: dict, b: dict) -> list[str]:
-    """One line per point or field that is missing from one dump or differs."""
+    """One line per point or field that is missing from one dump or differs.
+
+    A differing field whose two values are numbers also gets |a-b| and
+    |a-b|/(1+|cost_mfg|), the cost scale of the first dump's point.
+    """
     lines = []
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
@@ -76,8 +89,15 @@ def compare(a: dict, b: dict) -> list[str]:
             continue
         for field in sorted(a[key].keys() | b[key].keys()):
             va, vb = a[key].get(field), b[key].get(field)
-            if va != vb:
-                lines.append(f"{key}: {field}: {va} != {vb}")
+            if va == vb:
+                continue
+            line = f"{key}: {field}: {va} != {vb}"
+            fa, fb = _float(va), _float(vb)
+            if fa is not None and fb is not None:  # two report values: cost_mfg is there
+                diff = abs(fa - fb)
+                scaled = diff / (1.0 + abs(float(a[key]["cost_mfg"])))
+                line += f"  |a-b|={diff:.3g}  |a-b|/(1+|cost_mfg|)={scaled:.3g}"
+            lines.append(line)
     return lines
 
 
