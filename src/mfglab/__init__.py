@@ -35,7 +35,7 @@ from .grids import (
     w1_distance_1d,
 )
 from .harness import FitResult, emit_plotdata, fit_scaling, read_rows, run
-from .mfg import MFGSolution, SolverParams, solve_fp_forward, solve_hjb_backward, solve_mfg
+from .mfg import MFGSolution, SolverParams, solve_mfg
 from .model import (
     Coupling,
     Hamiltonian,

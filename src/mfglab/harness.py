@@ -238,8 +238,8 @@ def build_problem(cfg: dict) -> tuple[Problem, SolverParams, float]:
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return str(v)
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # np.float64 too: its repr names the type
+        return repr(float(v))
     return str(v)
 
 

@@ -97,20 +97,6 @@ def _heat_flow(problem: Problem) -> np.ndarray:
     return fp_forward_sweep(grid, problem.m0, np.zeros((grid.nt + 1, grid.n)))
 
 
-def solve_hjb_backward(m: DensityPath, problem: Problem) -> ScalarPath:
-    """Backward equation given the population flow m (terminal from m(T))."""
-    u = hjb_backward_sweep(problem.grid, problem.hamiltonian,
-                           *_equilibrium_data(problem, m.values))
-    return ScalarPath(u, problem.grid)
-
-
-def solve_fp_forward(u: ScalarPath, problem: Problem) -> DensityPath:
-    """Forward equation from m0 under the feedback drift of u."""
-    drift = feedback_drift(problem, u.values)
-    m = fp_forward_sweep(problem.grid, problem.m0, drift)
-    return DensityPath(m, problem.grid)
-
-
 def _sup_l1(a: np.ndarray, b: np.ndarray, dx: float) -> float:
     return float(np.abs(a - b).sum(axis=1).max() * dx)
 

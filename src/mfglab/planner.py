@@ -195,20 +195,25 @@ class ControlObjective:
         _, fields, residuals, g_field, g_residual = self._path_terms(m)
         # weighted running-cost gradient of level k + 1, the source of step k:
         # d/dm_i of sum_j [l0 + F] m_j dx, up to an additive constant that
-        # cancels in the control gradient (the dynamics conserve mass)
-        source = self.w[1:nt, None] * (dx * (self.problem.hamiltonian.l0(self.x, a[1:nt])
-                                             + fields + residuals))
-        terminal = dx * (g_field + g_residual)
+        # cancels in the control gradient (the dynamics conserve mass);
+        # level nt has running weight 0: its step sees the terminal gradient only
+        rhs = np.empty((nt, n))
+        np.multiply(self.w[1:nt, None], dx * (self.problem.hamiltonian.l0(self.x, a[1:nt])
+                                              + fields + residuals), out=rhs[:nt - 1])
+        np.multiply(dx, g_field + g_residual, out=rhs[nt - 1])
         bf, _, _, lower, diag, upper = upwind_bands(g, a[:nt])
         # transpose of every step matrix: swap and shift the bands
         lu = PeriodicTridiagLU(shift_prev(upper), diag, shift_next(lower))
 
         lam_path = np.empty((nt + 1, n))
         lam = np.zeros(n)
-        for k in range(nt - 1, -1, -1):
-            # level nt has running weight 0: its step sees the terminal gradient only
-            rhs = lam + terminal if k + 1 == nt else source[k] + lam
-            lam = lam_path[k + 1] = lu.solve(rhs, k)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k in range(nt - 1, -1, -1):
+                rhs[k] += lam  # step k's source plus the multiplier of level k + 2
+                lam = lu.solve_row(rhs[k], k, lam_path[k + 1])
+            if not (np.isfinite(rhs).all() and np.isfinite(lam_path[1:]).all()):
+                for k in range(nt - 1, -1, -1):  # the first failing step raises
+                    lu.solve(rhs[k], k)
         lam_path[0] = lam_path[1]
 
         # control sensitivity through the upwind face flux, all steps at once

@@ -17,28 +17,33 @@ system solver and the planner descent dynamics:
   (slicing into a new array), never ``np.roll``.
 
 Batches.  ``upwind_bands``, ``fp_step`` and ``solve_periodic_tridiag``
-also take a (B, n) stack: B independent drifts, densities or systems,
-one per row, advanced together (the certificate moves all its h-samples
-this way).  Row b of a batched result is bitwise the result of the
-single call on row b.  Everything outside the linear solve is
-elementwise.  ``PeriodicTridiagLU`` factors first, solves after: it
-reduces each periodic system by Sherman-Morrison to an open tridiagonal
-one and factors all B of them by a single LAPACK ``dgttrf`` call as one
-block-diagonal matrix of order B*n, whose lower band is zero at the
-first row of every block and whose upper band is zero at the last row.
-Elimination then never mixes blocks: at a block boundary the
-subdiagonal entry is 0, so the pivot test |d| >= |0| keeps the row order
-and the multiplier 0/d adds nothing to the next block, and a row
-interchange inside a block can only bring in the zeroed entry at its
-edge.  Each block's factors are those of its system alone, so a
-``dgttrs`` solve of one block or of the stack does exactly the
-arithmetic of eliminating that system afresh.  The sweeps factor every
-step matrix before their time loop, which then only solves.
+also take a (B, n) stack, one drift, density or system per row,
+advanced together (the certificate moves its h-samples this way); row b
+of a batched result is bitwise the single call on row b.
+``PeriodicTridiagLU`` reduces each periodic system by Sherman-Morrison
+to an open tridiagonal one and factors all B of them by one LAPACK
+``dgttrf`` call as a block-diagonal matrix of order B*n, whose bands are
+zero where they would couple two blocks.  Elimination never mixes
+blocks: at a block boundary the subdiagonal entry is 0, so the pivot
+test |d| >= |0| keeps the row order and the multiplier 0/d adds nothing
+to the next block, and a row interchange inside a block can only bring
+in the zeroed entry at its edge.  A ``dgttrs`` solve of one block or of
+the stack thus does exactly the arithmetic of eliminating that system
+afresh.
+
+Time loops.  The sweeps and the planner's adjoint factor every step
+matrix before their loop; a step then only solves its row (``solve_row``)
+and updates in place, into arrays allocated once per sweep.  The checks
+run once per sweep, after the loop, and raise what a checked step
+raises at the first failing one: type, message and suggested_dt.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import LinearSolveError, MassConservationError, TimeStepDivergenceError
@@ -79,7 +84,6 @@ class PeriodicTridiagLU:
         if info > 0:
             raise LinearSolveError(f"banded solve failed: singular matrix (pivot {info})")
         self._stack = (dl[:-1], d, du[:-1], du2, ipiv)
-        self._block_ipiv = ipiv - np.arange(size, dtype=ipiv.dtype) // self.n * self.n
         self._z = z = dgttrs(*self._stack, u, overwrite_b=1)[0].reshape(-1, self.n)  # z overwrites u
         # v = (1, 0, ..., 0, beta0/gamma) applied to z
         self._ratio = np.reshape(beta0 / gamma, -1)
@@ -87,25 +91,44 @@ class PeriodicTridiagLU:
         if not (np.isfinite(z).all() and np.isfinite(self._denom).all() and self._denom.all()):
             raise LinearSolveError("periodic tridiagonal system is singular (rank-one update)")
 
+    @cached_property
+    def _rows(self) -> list:
+        """Each block's dgttrs factors, z, ratio and denom, sliced once."""
+        (dl, d, du, du2, ipiv), n = self._stack, self.n
+        ipiv = ipiv - np.arange(d.size, dtype=ipiv.dtype) // n * n  # pivots within each block
+        return list(zip(*(sliding_window_view(f, n - cut)[::n]
+                          for f, cut in ((dl, 1), (d, 0), (du, 1), (du2, 2), (ipiv, 0))),
+                        self._z, self._ratio.tolist(), self._denom.tolist()))
+
+    def solve_row(self, rhs: np.ndarray, row: int, out: np.ndarray) -> np.ndarray:
+        """x for system ``row`` and rhs (n,), written into out (n,) unchecked:
+        the time loops check once per sweep."""
+        dl, d, du, du2, ipiv, z, ratio, denom = self._rows[row]
+        return _sherman_morrison(dgttrs(dl, d, du, du2, ipiv, rhs)[0], z, ratio, denom, out)
+
     def solve(self, rhs: np.ndarray, row: int | None = None) -> np.ndarray:
-        """x for system ``row`` and rhs (n,); without a row, for every
-        system and rhs as in solve_periodic_tridiag."""
+        """solve_row, checked; without a row, x for every system and rhs as
+        in solve_periodic_tridiag."""
         if not np.isfinite(rhs).all():
             raise ValueError("periodic tridiagonal system has non-finite right-hand side")
         if row is not None:
-            lo, hi = row * self.n, (row + 1) * self.n
-            dl, d, du, du2, _ = self._stack
-            y = dgttrs(dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1], du2[lo:hi - 2],
-                       self._block_ipiv[lo:hi], rhs)[0]
-            x = y - self._z[row] * ((y[0] + self._ratio[row] * y[-1]) / self._denom[row])
-        else:
-            shape = self._z.shape + (-1,)  # (B, n, k): k right-hand sides per system
-            y = dgttrs(*self._stack, rhs.reshape(self._z.size, -1))[0].reshape(shape)
-            v = y[:, 0] + self._ratio[:, None] * y[:, -1]
-            x = (y - self._z[..., None] * (v / self._denom[:, None])[:, None]).reshape(rhs.shape)
+            x = self.solve_row(rhs, row, np.empty(self.n))
+        else:  # the system runs along axis 0 of y: (n, B, k), k right-hand sides each
+            y = dgttrs(*self._stack, rhs.reshape(self._z.size, -1))[0]
+            y = y.reshape(self._z.shape + (-1,)).transpose(1, 0, 2)
+            x = _sherman_morrison(y, self._z.T[..., None], self._ratio[:, None],
+                                  self._denom[:, None], np.empty_like(y))
+            x = x.transpose(1, 0, 2).reshape(rhs.shape)
         if not np.isfinite(x).all():
             raise LinearSolveError("periodic tridiagonal solve produced non-finite values")
         return x
+
+
+def _sherman_morrison(y, z, ratio, denom, out: np.ndarray) -> np.ndarray:
+    """out = y - z ((y[0] + ratio y[-1]) / denom): the periodic solution from
+    the open one, y, with the system running along axis 0 of y and z."""
+    np.multiply(z, (y[0] + ratio * y[-1]) / denom, out=out)
+    return np.subtract(y, out, out=out)
 
 
 def solve_periodic_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -141,22 +164,27 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
 
     u = np.empty((nt + 1, n))
     u[nt] = terminal_field
-    for k in range(nt - 1, -1, -1):
-        du = gradient(u[k + 1], grid)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ham = hamiltonian.h0(x, du) - coupling_fields[k]
+    rhs, ham = np.empty((nt, n)), np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(nt - 1, -1, -1):
+            np.subtract(hamiltonian.h0(x, gradient(u[k + 1], grid)), coupling_fields[k], out=ham)
             if source_fields is not None:
-                ham = ham - source_fields[k]
-            rhs = u[k + 1] - dt * ham
-        if not np.isfinite(rhs).all():
-            du_max = float(np.abs(du[np.isfinite(du)]).max()) if np.any(np.isfinite(du)) else np.inf
-            suggested = 0.5 * dx / max(du_max, 1.0)
-            raise TimeStepDivergenceError(
-                f"non-finite values at level {k}; the explicit Hamiltonian term "
-                f"needs a smaller step (try dt <= {suggested:.3e})",
-                suggested_dt=min(suggested, 0.5 * dt),
-            )
-        u[k] = lu.solve(rhs, 0)
+                ham -= source_fields[k]
+            ham *= dt
+            lu.solve_row(np.subtract(u[k + 1], ham, out=rhs[k]), 0, u[k])
+        if np.isfinite(rhs).all() and np.isfinite(u).all():
+            return u
+        for k in range(nt - 1, -1, -1):  # the first failing level raises
+            if not np.isfinite(rhs[k]).all():
+                du = gradient(u[k + 1], grid)
+                du = np.abs(du[np.isfinite(du)])
+                suggested = 0.5 * dx / max(float(du.max()) if du.size else np.inf, 1.0)
+                raise TimeStepDivergenceError(
+                    f"non-finite values at level {k}; the explicit Hamiltonian term "
+                    f"needs a smaller step (try dt <= {suggested:.3e})",
+                    suggested_dt=min(suggested, 0.5 * dt),
+                )
+            lu.solve(rhs[k], 0)
     return u
 
 
@@ -205,22 +233,35 @@ def fp_step(grid: Grid, m: np.ndarray, a_cells: np.ndarray) -> np.ndarray:
     a_cells are one slice (n,) or a (B, n) stack stepped row by row.
     """
     _, bp, bm, lower, diag, upper = upwind_bands(grid, a_cells)
-    return _flux_update(grid, m, solve_periodic_tridiag(lower, diag, upper, m), bp, bm)
+    m_t = solve_periodic_tridiag(lower, diag, upper, m)
+    out, work = np.empty(m.shape), np.empty((2,) + m.shape)
+    _flux_update(grid, m.T, m_t.T, bp.T, bm.T, out.T, work.swapaxes(1, -1))
+    if not np.isfinite(out).all():
+        raise TimeStepDivergenceError("non-finite density during forward step",
+                                      suggested_dt=0.5 * grid.dt)
+    return out
 
 
 def _flux_update(grid: Grid, m: np.ndarray, m_t: np.ndarray, bp: np.ndarray,
-                 bm: np.ndarray) -> np.ndarray:
-    """m advanced by the face fluxes of the implicit solution m_t (see fp_step)."""
+                 bm: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """out = m advanced by the face fluxes of the implicit solution m_t (see
+    fp_step).  The grid runs along axis 0 of every array, a slice (n,) or a
+    transposed stack (n, B); work holds two scratch arrays like m."""
     dx = grid.dx
-    c = grid.dt / dx
+    m_left, theta = work
     # total outgoing face flux: diffusive gradient minus upwind advective flux
-    m_left = shift_prev(m_t)
-    theta = (m_t - m_left) / dx - (bp * m_left + bm * m_t)
-    m_new = m + c * (shift_next(theta) - theta)
-    if not np.isfinite(m_new).all():
-        raise TimeStepDivergenceError("non-finite density during forward step",
-                                      suggested_dt=0.5 * grid.dt)
-    return m_new
+    m_left[1:], m_left[0] = m_t[:-1], m_t[-1]  # shift_prev(m_t)
+    np.subtract(m_t, m_left, out=theta)
+    theta /= dx
+    m_left *= bp
+    np.multiply(bm, m_t, out=out)
+    m_left += out
+    theta -= m_left
+    # out = m + c (shift_next(theta) - theta)
+    np.subtract(theta[1:], theta[:-1], out=out[:-1])
+    out[-1] = theta[0] - theta[-1]
+    out *= grid.dt / dx
+    out += m
 
 
 def check_mass_drift(grid: Grid, m: np.ndarray, target: float, step: int) -> None:
@@ -243,15 +284,23 @@ def fp_forward_sweep(grid: Grid, m0: np.ndarray, a_path: np.ndarray) -> np.ndarr
     if per-slice mass drifts by more than 1e-10 (a scheme bug, not a data
     error).
     """
-    nt = grid.nt
+    n, nt = grid.n, grid.nt
     _, bp, bm, lower, diag, upper = upwind_bands(grid, a_path[:nt])
     lu = PeriodicTridiagLU(lower, diag, upper)
-    m = np.empty((nt + 1, grid.n))
+    m = np.empty((nt + 1, n))
     m[0] = m0
+    m_t, work = np.empty(n), np.empty((2, n))  # see _flux_update
     target = m0.sum() * grid.dx
-    for k in range(nt):
-        m[k + 1] = _flux_update(grid, m[k], lu.solve(m[k], k), bp[k], bm[k])
-        check_mass_drift(grid, m[k + 1], target, k + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(nt):
+            lu.solve_row(m[k], k, m_t)
+            _flux_update(grid, m[k], m_t, bp[k], bm[k], m[k + 1], work)
+        # a non-finite solution makes the density of its step non-finite
+        if (np.isfinite(m).all()
+                and (abs(m[1:].sum(axis=-1) * grid.dx - target) <= MASS_DRIFT_RAISE).all()):
+            return m
+        for k in range(nt):  # fp_step repeats step k bitwise, with its checks
+            check_mass_drift(grid, fp_step(grid, m[k], a_path[k]), target, k + 1)
     return m
 
 

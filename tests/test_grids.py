@@ -17,9 +17,16 @@ from mfglab import (
     reconstruct_flux_1d,
     w1_distance_1d,
 )
-from mfglab.errors import LinearSolveError, MassConservationError, ShapeMismatchError
+from mfglab import stepping
+from mfglab.errors import (
+    LinearSolveError,
+    MassConservationError,
+    ShapeMismatchError,
+    TimeStepDivergenceError,
+)
 from mfglab.grids import check_density_slice, shift_next, shift_prev
 from mfglab.model import quadratic_hamiltonian
+from mfglab.planner import ControlObjective
 from mfglab.stepping import (
     PeriodicTridiagLU,
     check_mass_drift,
@@ -27,7 +34,10 @@ from mfglab.stepping import (
     fp_step,
     hjb_backward_sweep,
     solve_periodic_tridiag,
+    upwind_bands,
 )
+
+from conftest import make_problem, random_density
 
 TWO_PI = 2.0 * np.pi
 
@@ -315,11 +325,13 @@ class TestPeriodicTridiag:
         lu = PeriodicTridiagLU(lower, diag, upper)
         for b in reversed(range(batch)):
             single = solve_periodic_tridiag(lower[b], diag[b], upper[b], rhs[b])
-            assert np.array_equal(lu.solve(rhs[b], b), single)
+            out = np.empty(n)
+            assert lu.solve_row(rhs[b], b, out) is out
+            assert np.array_equal(out, single)
             assert np.array_equal(single, self.dgtsv_solve(lower[b], diag[b], upper[b], rhs[b]))
             lu_b = PeriodicTridiagLU(lower[b], diag[b], upper[b])
             assert np.array_equal(lu_b.solve(rhs[b]), single)
-            assert np.array_equal(lu_b.solve(rhs[b], 0), single)
+            assert np.array_equal(lu_b.solve_row(rhs[b], 0, np.empty(n)), single)
 
     def test_factor_singular_raises_without_warning(self):
         # the kernel detects 1 + v'z = 0 itself; no floating-point warning
@@ -370,20 +382,90 @@ def test_shifts_match_roll(rng):
         assert np.array_equal(shift_next(a), np.roll(a, -1, axis=-1))
 
 
+def forward_reference(g, m0, a):
+    """The forward sweep one checked step at a time."""
+    m = [m0]
+    for k in range(g.nt):
+        m.append(fp_step(g, m[k], a[k]))
+        check_mass_drift(g, m[-1], m0.sum() * g.dx, k + 1)
+    return np.array(m)
+
+
+def hjb_reference(g, ham, fields, terminal, source=None):
+    """The backward sweep one checked solve at a time."""
+    r = g.dt / g.dx**2
+    bands = (np.full(g.n, -r), np.full(g.n, 1.0 + 2.0 * r), np.full(g.n, -r))
+    u = np.empty((g.nt + 1, g.n))
+    u[-1] = terminal
+    for k in range(g.nt - 1, -1, -1):
+        du = gradient(u[k + 1], g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ham_k = ham.h0(g.xs(), du) - fields[k]
+            if source is not None:
+                ham_k = ham_k - source[k]
+            rhs = u[k + 1] - g.dt * ham_k
+        if not np.isfinite(rhs).all():
+            du_max = (float(np.abs(du[np.isfinite(du)]).max())
+                      if np.any(np.isfinite(du)) else np.inf)
+            suggested = 0.5 * g.dx / max(du_max, 1.0)
+            raise TimeStepDivergenceError(
+                f"non-finite values at level {k}; the explicit Hamiltonian term "
+                f"needs a smaller step (try dt <= {suggested:.3e})",
+                suggested_dt=min(suggested, 0.5 * g.dt),
+            )
+        u[k] = solve_periodic_tridiag(*bands, rhs)
+    return u
+
+
+def adjoint_reference(obj, a, m):
+    """ControlObjective.adjoint with one checked transposed solve per step."""
+    g = obj.grid
+    n, nt, dx, dt = g.n, g.nt, g.dx, g.dt
+    _, fields, residuals, g_field, g_residual = obj._path_terms(m)
+    source = obj.w[1:nt, None] * (dx * (obj.problem.hamiltonian.l0(obj.x, a[1:nt])
+                                        + fields + residuals))
+    terminal = dx * (g_field + g_residual)
+    bf, _, _, lower, diag, upper = upwind_bands(g, a[:nt])
+    lower_t, upper_t = shift_prev(upper), shift_next(lower)
+    lam_path = np.empty((nt + 1, n))
+    lam = np.zeros(n)
+    for k in range(nt - 1, -1, -1):
+        rhs = lam + terminal if k + 1 == nt else source[k] + lam
+        lam = lam_path[k + 1] = solve_periodic_tridiag(lower_t[k], diag[k], upper_t[k], rhs)
+    lam_path[0] = lam_path[1]
+    dl = (lam_path[1:] - shift_prev(lam_path[1:])) / dx
+    m_next = m[1:]
+    m_left = shift_prev(m_next)
+    h_face = np.where(bf > 0.0, m_left, np.where(bf < 0.0, m_next, 0.5 * (m_left + m_next)))
+    t_face = dl * h_face
+    grad = obj.w[:, None] * obj.problem.hamiltonian.da_l0(obj.x, a) * m * dx
+    grad[:nt] += 0.5 * dt * (t_face + shift_next(t_face))
+    return grad, lam_path
+
+
+def same_error(sweep, reference):
+    """Both calls raise, with the same type, message and suggested_dt."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(Exception) as ref:
+            reference()
+    with pytest.raises(type(ref.value)) as got:
+        sweep()
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert getattr(got.value, "suggested_dt", None) == getattr(ref.value, "suggested_dt", None)
+    return got.value
+
+
 class TestSweeps:
-    """The sweeps factor their step matrices once; the results are bitwise
-    those of stepping and solving one level at a time."""
+    """The sweeps factor their step matrices once and check once per sweep;
+    results and errors are those of stepping and solving one level at a time."""
 
     def test_forward_sweep_equals_step_loop(self, rng):
         g = Grid(n=24, nt=12)
         m0 = np.ones(g.n)
         for scale in (0.5, 20.0):  # mild and upwind-dominated drifts
             a = scale * rng.standard_normal((g.nt + 1, g.n))
-            m = [m0]
-            for k in range(g.nt):
-                m.append(fp_step(g, m[k], a[k]))
-                check_mass_drift(g, m[-1], 1.0, k + 1)
-            assert np.array_equal(fp_forward_sweep(g, m0, a), np.array(m))
+            assert np.array_equal(fp_forward_sweep(g, m0, a), forward_reference(g, m0, a))
 
     def test_backward_sweep_equals_solve_loop(self, rng):
         g = Grid(n=24, nt=12)
@@ -391,11 +473,64 @@ class TestSweeps:
         fields = rng.standard_normal((g.nt + 1, g.n))
         source = rng.standard_normal((g.nt + 1, g.n))
         terminal = rng.standard_normal(g.n)
-        r = g.dt / g.dx**2
-        bands = (np.full(g.n, -r), np.full(g.n, 1.0 + 2.0 * r), np.full(g.n, -r))
-        u = np.empty((g.nt + 1, g.n))
-        u[-1] = terminal
-        for k in range(g.nt - 1, -1, -1):
-            ham_k = ham.h0(g.xs(), gradient(u[k + 1], g)) - fields[k] - source[k]
-            u[k] = solve_periodic_tridiag(*bands, u[k + 1] - g.dt * ham_k)
-        assert np.array_equal(hjb_backward_sweep(g, ham, fields, terminal, source), u)
+        assert np.array_equal(hjb_backward_sweep(g, ham, fields, terminal, source),
+                              hjb_reference(g, ham, fields, terminal, source))
+
+    @pytest.mark.parametrize("label", ["convolution", "efficient", "potential", "xfree"])
+    def test_adjoint_equals_solve_loop(self, rng, label):
+        g = Grid(n=24, nt=12)
+        obj = ControlObjective(make_problem(g, label, lam=2.0))
+        a = 2.0 * rng.standard_normal((g.nt + 1, g.n))
+        m = obj.forward(a)
+        grad, lam_path = obj.adjoint(a, m)
+        ref_grad, ref_lam = adjoint_reference(obj, a, m)
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(lam_path, ref_lam)
+
+    def test_forward_mass_drift_names_the_same_step(self, rng, monkeypatch):
+        g = Grid(n=64, nt=12)
+        m0 = random_density(g, rng)
+        a = 20.0 * rng.standard_normal((g.nt + 1, g.n))
+        drift = np.abs(forward_reference(g, m0, a).sum(axis=-1) * g.dx - m0.sum() * g.dx)
+        first = int(np.argmax(drift > 0.0))
+        assert first > 1  # round-off moves the mass first in a later step
+        monkeypatch.setattr(stepping, "MASS_DRIFT_RAISE", 0.0)
+        err = same_error(lambda: fp_forward_sweep(g, m0, a), lambda: forward_reference(g, m0, a))
+        assert isinstance(err, MassConservationError)
+        assert str(err).endswith(f"at step {first}")
+
+    @pytest.mark.parametrize("n, nt, bad, error", [
+        (24, 12, np.nan, ValueError),
+        (24, 12, 1e308, LinearSolveError),  # the solve overflows
+        (8, 100, 5e307, TimeStepDivergenceError),  # the face flux overflows
+        (8, 100, 1e306, MassConservationError),  # round-off of a huge mass
+    ])
+    def test_forward_failing_step_raises_as_step_loop(self, n, nt, bad, error):
+        g = Grid(n=n, nt=nt)
+        m0 = np.ones(n)
+        m0[3] = bad
+        a = np.ones((nt + 1, n))
+        err = same_error(lambda: fp_forward_sweep(g, m0, a), lambda: forward_reference(g, m0, a))
+        assert type(err) is error
+
+    def test_backward_divergence_same_level_and_suggestion(self):
+        g = Grid(n=64, nt=16)  # dt far too large for the explicit |Du|^2 term
+        ham = quadratic_hamiltonian()
+        fields = np.zeros((g.nt + 1, g.n))
+        terminal = 1e3 * np.cos(TWO_PI * g.xs())
+        err = same_error(lambda: hjb_backward_sweep(g, ham, fields, terminal),
+                         lambda: hjb_reference(g, ham, fields, terminal))
+        assert isinstance(err, TimeStepDivergenceError) and err.suggested_dt < g.dt
+
+    def test_adjoint_non_finite_source_raises_as_solve_loop(self, rng, monkeypatch):
+        g = Grid(n=24, nt=12)
+        obj = ControlObjective(make_problem(g, "convolution"))
+        a = rng.standard_normal((g.nt + 1, g.n))
+        m = obj.forward(a)
+        f_0, fields, residuals, g_field, g_residual = obj._path_terms(m)
+        fields = fields.copy()
+        fields[6, 3] = np.inf
+        monkeypatch.setattr(obj, "_path_terms",
+                            lambda m: (f_0, fields, residuals, g_field, g_residual))
+        err = same_error(lambda: obj.adjoint(a, m), lambda: adjoint_reference(obj, a, m))
+        assert type(err) is ValueError

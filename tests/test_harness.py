@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfglab.cli import main
-from mfglab.efficiency import full_report
+from mfglab.efficiency import EfficiencyReport, full_report
 from mfglab.errors import ConfigError
 from mfglab.harness import (
     RESULT_COLUMNS,
@@ -106,6 +106,14 @@ class TestRun:
         b = (tmp_path / "b.csv").read_text().splitlines()
         strip = lambda line: line.rsplit(",", 1)[0]  # wall_time_s is last
         assert [strip(l) for l in a] == [strip(l) for l in b]
+
+    def test_report_columns_read_back_as_numbers(self, tmp_path):
+        # numpy scalars in a report (lb_integrand_F is an np.float64) are
+        # written as plain numbers, so they parse back as numbers
+        run(cfg(), tmp_path / "out.csv")
+        (row,) = read_rows(tmp_path / "out.csv")
+        for column in EfficiencyReport.SCHEMA:
+            assert type(row[column]) in (bool, int, float), (column, row[column])
 
     def test_non_convergence_recorded_not_raised(self, tmp_path):
         c = cfg(solver={"max_iters": 1, "tol_fixed_point": 1e-15},
@@ -210,6 +218,17 @@ class TestCli:
         assert main(["emit", "--config", path, "--rows", str(rows_path),
                      "--out", str(emit_dir)]) == 0
         assert (emit_dir / "gap_vs_coupling_lambda.dat").exists()
+
+    def test_fit_on_a_numpy_scalar_column(self, tmp_path):
+        c = cfg(sweep={"parameter": "coupling.lambda", "values": [0.5, 1.0]},
+                fit={"x_column": "coupling_lambda", "y_column": "lb_integrand_F"})
+        path = write_cfg(tmp_path, c)
+        rows_path = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", path, "--out", str(rows_path)]) == 0
+        fit_path = tmp_path / "fit.csv"
+        assert main(["fit", "--config", path, "--rows", str(rows_path),
+                     "--out", str(fit_path)]) == 0
+        assert "slope" in fit_path.read_text()
 
     def test_non_convergence_exit_code(self, tmp_path):
         c = cfg(solver={"max_iters": 1, "tol_fixed_point": 1e-15},

@@ -4,9 +4,9 @@ import pytest
 from mfglab import Grid, SolverParams, density_cosine, solve_mfg, solve_planner_system
 from mfglab.errors import TimeStepDivergenceError
 from mfglab.grids import DensityPath, ScalarPath
-from mfglab.mfg import feedback_drift, solve_fp_forward, solve_hjb_backward
+from mfglab.mfg import _equilibrium_data, feedback_drift
 from mfglab.model import coupling_spatial
-from mfglab.stepping import fp_forward_sweep, fp_residual, hjb_residual
+from mfglab.stepping import fp_forward_sweep, fp_residual, hjb_backward_sweep, hjb_residual
 
 from conftest import make_problem
 
@@ -17,10 +17,17 @@ def uniform_path(grid):
     return DensityPath(np.ones((grid.nt + 1, grid.n)), grid)
 
 
+def hjb_given_flow(m: DensityPath, problem) -> ScalarPath:
+    """The equilibrium's backward equation given the flow m (terminal from m(T))."""
+    u = hjb_backward_sweep(problem.grid, problem.hamiltonian,
+                           *_equilibrium_data(problem, m.values))
+    return ScalarPath(u, problem.grid)
+
+
 class TestHJB:
     def test_zero_data_gives_zero(self, grid64):
         prob = make_problem(grid64, "zero", amplitude=0.0)
-        u = solve_hjb_backward(uniform_path(grid64), prob)
+        u = hjb_given_flow(uniform_path(grid64), prob)
         assert np.abs(u.values).max() == 0.0
 
     @pytest.mark.parametrize("n,nt,tol_cont", [(64, 64, 1.2e-4), (128, 256, 3.5e-5)])
@@ -32,7 +39,7 @@ class TestHJB:
         eps = 1e-3
         term = coupling_spatial(g, lambda x: np.cos(TWO_PI * x), lam=eps)
         prob = make_problem(g, "zero", amplitude=0.0, terminal=term)
-        u = solve_hjb_backward(uniform_path(g), prob).values
+        u = hjb_given_flow(uniform_path(g), prob).values
         lam1 = (2 - 2 * np.cos(TWO_PI * g.dx)) / g.dx**2
         ks = np.arange(nt + 1)
         mode = eps * np.power(1 + g.dt * lam1, -(nt - ks))[:, None]
@@ -49,7 +56,7 @@ class TestHJB:
             eps = 1e-3
             term = coupling_spatial(g, lambda x: np.cos(TWO_PI * x), lam=eps)
             prob = make_problem(g, "zero", amplitude=0.0, terminal=term)
-            u = solve_hjb_backward(uniform_path(g), prob).values
+            u = hjb_given_flow(uniform_path(g), prob).values
             continuum = (eps * np.exp(-TWO_PI**2 * (g.T - g.times()))[:, None]
                          * np.cos(TWO_PI * g.xs())[None, :])
             errs.append(np.abs(u - continuum).max())
@@ -72,7 +79,7 @@ class TestHJB:
         prob = make_problem(g, "zero", amplitude=0.0, terminal=term)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TimeStepDivergenceError) as exc:
-                solve_hjb_backward(uniform_path(g), prob)
+                hjb_given_flow(uniform_path(g), prob)
         assert exc.value.suggested_dt is not None
         assert exc.value.suggested_dt < g.dt
 
@@ -81,7 +88,7 @@ class TestFP:
     def test_uniform_stationary(self, grid64):
         prob = make_problem(grid64, "zero", amplitude=0.0)
         u = ScalarPath(np.zeros((grid64.nt + 1, grid64.n)), grid64)
-        m = solve_fp_forward(u, prob).values
+        m = fp_forward_sweep(grid64, prob.m0, feedback_drift(prob, u.values))
         assert np.abs(m - 1.0).max() < 1e-13
 
     def test_cosine_mode_decay_exact_discrete(self, grid64):

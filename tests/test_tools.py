@@ -43,3 +43,15 @@ def test_report_fields_dump_and_compare(tmp_path):
     assert flag_line.startswith("desk_catalog/potential/tiny: mfg_converged: ")
     assert "|a-b|" not in flag_line
     assert summary.endswith("4 points, 84 fields; 2 differ")
+
+
+def test_step_costs_smoke():
+    script = SCRIPT.parent / "step_costs.py"
+    done = subprocess.run([sys.executable, str(script), "--n", "8", "16", "--nt", "8",
+                           "--repeats", "1"], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    title, header, *rows = done.stdout.splitlines()
+    assert "nt=8" in title and "best of 1" in title
+    assert header.split() == ["n", "fp_sweep", "hjb_sweep", "adjoint", "factor"]
+    assert [int(row.split()[0]) for row in rows] == [8, 16]
+    assert all(float(cost) > 0.0 for row in rows for cost in row.split()[1:])

@@ -1,0 +1,95 @@
+"""Print the cost per time step of the three time loops and of one path factorization.
+
+    python3 tools/step_costs.py                    # n in {64, 128, 256, 512}, nt=256
+    python3 tools/step_costs.py --src OLD/src      # the same table for another checkout
+
+Each column is the best of ``--repeats`` calls divided by nt, in µs per
+time step: ``fp_sweep`` is ``stepping.fp_forward_sweep``, ``hjb_sweep``
+is ``stepping.hjb_backward_sweep`` (no source term), ``adjoint`` is
+``planner.ControlObjective.adjoint`` (its path terms cached, as in the
+descent) and ``factor`` is one ``PeriodicTridiagLU`` of the nt forward
+step matrices.  The sweeps include their own band building and
+factorization, so ``fp_sweep - factor`` is the forward loop itself.
+BLAS runs on one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import sys  # noqa: E402  (BLAS threads are pinned before numpy loads)
+from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+COLUMNS = ("fp_sweep", "hjb_sweep", "adjoint", "factor")
+
+
+def _best(fn, repeats: int) -> float:
+    best = np.inf
+    for _ in range(repeats):
+        start = perf_counter()
+        fn()
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def step_costs(n: int, nt: int, repeats: int) -> dict:
+    """{column: µs per time step} at one grid size (see the module docstring)."""
+    from mfglab import Grid, coupling_from_label, density_cosine, quadratic_hamiltonian
+    from mfglab.model import Problem, coupling_zero
+    from mfglab.planner import ControlObjective
+    from mfglab.stepping import (
+        PeriodicTridiagLU,
+        fp_forward_sweep,
+        hjb_backward_sweep,
+        upwind_bands,
+    )
+
+    grid = Grid(n=n, nt=nt)
+    rng = np.random.default_rng(0)
+    x, t = grid.xs(), grid.times()[:, None]
+    a = np.sin(2.0 * np.pi * (x - t)) + 0.1 * rng.standard_normal((nt + 1, n))
+    problem = Problem(hamiltonian=quadratic_hamiltonian(),
+                      coupling=coupling_from_label(grid, "convolution", lam=1.0),
+                      terminal=coupling_zero(grid), m0=density_cosine(grid, 0.5), grid=grid)
+    m = fp_forward_sweep(grid, problem.m0, a)
+    fields = np.cos(2.0 * np.pi * (x + t))
+    obj = ControlObjective(problem)
+    obj.adjoint(a, m)  # fills the path-term cache the descent also reuses
+    bands = upwind_bands(grid, a[:nt])[3:]
+    calls = {
+        "fp_sweep": lambda: fp_forward_sweep(grid, problem.m0, a),
+        "hjb_sweep": lambda: hjb_backward_sweep(grid, problem.hamiltonian, fields, fields[-1]),
+        "adjoint": lambda: obj.adjoint(a, m),
+        "factor": lambda: PeriodicTridiagLU(*bands),
+    }
+    return {name: 1e6 * _best(fn, repeats) / nt for name, fn in calls.items()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="directory holding the mfglab package to time (default: ./src)")
+    ap.add_argument("--n", type=int, nargs="+", default=[64, 128, 256, 512])
+    ap.add_argument("--nt", type=int, default=256)
+    ap.add_argument("--repeats", type=int, default=5)
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+
+    print(f"µs per time step, nt={args.nt}, best of {args.repeats}, 1 BLAS thread")
+    print(f"{'n':>5}" + "".join(f"{c:>11}" for c in COLUMNS))
+    for n in args.n:
+        costs = step_costs(n, args.nt, args.repeats)
+        print(f"{n:>5}" + "".join(f"{costs[c]:>11.2f}" for c in COLUMNS), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
