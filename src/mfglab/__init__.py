@@ -40,7 +40,6 @@ from .model import (
     Coupling,
     Hamiltonian,
     Problem,
-    TerminalCost,
     convention_defect,
     coupling_convolution,
     coupling_efficient,

@@ -71,7 +71,8 @@ def _window_weights(grid, eps: float) -> np.ndarray:
 
 
 def _residual_paths(sol: MFGSolution, problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """The residual fields of F on every level of the flow m and of G at m(T)."""
+    """The residual fields of F on every level of the flow m and of G at m(T),
+    in closed form from the kernel products of the whole flow (Coupling._path_terms)."""
     m = sol.m.values
     return problem.coupling._path_terms(m)[1], residual_field(problem.terminal, m[-1])
 

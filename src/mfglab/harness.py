@@ -59,11 +59,18 @@ def _need(cfg: dict, path: str, typ, default=None, required=False):
             raise ConfigError(f"{path}: missing required field")
         return default
     val = node[parts[-1]]
+    if isinstance(val, bool) and typ is not bool:  # bool is an int subclass, but no number
+        raise ConfigError(f"{path}: expected {typ.__name__}, got bool")
     if typ is float and isinstance(val, int):
         val = float(val)
     if not isinstance(val, typ):
         raise ConfigError(f"{path}: expected {typ.__name__}, got {type(val).__name__}")
     return val
+
+
+def _is_number(val) -> bool:
+    """An int or a float, not a bool (JSON true and false are no numbers)."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def load_config(path: str | Path) -> dict:
@@ -97,8 +104,8 @@ def validate_config(cfg: dict) -> None:
         if not values:
             raise ConfigError("sweep.values: empty list")
         for i, v in enumerate(values):
-            if not isinstance(v, (int, float)):
-                raise ConfigError(f"sweep.values[{i}]: expected a number")
+            if not _is_number(v):
+                raise ConfigError(f"sweep.values[{i}]: expected a number, got {v!r}")
             if param in ("grid.n", "grid.nt") and not float(v).is_integer():
                 raise ConfigError(f"sweep.values[{i}]: {param}: expected an integer, got {v}")
             try:
@@ -153,7 +160,7 @@ def _validate_point(cfg: dict) -> None:
     if isinstance(damping, str):
         if damping not in ("auto", "averaging"):
             raise ConfigError(f"solver.damping: unknown schedule {damping!r}")
-    elif isinstance(damping, (int, float)):
+    elif _is_number(damping):
         if not 0.0 < float(damping) <= 1.0:
             raise ConfigError(f"solver.damping: need a factor in (0, 1], got {damping}")
     else:
@@ -163,7 +170,7 @@ def _validate_point(cfg: dict) -> None:
         raise ConfigError(f"solver.max_iters: need >= 1, got {max_iters}")
     eps = cfg.get("epsilon")
     if eps is not None:
-        if not isinstance(eps, (int, float)):
+        if not _is_number(eps):
             raise ConfigError("epsilon: expected a number or null")
         if not 0.0 < eps < 0.5 * (T - t0):
             raise ConfigError(f"epsilon: need 0 < epsilon < (T-t0)/2 = {0.5 * (T - t0)}, "

@@ -11,15 +11,17 @@ zero-mean convention for derivatives of functions of a probability
 measure).  The argument order is fixed once and for all: first index is
 the base point of F, second the direction of differentiation.
 
-Each catalog coupling writes delta(m) in one place, an in-place fill
-that shares the kernel products of m with the field F(., m).  delta(m)
-returns that fill in a fresh matrix and is the dense reference of the
-convention and finite-difference checks.  The hot paths (the planner's
-source and adjoint, the report's residual path) instead take the field
-and the residual field (m @ delta(m)) dx of each slice from
-Coupling._path_terms: one kernel product per slice, the matrix filled
-into a workspace the coupling owns, the result bitwise equal to the
-dense reference.
+Each catalog coupling forms the kernel products of m once per call and
+derives from them the field F(., m), the residual field
+(m @ delta(m)) dx in closed form, and an in-place fill of delta(m).
+delta(m) returns that fill in a fresh matrix and is the dense reference
+of the convention and finite-difference checks.  The planner system, the
+terminal-condition and residual helpers and the report's residual path
+take the fields and residual fields of a whole path from
+Coupling._path_terms: the kernel products of all slices at once and no
+n x n matrix, within round-off of the dense reference.  Only the planner
+descent fills delta(m) slice by slice (ControlObjective._dense_terms),
+since its stopping rule follows the rounding of those terms.
 
 The catalog covers the structurally distinct cases: a convolution
 coupling (never efficient unless m-independent), the efficient-by-
@@ -31,7 +33,6 @@ closed-form integrals so that every oracle is explicit.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,24 +93,22 @@ class Coupling:
     """A function of (x, m) with its normalized measure derivative.
 
     Serves both as running coupling F and as terminal cost G.  A density
-    slice m costs one call of _slice(m): it forms the kernel products of m
-    once and returns (F(., m), fill), where fill(out) writes the
-    derivative matrix delta(m) [base point, direction] into out and
-    returns it, or fill is None when the derivative vanishes.  eval(m)
-    returns the field, and for a (B, n) stack the (B, n) fields from one
-    kernel product, each row within round-off of the row's own eval.
-    delta(m) fills a fresh matrix, the dense reference of the convention
-    and finite-difference checks.  The residual fields
-    of the hot paths (_path_terms) fill the coupling's own n x n
-    workspace, which is never handed out, so one coupling must not be
-    used from two threads at once.
+    slice or a (B, n) stack m costs one call of _slice(m): it forms the
+    kernel products of m once and returns (F(., m), fill, residual).
+    residual() gives the residual field (m @ delta(m)) dx of every row in
+    closed form from those products; fill(out) writes the derivative
+    matrix delta(m) [base point, direction] of a single slice into out
+    and returns it.  Both are None when the derivative vanishes.  eval(m)
+    returns the field, and for a stack the (B, n) fields from one kernel
+    product, each row within round-off of the row's own eval.  delta(m)
+    fills a fresh matrix, the dense reference of the convention and
+    finite-difference checks.
     """
 
     label: str
     strength: float
-    _slice: Callable[[np.ndarray], tuple[np.ndarray, Callable | None]]
+    _slice: Callable[[np.ndarray], tuple[np.ndarray, Callable | None, Callable | None]]
     grid: Grid
-    _work: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def eval(self, m: np.ndarray) -> np.ndarray:
         return self._slice(np.asarray(m, dtype=float))[0]
@@ -120,23 +119,15 @@ class Coupling:
         return np.zeros((n, n)) if fill is None else fill(np.empty((n, n)))
 
     def _path_terms(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fields and residual fields of every slice of the (K, n) stack m.
+        """Fields and residual fields of every row of the (K, n) stack m.
 
-        Row k of the pair is (eval(m[k]), (m[k] @ delta(m[k])) dx), bit for
-        bit, from one kernel product of m[k]; a vanishing derivative gives
-        an exact zero residual without a matrix.
+        The kernel products of the whole stack at once and no n x n
+        matrix: row k is eval(m[k]) and (m[k] @ delta(m[k])) dx up to
+        round-off, and a vanishing derivative gives an exact zero residual.
         """
         m = np.asarray(m, dtype=float)
-        fields = np.empty_like(m)
-        residuals = np.zeros_like(m)
-        for k, m_k in enumerate(m):
-            fields[k], fill = self._slice(m_k)
-            if fill is not None:
-                residuals[k] = (m_k @ fill(self._work)) * self.grid.dx
-        return fields, residuals
-
-
-TerminalCost = Coupling
+        fields, _, residual = self._slice(m)
+        return fields, np.zeros_like(m) if residual is None else residual()
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,14 +141,15 @@ def _kernel_matrix(grid: Grid, kernel: Callable) -> np.ndarray:
 
 
 def coupling_zero(grid: Grid) -> Coupling:
-    return Coupling("zero", 0.0, lambda m: (np.zeros(m.shape), None), grid)
+    return Coupling("zero", 0.0, lambda m: (np.zeros(m.shape), None, None), grid)
 
 
 def coupling_spatial(grid: Grid, f: Callable[[np.ndarray], np.ndarray],
                      lam: float = 1.0, label: str = "spatial") -> Coupling:
     """m-independent coupling F(x, m) = lam * f(x); derivative vanishes."""
     values = lam * np.asarray(f(grid.xs()), dtype=float)
-    return Coupling(label, lam, lambda m: (np.broadcast_to(values, m.shape).copy(), None), grid)
+    return Coupling(label, lam,
+                    lambda m: (np.broadcast_to(values, m.shape).copy(), None, None), grid)
 
 
 def coupling_convolution(grid: Grid, kernel: Callable | None = None,
@@ -174,9 +166,14 @@ def coupling_convolution(grid: Grid, kernel: Callable | None = None,
             out *= lam
             return out
 
-        return lam * pm * dx, fill
+        def residual():  # lam * (a2 - int int phi m m), a2 = int phi(z, .) m(dz)
+            a1 = pm * dx
+            a2 = (m @ phi) * dx
+            return lam * (a2 - row_dot(a1, m)[..., None] * dx)
 
-    return Coupling("convolution", lam, terms, grid, np.empty((grid.n, grid.n)))
+        return lam * pm * dx, fill, residual
+
+    return Coupling("convolution", lam, terms, grid)
 
 
 def coupling_efficient(grid: Grid, kernel: Callable | None = None,
@@ -205,9 +202,13 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
             out *= lam
             return out
 
-        return lam * (s - q[..., None]), fill
+        def residual():  # lam (1 - M) (s - 2 q), M the mass of m
+            mass = m.sum(axis=-1) * dx
+            return (lam * (1.0 - mass))[..., None] * (s - 2.0 * q[..., None])
 
-    return Coupling("efficient", lam, terms, grid, np.empty((grid.n, grid.n)))
+        return lam * (s - q[..., None]), fill, residual
+
+    return Coupling("efficient", lam, terms, grid)
 
 
 def coupling_potential(grid: Grid, kernel: Callable | None = None,
@@ -224,6 +225,7 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
     def terms(m):
         km = (k @ m.T).T * dx
         q = row_dot(m, km) * dx
+        field = lam * (km - q[..., None])
 
         def fill(out):  # lam * (k - 2 km[None, :] - km[:, None] + 2 q)
             np.subtract(k, 2.0 * km, out=out)
@@ -232,9 +234,12 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
             out *= lam
             return out
 
-        return lam * (km - q[..., None]), fill
+        def residual():  # (1 - 2 M) F, M the mass of m
+            return (1.0 - 2.0 * m.sum(axis=-1) * dx)[..., None] * field
 
-    return Coupling("potential", lam, terms, grid, np.empty((grid.n, grid.n)))
+        return field, fill, residual
+
+    return Coupling("potential", lam, terms, grid)
 
 
 def coupling_xfree(grid: Grid, profile: Callable | None = None,
@@ -255,9 +260,13 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
             out[:] = lam * gp(s) * (c - s)
             return out
 
-        return np.multiply.outer(lam * g(s), ones), fill
+        def residual():  # M lam g'(s) (c - s), M the mass of m
+            mass = m.sum(axis=-1) * dx
+            return (mass * lam * gp(s))[..., None] * (c - s[..., None])
 
-    return Coupling("xfree", lam, terms, grid, np.empty((grid.n, grid.n)))
+        return np.multiply.outer(lam * g(s), ones), fill, residual
+
+    return Coupling("xfree", lam, terms, grid)
 
 
 def kernel_cos_diff(x, y):
@@ -347,13 +356,15 @@ def residual_field(coupling: Coupling, m: np.ndarray) -> np.ndarray:
 
     Vanishes identically exactly when efficient equilibria exist from every
     start; it is both the efficiency residual and the source term of the
-    planner optimality system.
+    planner optimality system.  Computed in closed form from one kernel
+    product (Coupling._path_terms), it equals (m @ delta(m)) dx up to
+    round-off.
     """
     m = np.asarray(m, dtype=float)
     return coupling._path_terms(m[None])[1][0]
 
 
-def delta_ghat(terminal: TerminalCost, m: np.ndarray) -> np.ndarray:
+def delta_ghat(terminal: Coupling, m: np.ndarray) -> np.ndarray:
     """Derivative field of m -> int G(x, m) m(dx) at m, evaluated on the grid.
 
     Equals int dG/dm(x, m, y) m(dx) + G(y, m) - int G dm, the terminal
@@ -392,7 +403,7 @@ class Problem:
 
     hamiltonian: Hamiltonian
     coupling: Coupling
-    terminal: TerminalCost
+    terminal: Coupling
     m0: np.ndarray
     grid: Grid
 
@@ -404,7 +415,7 @@ class Problem:
 
 
 def default_problem(grid: Grid, coupling: Coupling | None = None,
-                    terminal: TerminalCost | None = None,
+                    terminal: Coupling | None = None,
                     m0: np.ndarray | None = None) -> Problem:
     return Problem(
         hamiltonian=quadratic_hamiltonian(),

@@ -269,7 +269,16 @@ class TestCli:
          "sweep.values[1]: m0.amplitude"),
         ("sweep", dict(sweep={"parameter": "epsilon", "values": [0.2, 0.0]}),
          "sweep.values[1]: epsilon"),
-    ], ids=["max_iters", "epsilon", "sweep_n", "sweep_nt", "sweep_amplitude", "sweep_epsilon"])
+        # JSON booleans are no numbers, although bool is an int subclass in Python
+        ("report", dict(solver={"max_iters": True}), "solver.max_iters"),
+        ("report", dict(coupling={"lambda": True}), "coupling.lambda"),
+        ("report", dict(solver={"damping": True}), "solver.damping"),
+        ("report", dict(epsilon=True), "epsilon"),
+        ("sweep", dict(sweep={"parameter": "m0.amplitude", "values": [0.5, False]}),
+         "sweep.values[1]"),
+    ], ids=["max_iters", "epsilon", "sweep_n", "sweep_nt", "sweep_amplitude", "sweep_epsilon",
+            "bool_max_iters", "bool_lambda", "bool_damping", "bool_epsilon",
+            "bool_sweep_value"])
     def test_bad_value_exit_code(self, tmp_path, capsys, command, over, field):
         path = write_cfg(tmp_path, cfg(grid={"n": 16, "nt": 8}, **over))
         out = tmp_path / "o.csv"

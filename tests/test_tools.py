@@ -32,17 +32,27 @@ def test_report_fields_dump_and_compare(tmp_path):
     scaled = diff / (1.0 + abs(float(point["cost_mfg"])))
     point["gap"] = "0.5"
     point["mfg_converged"] = "False" if point["mfg_converged"] == "True" else "True"
+    assert point["lb_integrand_F"].startswith("np.float64(")
+    point["lb_integrand_F"] = "np.float64(0.25)"
     changed = tmp_path / "b.json"
     changed.write_text(json.dumps(fields))
     done = report_fields("--compare", str(dump), str(changed))
     assert done.returncode == 1
-    gap_line, flag_line, summary = done.stdout.splitlines()
+    gap_line, lb_line, flag_line, summary, gap_field, lb_field, flag_field = \
+        done.stdout.splitlines()
     # numeric fields carry the absolute difference and the one on the cost scale
     assert gap_line.startswith("desk_catalog/potential/tiny: gap: ")
     assert gap_line.endswith(f" != 0.5  |a-b|={diff:.3g}  |a-b|/(1+|cost_mfg|)={scaled:.3g}")
+    assert lb_line.endswith(" != np.float64(0.25)  |a-b|=0.25  |a-b|/(1+|cost_mfg|)="
+                            f"{0.25 / (1.0 + abs(float(point['cost_mfg']))):.3g}")
     assert flag_line.startswith("desk_catalog/potential/tiny: mfg_converged: ")
     assert "|a-b|" not in flag_line
-    assert summary.endswith("4 points, 84 fields; 2 differ")
+    assert summary.endswith("4 points, 84 fields; 3 differ")
+    # then one line per differing field: its points and largest difference on the cost scale
+    assert gap_field == ("gap: differs on 1 of 4 points: desk_catalog/potential/tiny; "
+                         f"max |a-b|/(1+|cost_mfg|)={scaled:.3g}")
+    assert lb_field.startswith("lb_integrand_F: differs on 1 of 4 points: ")
+    assert flag_field == "mfg_converged: differs on 1 of 4 points: desk_catalog/potential/tiny"
 
 
 def test_step_costs_smoke():
@@ -52,6 +62,7 @@ def test_step_costs_smoke():
     assert done.returncode == 0, done.stderr
     title, header, *rows = done.stdout.splitlines()
     assert "nt=8" in title and "best of 1" in title
-    assert header.split() == ["n", "fp_sweep", "hjb_sweep", "adjoint", "factor"]
+    assert header.split() == ["n", "fp_sweep", "hjb_sweep", "adjoint", "factor",
+                              "path_terms", "descent_terms"]
     assert [int(row.split()[0]) for row in rows] == [8, 16]
     assert all(float(cost) > 0.0 for row in rows for cost in row.split()[1:])

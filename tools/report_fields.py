@@ -15,8 +15,9 @@ reports are bitwise equal.  A point that raises records the error type
 and message instead.  BLAS runs on one thread, since the thread count
 changes round-off.  ``--compare`` prints every field that differs, with
 the absolute difference and the difference on the cost scale
-(1 + |cost_mfg|) where both values are numbers, and exits 1 if there is
-one.
+(1 + |cost_mfg|) where both values are numbers, then a count line, then
+one line per differing field name: the points where it differs and its
+largest difference on the cost scale.  It exits 1 if any field differs.
 """
 
 from __future__ import annotations
@@ -70,19 +71,24 @@ def dump(src: Path, workloads: list[str], scales: list[str]) -> dict:
 
 
 def _float(text):
+    """The number a field's repr shows (also inside np.float64(...)), else None."""
+    if isinstance(text, str) and text.startswith("np.float64(") and text.endswith(")"):
+        text = text[len("np.float64("):-1]
     try:
         return float(text)
     except (TypeError, ValueError):
         return None
 
 
-def compare(a: dict, b: dict) -> list[str]:
-    """One line per point or field that is missing from one dump or differs.
+def compare(a: dict, b: dict) -> tuple[list[str], list[str]]:
+    """Lines for every point or field missing from one dump or differing,
+    and one summary line per differing field name.
 
     A differing field whose two values are numbers also gets |a-b| and
     |a-b|/(1+|cost_mfg|), the cost scale of the first dump's point.
     """
     lines = []
+    by_field: dict[str, list] = {}  # field -> [points, largest difference on the cost scale]
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             lines.append(f"{key}: only in {'the first' if key in a else 'the second'} dump")
@@ -92,13 +98,22 @@ def compare(a: dict, b: dict) -> list[str]:
             if va == vb:
                 continue
             line = f"{key}: {field}: {va} != {vb}"
+            seen = by_field.setdefault(field, [[], None])
+            seen[0].append(key)
             fa, fb = _float(va), _float(vb)
             if fa is not None and fb is not None:  # two report values: cost_mfg is there
                 diff = abs(fa - fb)
                 scaled = diff / (1.0 + abs(float(a[key]["cost_mfg"])))
                 line += f"  |a-b|={diff:.3g}  |a-b|/(1+|cost_mfg|)={scaled:.3g}"
+                seen[1] = scaled if seen[1] is None else max(seen[1], scaled)
             lines.append(line)
-    return lines
+    summary = []
+    for field, (points, worst) in sorted(by_field.items()):
+        line = f"{field}: differs on {len(points)} of {len(a)} points: {', '.join(points)}"
+        if worst is not None:
+            line += f"; max |a-b|/(1+|cost_mfg|)={worst:.3g}"
+        summary.append(line)
+    return lines, summary
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,11 +131,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.compare:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
-        lines = compare(a, b)
+        lines, summary = compare(a, b)
         for line in lines:
             print(line)
         fields = sum(len(v) for v in a.values())
         print(f"{len(a)} points, {fields} fields; {len(lines)} differ")
+        for line in summary:
+            print(line)
         return 1 if lines else 0
 
     workloads = args.workloads or list(_workloads().WORKLOADS)

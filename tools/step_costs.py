@@ -1,4 +1,4 @@
-"""Print the cost per time step of the three time loops and of one path factorization.
+"""Print the cost per time step of the time loops, one path factorization and the coupling terms.
 
     python3 tools/step_costs.py                    # n in {64, 128, 256, 512}, nt=256
     python3 tools/step_costs.py --src OLD/src      # the same table for another checkout
@@ -10,7 +10,11 @@ is ``stepping.hjb_backward_sweep`` (no source term), ``adjoint`` is
 descent) and ``factor`` is one ``PeriodicTridiagLU`` of the nt forward
 step matrices.  The sweeps include their own band building and
 factorization, so ``fp_sweep - factor`` is the forward loop itself.
-BLAS runs on one thread.
+``path_terms`` is ``Coupling._path_terms`` (closed-form residual fields,
+the kernel products of all levels at once) and ``descent_terms`` the
+descent's per-level dense loop (``ControlObjective._dense_terms``, one
+n x n ``delta(m)`` fill per level), both on the nt levels 0..nt-1 of a
+convolution coupling, so they are µs per level.  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from time import perf_counter  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-COLUMNS = ("fp_sweep", "hjb_sweep", "adjoint", "factor")
+COLUMNS = ("fp_sweep", "hjb_sweep", "adjoint", "factor", "path_terms", "descent_terms")
 
 
 def _best(fn, repeats: int) -> float:
@@ -69,6 +73,8 @@ def step_costs(n: int, nt: int, repeats: int) -> dict:
         "hjb_sweep": lambda: hjb_backward_sweep(grid, problem.hamiltonian, fields, fields[-1]),
         "adjoint": lambda: obj.adjoint(a, m),
         "factor": lambda: PeriodicTridiagLU(*bands),
+        "path_terms": lambda: problem.coupling._path_terms(m[:nt]),
+        "descent_terms": lambda: obj._dense_terms(problem.coupling, m[:nt]),
     }
     return {name: 1e6 * _best(fn, repeats) / nt for name, fn in calls.items()}
 
@@ -84,10 +90,10 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
 
     print(f"µs per time step, nt={args.nt}, best of {args.repeats}, 1 BLAS thread")
-    print(f"{'n':>5}" + "".join(f"{c:>11}" for c in COLUMNS))
+    print(f"{'n':>5}" + "".join(f"{c:>14}" for c in COLUMNS))
     for n in args.n:
         costs = step_costs(n, args.nt, args.repeats)
-        print(f"{n:>5}" + "".join(f"{costs[c]:>11.2f}" for c in COLUMNS), flush=True)
+        print(f"{n:>5}" + "".join(f"{costs[c]:>14.2f}" for c in COLUMNS), flush=True)
     return 0
 
 
