@@ -92,7 +92,7 @@ def _lb_integrands(grid, r_path: np.ndarray, r_g: np.ndarray,
     w = _window_weights(grid, eps)
     lb_f = 0.0
     for k in np.flatnonzero(w):
-        lb_f += w[k] * float(r_path[k] @ r_path[k]) * grid.dx
+        lb_f += float(w[k]) * float(r_path[k] @ r_path[k]) * grid.dx
     lb_g = float(r_g @ r_g) * grid.dx
     return lb_f, lb_g
 

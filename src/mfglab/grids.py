@@ -192,12 +192,13 @@ def reconstruct_flux_1d(mu: ScalarPath, grid: Grid) -> ScalarPath:
         raise ValueError(
             f"mu slice {k} has nonzero mean {means[k]:.3e} (tol {FLUX_MEAN_TOL:.1e})"
         )
-    beta = np.zeros((grid.nt + 1, grid.n))
-    for k in range(grid.nt):
-        r = (v[k + 1] - v[k]) / grid.dt - laplacian(v[k], grid)
-        r = r - r.mean()  # kill round-off so the periodic wrap is exact
-        b = -grid.dx * np.concatenate(([0.0], np.cumsum(r[:-1])))
-        beta[k] = b - b.mean()
+    r = (v[1:] - v[:-1]) / grid.dt - laplacian(v[:-1], grid)
+    r = r - r.mean(axis=1, keepdims=True)  # kill round-off so the periodic wrap is exact
+    b = np.zeros((grid.nt, grid.n))
+    np.cumsum(r[:, :-1], axis=1, out=b[:, 1:])
+    b *= -grid.dx
+    beta = np.empty((grid.nt + 1, grid.n))
+    beta[:-1] = b - b.mean(axis=1, keepdims=True)
     beta[grid.nt] = beta[grid.nt - 1]
     return ScalarPath(beta, grid)
 
@@ -208,13 +209,10 @@ def continuity_residual_1d(mu: ScalarPath, beta: ScalarPath, grid: Grid) -> floa
     Uses the same discrete operators as reconstruct_flux_1d (forward
     differences in time and for d/dx beta).
     """
-    v, b = mu.values, beta.values
-    worst = 0.0
-    for k in range(grid.nt):
-        div = (shift_next(b[k]) - b[k]) / grid.dx
-        res = (v[k + 1] - v[k]) / grid.dt - laplacian(v[k], grid) + div
-        worst = max(worst, float(np.abs(res).max()))
-    return worst
+    v, b = mu.values, beta.values[:-1]
+    div = (shift_next(b) - b) / grid.dx
+    res = (v[1:] - v[:-1]) / grid.dt - laplacian(v[:-1], grid) + div
+    return float(np.abs(res).max())
 
 
 # ---------------------------------------------------------------------------

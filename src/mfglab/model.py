@@ -13,15 +13,16 @@ the base point of F, second the direction of differentiation.
 
 Each catalog coupling forms the kernel products of m once per call and
 derives from them the field F(., m), the residual field
-(m @ delta(m)) dx in closed form, and an in-place fill of delta(m).
-delta(m) returns that fill in a fresh matrix and is the dense reference
-of the convention and finite-difference checks.  The planner system, the
-terminal-condition and residual helpers and the report's residual path
-take the fields and residual fields of a whole path from
-Coupling._path_terms: the kernel products of all slices at once and no
-n x n matrix, within round-off of the dense reference.  Only the planner
-descent fills delta(m) slice by slice (ControlObjective._dense_terms),
-since its stopping rule follows the rounding of those terms.
+(m @ delta(m)) dx in closed form, and an in-place fill of any row block
+of delta(m).  delta(m) fills every row into a fresh matrix and is the
+dense reference of the convention and finite-difference checks.  The
+planner system, the terminal-condition and residual helpers and the
+report's residual path take the fields and residual fields of a whole
+path from Coupling._path_terms: the kernel products of all slices at
+once and no n x n matrix, within round-off of the dense reference.
+Only the planner descent contracts delta(m) slice by slice, one
+cache-sized row block at a time (ControlObjective._dense_terms), since
+its stopping rule follows the rounding of those terms.
 
 The catalog covers the structurally distinct cases: a convolution
 coupling (never efficient unless m-independent), the efficient-by-
@@ -96,12 +97,15 @@ class Coupling:
     slice or a (B, n) stack m costs one call of _slice(m): it forms the
     kernel products of m once and returns (F(., m), fill, residual).
     residual() gives the residual field (m @ delta(m)) dx of every row in
-    closed form from those products; fill(out) writes the derivative
-    matrix delta(m) [base point, direction] of a single slice into out
-    and returns it.  Both are None when the derivative vanishes.  eval(m)
-    returns the field, and for a stack the (B, n) fields from one kernel
-    product, each row within round-off of the row's own eval.  delta(m)
-    fills a fresh matrix, the dense reference of the convention and
+    closed form from those products; fill(out, rows) writes the rows
+    delta(m)[rows] [base point, direction] of a single slice into the
+    (len(rows), n) array out and returns it, rows a slice of the base
+    points.  Each entry is the same elementwise expression whatever the
+    rows, so a block is bit for bit that block of the full matrix.  Both
+    are None when the derivative vanishes.  eval(m) returns the field,
+    and for a stack the (B, n) fields from one kernel product, each row
+    within round-off of the row's own eval.  delta(m) fills every row
+    into a fresh matrix, the dense reference of the convention and
     finite-difference checks.
     """
 
@@ -116,7 +120,7 @@ class Coupling:
     def delta(self, m: np.ndarray) -> np.ndarray:
         fill = self._slice(np.asarray(m, dtype=float))[1]
         n = self.grid.n
-        return np.zeros((n, n)) if fill is None else fill(np.empty((n, n)))
+        return np.zeros((n, n)) if fill is None else fill(np.empty((n, n)), slice(0, n))
 
     def _path_terms(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fields and residual fields of every row of the (K, n) stack m.
@@ -161,8 +165,8 @@ def coupling_convolution(grid: Grid, kernel: Callable | None = None,
     def terms(m):
         pm = (phi @ m.T).T
 
-        def fill(out):  # lam * (phi - a1[:, None]), a1 = int phi(x, y) m(dy)
-            np.subtract(phi, (pm * dx)[:, None], out=out)
+        def fill(out, rows):  # lam * (phi - a1[:, None]), a1 = int phi(x, y) m(dy)
+            np.subtract(phi[rows], (pm[rows] * dx)[:, None], out=out)
             out *= lam
             return out
 
@@ -195,9 +199,9 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
         q = row_dot(m, a1) * dx    # int int phi m m
         s = a1 + a2
 
-        def fill(out):  # lam * (phi + phi.T - s[None, :] - s[:, None] + 2 q)
-            np.subtract(phi_sym, s, out=out)
-            out -= s[:, None]
+        def fill(out, rows):  # lam * (phi + phi.T - s[None, :] - s[:, None] + 2 q)
+            np.subtract(phi_sym[rows], s, out=out)
+            out -= s[rows, None]
             out += 2.0 * q
             out *= lam
             return out
@@ -227,9 +231,9 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
         q = row_dot(m, km) * dx
         field = lam * (km - q[..., None])
 
-        def fill(out):  # lam * (k - 2 km[None, :] - km[:, None] + 2 q)
-            np.subtract(k, 2.0 * km, out=out)
-            out -= km[:, None]
+        def fill(out, rows):  # lam * (k - 2 km[None, :] - km[:, None] + 2 q)
+            np.subtract(k[rows], 2.0 * km, out=out)
+            out -= km[rows, None]
             out += 2.0 * q
             out *= lam
             return out
@@ -256,7 +260,7 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
     def terms(m):
         s = row_dot(c, m) * dx
 
-        def fill(out):  # every base point has the row lam g'(s) (c - s)
+        def fill(out, rows):  # every base point has the row lam g'(s) (c - s)
             out[:] = lam * gp(s) * (c - s)
             return out
 

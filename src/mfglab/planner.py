@@ -16,9 +16,11 @@ discretize-then-optimize gradient of the very quadrature reported as
 cost), warm-started at the equilibrium feedback so its first objective
 value is the equilibrium social cost.  Its adjoint source contracts the
 dense delta(m) of each slice (ControlObjective._dense_terms), whose
-rounding its round-off-level stop follows.  The two values cross-validate
-each other; for nonconvex couplings the system route is only a critical
-point, so the descent value is the one used for gaps.
+rounding its round-off-level stop follows, one cache-sized row block at
+a time: the n x n matrix is never built, and the blocked BLAS sum equals
+the single product bit for bit (see _dense_terms).  The two values
+cross-validate each other; for nonconvex couplings the system route is
+only a critical point, so the descent value is the one used for gaps.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 from scipy.optimize import minimize
 
 from .grids import DensityPath, ScalarPath, shift_next, shift_prev
@@ -36,6 +39,7 @@ from .stepping import PeriodicTridiagLU, fp_forward_sweep, fp_residual, upwind_b
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
 DESCENT_GTOL = 1e-12     # L-BFGS projected-gradient tolerance
 COST_ROWS = 32           # levels per slice_costs call: keeps its temporaries (32, n)
+DENSE_BLOCK = 32768      # entries of one _dense_terms row block (256 KiB of float64)
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,18 @@ def solve_planner_system(problem: Problem,
 # route two: exact-gradient descent on the discrete control objective
 # ---------------------------------------------------------------------------
 
+def dense_block_rows(n: int) -> int:
+    """Row height b of the delta(m) blocks that _dense_terms contracts.
+
+    A multiple of 4 whose (b, n) block holds about DENSE_BLOCK entries,
+    so the block stays in cache; b = n, a single product, when n is not
+    a multiple of 4 or the whole matrix is that small.
+    """
+    if n % 4 or n * n <= DENSE_BLOCK:
+        return n
+    return max(4, DENSE_BLOCK // n // 4 * 4)
+
+
 class ControlObjective:
     """Discrete objective J(a) = planner_cost(m(a), a) and its exact gradient.
 
@@ -144,7 +160,10 @@ class ControlObjective:
     0..nt-1 drive the dynamics; level nt only enters the trapezoid tail of
     the cost).  The gradient is the discretize-then-optimize adjoint of
     exactly this computation, so descent stationarity is measured against
-    the discrete objective, independent of truncation error.
+    the discrete objective, independent of truncation error.  The
+    objective owns one (block, n) workspace for the delta(m) row blocks
+    of _dense_terms, block = dense_block_rows(n) (32 rows at n = 1024),
+    allocated on first use; no n x n matrix is built.
     """
 
     def __init__(self, problem: Problem):
@@ -156,7 +175,8 @@ class ControlObjective:
         self.w = np.full(g.nt + 1, g.dt)
         self.w[g.nt] = 0.0
         self._terms = None  # (bytes of m, terms) of the latest path, see _path_terms
-        self._work = None   # the n x n delta(m) workspace of _dense_terms
+        self.block = dense_block_rows(g.n)
+        self._work = None   # the (block, n) delta(m) row-block workspace of _dense_terms
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         return fp_forward_sweep(self.grid, self.problem.m0, a)
@@ -181,20 +201,34 @@ class ControlObjective:
     def _dense_terms(self, coupling, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """eval(m[k]) and (m[k] @ delta(m[k])) dx for every row k of m.
 
-        Each residual contracts the dense delta(m[k]), filled into the
-        objective's n x n workspace, rather than taking the closed form of
-        Coupling._path_terms: L-BFGS stops at round-off level, so its
-        iteration counts follow the rounding of these terms, and the
-        benchmark's reference rows pin those counts.
+        Each residual contracts the dense delta(m[k]) without building
+        it: the fill writes one (b, n) row block at a time into the
+        objective's workspace, b = self.block.  The first block's product
+        is numpy's m @ W, exactly the single product when b = n; each later
+        block is added into the same vector by BLAS dgemv with beta = 1.
+        OpenBLAS's non-transposed dgemv adds every group of 4 rows of W
+        into y in turn, so with n and b multiples of 4 the blocked sum is
+        m[k] @ delta(m[k]) bit for bit (dense_block_rows keeps b = n
+        otherwise); TestBlockedContraction in tests/test_planner.py guards
+        this on several blocks.  The residuals stay dense rather than take
+        the closed form of Coupling._path_terms: L-BFGS stops at round-off
+        level, so its iteration counts follow the rounding of these terms,
+        and the benchmark's reference rows pin those counts.
         """
+        n, b = self.grid.n, self.block
         fields = np.empty_like(m)
         residuals = np.zeros_like(m)
         for k, m_k in enumerate(m):
             fields[k], fill, _ = coupling._slice(m_k)
-            if fill is not None:
-                if self._work is None:
-                    self._work = np.empty((self.grid.n, self.grid.n))
-                residuals[k] = (m_k @ fill(self._work)) * self.grid.dx
+            if fill is None:
+                continue
+            if self._work is None:
+                self._work = np.empty((b, n))
+            y = m_k[:b] @ fill(self._work, slice(0, b))
+            for r in range(b, n, b):
+                w = fill(self._work[:min(b, n - r)], slice(r, r + b))
+                y = dgemv(1.0, w.T, m_k[r:r + b], 1.0, y, overwrite_y=1)
+            residuals[k] = y * self.grid.dx
         return fields, residuals
 
     def objective(self, a: np.ndarray, m: np.ndarray | None = None) -> float:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from mfglab import (
 from mfglab import harness
 from mfglab.efficiency import EfficiencyReport, _phi_stack
 from mfglab.grids import continuity_residual_1d
-from mfglab.model import Coupling, coupling_from_label, coupling_spatial
+from mfglab.model import COUPLING_LABELS, Coupling, coupling_from_label, coupling_spatial
 
 from conftest import make_problem
 
@@ -369,6 +371,15 @@ class TestHolder:
 
 
 class TestFullReport:
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_fields_are_python_scalars(self, label):
+        # every field has its declared Python type, never a numpy scalar
+        rep = full_report(make_problem(Grid(n=16, nt=16), label, lam=0.7))
+        types = {"float": float, "int": int, "bool": bool}
+        for field in dataclasses.fields(rep):
+            value = getattr(rep, field.name)
+            assert type(value) is types[field.type], (field.name, type(value))
+
     def test_zero_problem_all_zero(self):
         g = Grid(n=32, nt=16)
         rep = full_report(make_problem(g, "zero", amplitude=0.5))

@@ -180,7 +180,39 @@ class TestPaths:
             check_density_slice(np.ones(32) * 0.5, grid32)
 
 
+def _per_slice_flux(v, grid):
+    """reconstruct_flux_1d and continuity_residual_1d, one time slice at a time."""
+    beta = np.zeros((grid.nt + 1, grid.n))
+    for k in range(grid.nt):
+        r = (v[k + 1] - v[k]) / grid.dt - laplacian(v[k], grid)
+        r = r - r.mean()
+        b = -grid.dx * np.concatenate(([0.0], np.cumsum(r[:-1])))
+        beta[k] = b - b.mean()
+    beta[grid.nt] = beta[grid.nt - 1]
+    worst = 0.0
+    for k in range(grid.nt):
+        div = (shift_next(beta[k]) - beta[k]) / grid.dx
+        res = (v[k + 1] - v[k]) / grid.dt - laplacian(v[k], grid) + div
+        worst = max(worst, float(np.abs(res).max()))
+    return beta, worst
+
+
 class TestFluxReconstruction:
+    @pytest.mark.parametrize("n,nt", [(16, 8), (128, 64)])
+    def test_whole_path_equals_per_slice_formula(self, n, nt):
+        # repr of every entry, so that a -0.0 for a 0.0 is caught too
+        g = Grid(n=n, nt=nt)
+        r = np.random.default_rng(n)
+        rough = r.standard_normal((nt + 1, n))
+        smooth = np.exp(-3.0 * g.times()[:, None]) * np.sin(TWO_PI * g.xs())[None, :]
+        for v in (rough - rough.mean(axis=1, keepdims=True), smooth, np.zeros((nt + 1, n))):
+            mu = ScalarPath(v, g)
+            beta = reconstruct_flux_1d(mu, g)
+            ref_beta, ref_res = _per_slice_flux(v, g)
+            assert list(map(repr, beta.values.ravel().tolist())) == \
+                list(map(repr, ref_beta.ravel().tolist()))
+            assert repr(continuity_residual_1d(mu, beta, g)) == repr(ref_res)
+
     def test_zero(self, grid32):
         mu = ScalarPath(np.zeros((17, 32)), grid32)
         beta = reconstruct_flux_1d(mu, grid32)

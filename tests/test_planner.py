@@ -17,10 +17,10 @@ from mfglab import (
 )
 from mfglab import planner
 from mfglab.mfg import feedback_drift
-from mfglab.model import coupling_spatial
-from mfglab.planner import ControlObjective
+from mfglab.model import COUPLING_LABELS, KERNELS, coupling_spatial, default_problem
+from mfglab.planner import ControlObjective, dense_block_rows
 
-from conftest import make_problem
+from conftest import make_problem, random_density
 
 TWO_PI = 2.0 * np.pi
 
@@ -86,6 +86,49 @@ class TestPlannerCost:
         prob = make_problem(grid32, "zero", amplitude=0.0)
         with pytest.raises(ValueError):
             planner_cost(np.ones((3, grid32.n)), np.zeros((3, grid32.n)), prob)
+
+
+class TestBlockedContraction:
+    """The descent's dense residuals, contracted one delta(m) row block at a time.
+
+    DENSE_BLOCK is lowered so that small grids run several blocks: n=64
+    in 8-row blocks, n=100 in 32-row blocks with a 4-row tail, and n=66,
+    not a multiple of 4, in one block.  Every residual must equal the
+    single product (m @ delta(m)) dx bit for bit, which rests on the BLAS
+    dgemv adding 4-row groups in turn (see ControlObjective._dense_terms).
+    """
+
+    @pytest.mark.parametrize("n,entries,rows", [(64, 512, 8), (100, 3200, 32), (66, 512, 66)])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_blocks_equal_the_single_product(self, monkeypatch, label, kernel, n, entries, rows):
+        monkeypatch.setattr(planner, "DENSE_BLOCK", entries)
+        g = Grid(n=n, nt=8)
+        c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+        obj = ControlObjective(default_problem(g, c))
+        assert obj.block == rows
+        r = np.random.default_rng(n)
+        m = np.stack([random_density(g, r, roughness=1.0) * r.uniform(0.5, 1.5)
+                      for _ in range(3)])
+        fields, residuals = obj._dense_terms(c, m)
+        assert np.array_equal(fields, np.stack([c.eval(m_k) for m_k in m]))
+        assert np.array_equal(residuals, np.stack([(m_k @ c.delta(m_k)) * g.dx for m_k in m]))
+        if c._slice(m[0])[1] is None:
+            assert obj._work is None
+        else:
+            assert obj._work.shape == (rows, n)
+
+    @pytest.mark.parametrize("n", (4, 16, 66, 100, 128, 181, 200, 256, 512, 1000, 1024, 1025,
+                                   4096, 65536))
+    def test_block_rows_are_n_or_a_multiple_of_4(self, n):
+        b = dense_block_rows(n)
+        assert b == n or (b % 4 == 0 and 4 <= b < n and n % 4 == 0)
+        if n * n > planner.DENSE_BLOCK and n % 4 == 0:
+            assert b * n <= max(planner.DENSE_BLOCK, 4 * n)
+
+    def test_default_block_sizes(self):
+        # desk scale keeps the single product; the wide grid streams 256 KiB blocks
+        assert [dense_block_rows(n) for n in (128, 256, 512, 1024)] == [128, 128, 64, 32]
 
 
 class TestAdjointGradient:

@@ -1,6 +1,6 @@
 """Print the cost per time step of the time loops, one path factorization and the coupling terms.
 
-    python3 tools/step_costs.py                    # n in {64, 128, 256, 512}, nt=256
+    python3 tools/step_costs.py                    # n in {64, 128, 256, 512, 1024}, nt=256
     python3 tools/step_costs.py --src OLD/src      # the same table for another checkout
 
 Each column is the best of ``--repeats`` calls divided by nt, in µs per
@@ -12,9 +12,11 @@ step matrices.  The sweeps include their own band building and
 factorization, so ``fp_sweep - factor`` is the forward loop itself.
 ``path_terms`` is ``Coupling._path_terms`` (closed-form residual fields,
 the kernel products of all levels at once) and ``descent_terms`` the
-descent's per-level dense loop (``ControlObjective._dense_terms``, one
-n x n ``delta(m)`` fill per level), both on the nt levels 0..nt-1 of a
-convolution coupling, so they are µs per level.  BLAS runs on one thread.
+descent's per-level dense loop (``ControlObjective._dense_terms``, which
+fills and contracts ``delta(m)`` one cache-sized row block at a time:
+several blocks from n = 256 on), both on the nt levels 0..nt-1 of a
+convolution coupling, so they are µs per level.  n = 1024 is the
+benchmark's wide grid.  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory holding the mfglab package to time (default: ./src)")
-    ap.add_argument("--n", type=int, nargs="+", default=[64, 128, 256, 512])
+    ap.add_argument("--n", type=int, nargs="+", default=[64, 128, 256, 512, 1024])
     ap.add_argument("--nt", type=int, default=256)
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
