@@ -20,9 +20,10 @@ planner system, the terminal-condition and residual helpers and the
 report's residual path take the fields and residual fields of a whole
 path from Coupling._path_terms: the kernel products of all slices at
 once and no n x n matrix, within round-off of the dense reference.
-Only the planner descent contracts delta(m) slice by slice, one
-cache-sized row block at a time (ControlObjective._dense_terms), since
-its stopping rule follows the rounding of those terms.
+Only the planner descent contracts delta(m) slice by slice, since its
+stopping rule follows the rounding of those terms: one cache-sized row
+block at a time, each block for every slice of the path in turn
+(ControlObjective._dense_terms).
 
 The catalog covers the structurally distinct cases: a convolution
 coupling (never efficient unless m-independent), the efficient-by-
@@ -101,7 +102,9 @@ class Coupling:
     delta(m)[rows] [base point, direction] of a single slice into the
     (len(rows), n) array out and returns it, rows a slice of the base
     points.  Each entry is the same elementwise expression whatever the
-    rows, so a block is bit for bit that block of the full matrix.  Both
+    rows, so a block is bit for bit that block of the full matrix.  A
+    slice's fill holds its own vectors, formed once per _slice call, so
+    the fills of many slices can take turns on one workspace.  Both
     are None when the derivative vanishes.  eval(m) returns the field,
     and for a stack the (B, n) fields from one kernel product, each row
     within round-off of the row's own eval.  delta(m) fills every row
@@ -164,14 +167,15 @@ def coupling_convolution(grid: Grid, kernel: Callable | None = None,
 
     def terms(m):
         pm = (phi @ m.T).T
+        a1 = pm * dx  # int phi(x, y) m(dy)
 
-        def fill(out, rows):  # lam * (phi - a1[:, None]), a1 = int phi(x, y) m(dy)
-            np.subtract(phi[rows], (pm[rows] * dx)[:, None], out=out)
+        def fill(out, rows):  # lam * (phi - a1[:, None]), no broadcast temporary
+            np.copyto(out, a1[rows, None])
+            np.subtract(phi[rows], out, out=out)
             out *= lam
             return out
 
         def residual():  # lam * (a2 - int int phi m m), a2 = int phi(z, .) m(dz)
-            a1 = pm * dx
             a2 = (m @ phi) * dx
             return lam * (a2 - row_dot(a1, m)[..., None] * dx)
 
@@ -230,9 +234,10 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
         km = (k @ m.T).T * dx
         q = row_dot(m, km) * dx
         field = lam * (km - q[..., None])
+        km2 = 2.0 * km if m.ndim == 1 else None  # fill is of a single slice
 
         def fill(out, rows):  # lam * (k - 2 km[None, :] - km[:, None] + 2 q)
-            np.subtract(k[rows], 2.0 * km, out=out)
+            np.subtract(k[rows], km2, out=out)
             out -= km[rows, None]
             out += 2.0 * q
             out *= lam
@@ -259,9 +264,10 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
 
     def terms(m):
         s = row_dot(c, m) * dx
+        row = lam * gp(s) * (c - s) if m.ndim == 1 else None  # fill is of a single slice
 
         def fill(out, rows):  # every base point has the row lam g'(s) (c - s)
-            out[:] = lam * gp(s) * (c - s)
+            out[:] = row
             return out
 
         def residual():  # M lam g'(s) (c - s), M the mass of m

@@ -17,8 +17,9 @@ cost), warm-started at the equilibrium feedback so its first objective
 value is the equilibrium social cost.  Its adjoint source contracts the
 dense delta(m) of each slice (ControlObjective._dense_terms), whose
 rounding its round-off-level stop follows, one cache-sized row block at
-a time: the n x n matrix is never built, and the blocked BLAS sum equals
-the single product bit for bit (see _dense_terms).  The two values
+a time, block-outer and level-inner: each block of the kernel is read
+once for all levels, the n x n matrix is never built, and the blocked
+BLAS sum equals the single product bit for bit.  The two values
 cross-validate each other; for nonconvex couplings the system route is
 only a critical point, so the descent value is the one used for gaps.
 """
@@ -202,33 +203,40 @@ class ControlObjective:
         """eval(m[k]) and (m[k] @ delta(m[k])) dx for every row k of m.
 
         Each residual contracts the dense delta(m[k]) without building
-        it: the fill writes one (b, n) row block at a time into the
-        objective's workspace, b = self.block.  The first block's product
-        is numpy's m @ W, exactly the single product when b = n; each later
-        block is added into the same vector by BLAS dgemv with beta = 1.
+        it.  The fields and fills of all levels come first; then, block by
+        block, every level's fill writes one (b, n) row block into the
+        objective's workspace, b = self.block, and it is contracted at
+        once, so each block of the kernel stays in cache for all levels.
+        Each level's first block product is numpy's m @ W, exactly the
+        single product when b = n; each later block is added into the same
+        vector by BLAS dgemv with beta = 1.
         OpenBLAS's non-transposed dgemv adds every group of 4 rows of W
         into y in turn, so with n and b multiples of 4 the blocked sum is
         m[k] @ delta(m[k]) bit for bit (dense_block_rows keeps b = n
         otherwise); TestBlockedContraction in tests/test_planner.py guards
-        this on several blocks.  The residuals stay dense rather than take
-        the closed form of Coupling._path_terms: L-BFGS stops at round-off
-        level, so its iteration counts follow the rounding of these terms,
-        and the benchmark's reference rows pin those counts.
+        this on several blocks and levels.  The residuals stay dense rather
+        than take the closed form of Coupling._path_terms: L-BFGS stops at
+        round-off level, so its iteration counts follow the rounding of
+        these terms, and the benchmark's reference rows pin those counts.
         """
         n, b = self.grid.n, self.block
         fields = np.empty_like(m)
         residuals = np.zeros_like(m)
+        fills = []
         for k, m_k in enumerate(m):
             fields[k], fill, _ = coupling._slice(m_k)
-            if fill is None:
-                continue
-            if self._work is None:
-                self._work = np.empty((b, n))
-            y = m_k[:b] @ fill(self._work, slice(0, b))
-            for r in range(b, n, b):
+            if fill is not None:
+                fills.append((fill, m_k, residuals[k]))
+        if fills and self._work is None:
+            self._work = np.empty((b, n))
+        for r in range(0, n, b):
+            for fill, m_k, y in fills:
                 w = fill(self._work[:min(b, n - r)], slice(r, r + b))
-                y = dgemv(1.0, w.T, m_k[r:r + b], 1.0, y, overwrite_y=1)
-            residuals[k] = y * self.grid.dx
+                if r == 0:
+                    np.matmul(m_k[:b], w, out=y)
+                else:  # in place: y is a contiguous row of residuals
+                    dgemv(1.0, w.T, m_k[r:r + b], 1.0, y, overwrite_y=1)
+        residuals *= self.grid.dx
         return fields, residuals
 
     def objective(self, a: np.ndarray, m: np.ndarray | None = None) -> float:

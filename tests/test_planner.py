@@ -95,7 +95,8 @@ class TestBlockedContraction:
     in 8-row blocks, n=100 in 32-row blocks with a 4-row tail, and n=66,
     not a multiple of 4, in one block.  Every residual must equal the
     single product (m @ delta(m)) dx bit for bit, which rests on the BLAS
-    dgemv adding 4-row groups in turn (see ControlObjective._dense_terms).
+    dgemv adding 4-row groups in turn (see ControlObjective._dense_terms),
+    and every level of a path must equal that level contracted alone.
     """
 
     @pytest.mark.parametrize("n,entries,rows", [(64, 512, 8), (100, 3200, 32), (66, 512, 66)])
@@ -117,6 +118,26 @@ class TestBlockedContraction:
             assert obj._work is None
         else:
             assert obj._work.shape == (rows, n)
+
+    @pytest.mark.parametrize("n,entries", [(64, 512), (100, 3200)])  # 8-row blocks; a 4-row tail
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_levels_are_contracted_independently(self, monkeypatch, label, kernel, n, entries):
+        # every level is filled and contracted per block in turn, sharing one workspace:
+        # no level may read another level's block, vector or fill
+        monkeypatch.setattr(planner, "DENSE_BLOCK", entries)
+        g = Grid(n=n, nt=8)
+        c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+        obj = ControlObjective(default_problem(g, c))
+        assert n % obj.block in (0, 4) and obj.block < n
+        r = np.random.default_rng(n + 1)
+        m = np.stack([random_density(g, r, roughness=1.0) * r.uniform(0.5, 1.5)
+                      for _ in range(6)])
+        fields, residuals = obj._dense_terms(c, m)
+        for k in range(len(m)):
+            field_k, residual_k = obj._dense_terms(c, m[k:k + 1])
+            assert np.array_equal(fields[k], field_k[0])
+            assert np.array_equal(residuals[k], residual_k[0])
 
     @pytest.mark.parametrize("n", (4, 16, 66, 100, 128, 181, 200, 256, 512, 1000, 1024, 1025,
                                    4096, 65536))

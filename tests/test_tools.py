@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mfglab.efficiency import EfficiencyReport
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "report_fields.py"
@@ -55,13 +57,17 @@ def test_report_fields_dump_and_compare(tmp_path):
     assert flag_field == "mfg_converged: differs on 1 of 4 points: desk_catalog/potential/tiny"
 
 
-def test_step_costs_smoke():
+@pytest.mark.parametrize("label", [None, "potential", "xfree"])
+def test_step_costs_smoke(label):
     script = SCRIPT.parent / "step_costs.py"
-    done = subprocess.run([sys.executable, str(script), "--n", "8", "16", "--nt", "8",
-                           "--repeats", "1"], capture_output=True, text=True, timeout=300)
+    args = ["--n", "8", "16", "--nt", "8", "--repeats", "1"]
+    done = subprocess.run([sys.executable, str(script), *args,
+                           *(["--label", label] if label else [])],
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     title, header, *rows = done.stdout.splitlines()
     assert "nt=8" in title and "best of 1" in title
+    assert title.endswith(f"{label or 'convolution'} coupling")
     assert header.split() == ["n", "fp_sweep", "hjb_sweep", "adjoint", "factor",
                               "path_terms", "descent_terms"]
     assert [int(row.split()[0]) for row in rows] == [8, 16]

@@ -2,6 +2,7 @@
 
     python3 tools/step_costs.py                    # n in {64, 128, 256, 512, 1024}, nt=256
     python3 tools/step_costs.py --src OLD/src      # the same table for another checkout
+    python3 tools/step_costs.py --label potential  # coupling terms of another catalog coupling
 
 Each column is the best of ``--repeats`` calls divided by nt, in µs per
 time step: ``fp_sweep`` is ``stepping.fp_forward_sweep``, ``hjb_sweep``
@@ -13,10 +14,11 @@ factorization, so ``fp_sweep - factor`` is the forward loop itself.
 ``path_terms`` is ``Coupling._path_terms`` (closed-form residual fields,
 the kernel products of all levels at once) and ``descent_terms`` the
 descent's per-level dense loop (``ControlObjective._dense_terms``, which
-fills and contracts ``delta(m)`` one cache-sized row block at a time:
-several blocks from n = 256 on), both on the nt levels 0..nt-1 of a
-convolution coupling, so they are µs per level.  n = 1024 is the
-benchmark's wide grid.  BLAS runs on one thread.
+fills and contracts ``delta(m)`` one cache-sized row block at a time,
+every level per block: several blocks from n = 256 on), both on the nt
+levels 0..nt-1 of the ``--label`` coupling (default convolution), so
+they are µs per level.  n = 1024 is the benchmark's wide grid.  BLAS
+runs on one thread.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _best(fn, repeats: int) -> float:
     return best
 
 
-def step_costs(n: int, nt: int, repeats: int) -> dict:
+def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dict:
     """{column: µs per time step} at one grid size (see the module docstring)."""
     from mfglab import Grid, coupling_from_label, density_cosine, quadratic_hamiltonian
     from mfglab.model import Problem, coupling_zero
@@ -63,7 +65,7 @@ def step_costs(n: int, nt: int, repeats: int) -> dict:
     x, t = grid.xs(), grid.times()[:, None]
     a = np.sin(2.0 * np.pi * (x - t)) + 0.1 * rng.standard_normal((nt + 1, n))
     problem = Problem(hamiltonian=quadratic_hamiltonian(),
-                      coupling=coupling_from_label(grid, "convolution", lam=1.0),
+                      coupling=coupling_from_label(grid, label, lam=1.0),
                       terminal=coupling_zero(grid), m0=density_cosine(grid, 0.5), grid=grid)
     m = fp_forward_sweep(grid, problem.m0, a)
     fields = np.cos(2.0 * np.pi * (x + t))
@@ -88,13 +90,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--n", type=int, nargs="+", default=[64, 128, 256, 512, 1024])
     ap.add_argument("--nt", type=int, default=256)
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--label", default="convolution",
+                    choices=("convolution", "efficient", "potential", "xfree"),
+                    help="catalog coupling of path_terms and descent_terms (default: convolution)")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
 
-    print(f"µs per time step, nt={args.nt}, best of {args.repeats}, 1 BLAS thread")
+    print(f"µs per time step, nt={args.nt}, best of {args.repeats}, 1 BLAS thread, "
+          f"{args.label} coupling")
     print(f"{'n':>5}" + "".join(f"{c:>14}" for c in COLUMNS))
     for n in args.n:
-        costs = step_costs(n, args.nt, args.repeats)
+        costs = step_costs(n, args.nt, args.repeats, args.label)
         print(f"{n:>5}" + "".join(f"{costs[c]:>14.2f}" for c in COLUMNS), flush=True)
     return 0
 
