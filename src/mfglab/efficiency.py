@@ -370,7 +370,7 @@ def holder_diagnostic(sol: MFGSolution, problem: Problem, eps: float) -> float:
         )
     grid = problem.grid
     idx = _window_levels(grid, eps)
-    f = np.array([problem.coupling.eval(sol.m.values[k])[0] for k in idx])
+    f = problem.coupling.eval(sol.m.values[idx], exact=True)[:, 0]
     tt = grid.times()[idx]
     df = np.abs(f[:, None] - f[None, :])
     dts = np.abs(tt[:, None] - tt[None, :])

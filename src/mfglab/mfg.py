@@ -82,9 +82,10 @@ def feedback_drift(problem: Problem, u: np.ndarray) -> np.ndarray:
 
 
 def _coupling_fields(problem: Problem, m: np.ndarray) -> np.ndarray:
-    # one eval per slice, not a stacked eval, whose summation order would move the
-    # iteration counts that the benchmark's reference rows pin exactly
-    return np.stack([problem.coupling.eval(m[k]) for k in range(problem.grid.nt + 1)])
+    # the exact stacked eval: each slice bit for bit its own eval; a gemm over the stack
+    # would sum in another order and move the iteration counts that the benchmark's
+    # reference rows pin exactly
+    return problem.coupling.eval(m, exact=True)
 
 
 def _equilibrium_data(problem: Problem, m: np.ndarray):

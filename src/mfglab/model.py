@@ -14,15 +14,21 @@ the base point of F, second the direction of differentiation.
 Each catalog coupling forms the kernel products of m once per call and
 derives from them the field F(., m), the residual field
 (m @ delta(m)) dx in closed form, and an in-place fill of any row block
-of delta(m).  delta(m) fills every row into a fresh matrix and is the
-dense reference of the convention and finite-difference checks.  The
-planner system, the terminal-condition and residual helpers and the
-report's residual path take the fields and residual fields of a whole
-path from Coupling._path_terms: the kernel products of all slices at
-once and no n x n matrix, within round-off of the dense reference.
-Only the planner descent contracts delta(m) slice by slice, since its
-stopping rule follows the rounding of those terms: one cache-sized row
-block at a time, each block for every slice of the path in turn
+of delta(m).  A (K, n) stack takes its products in one of two ways: one
+gemm for the whole stack, within round-off of the slices' own products,
+or the exact stacked product, each row bit for bit the one-slice
+product, taken block-outer through cache-sized row blocks of the kernel
+(kernel_products).  delta(m) fills every row into a fresh matrix and is
+the dense reference of the convention and finite-difference checks.
+The planner system, the terminal-condition and residual helpers, the
+report's residual path and the certificate take the gemm: fields and
+residual fields of a whole path from Coupling._path_terms, with no
+n x n matrix, within round-off of the dense reference.  The
+equilibrium's fields, planner_cost and the planner descent take the
+exact product, so they keep the rounding of one product per slice: the
+iteration counts follow it, and the benchmark pins them.  The descent
+also contracts delta(m) slice by slice, one cache-sized row block at a
+time, each block for every slice of the path in turn
 (ControlObjective._dense_terms).
 
 The catalog covers the structurally distinct cases: a convolution
@@ -95,35 +101,39 @@ class Coupling:
     """A function of (x, m) with its normalized measure derivative.
 
     Serves both as running coupling F and as terminal cost G.  A density
-    slice or a (B, n) stack m costs one call of _slice(m): it forms the
-    kernel products of m once and returns (F(., m), fill, residual).
-    residual() gives the residual field (m @ delta(m)) dx of every row in
-    closed form from those products; fill(out, rows) writes the rows
-    delta(m)[rows] [base point, direction] of a single slice into the
-    (len(rows), n) array out and returns it, rows a slice of the base
-    points.  Each entry is the same elementwise expression whatever the
-    rows, so a block is bit for bit that block of the full matrix.  A
-    slice's fill holds its own vectors, formed once per _slice call, so
-    the fills of many slices can take turns on one workspace.  Both
-    are None when the derivative vanishes.  eval(m) returns the field,
-    and for a stack the (B, n) fields from one kernel product, each row
-    within round-off of the row's own eval.  delta(m) fills every row
-    into a fresh matrix, the dense reference of the convention and
-    finite-difference checks.
+    slice or a (K, n) stack m costs one call of _slice(m, exact): it forms
+    the kernel products of m once (kernel_products) and returns
+    (F(., m), fill, residual).  residual() gives the residual field
+    (m @ delta(m)) dx of every row in closed form from those products.
+    With exact, fill(out, tmp, rows, k) writes the rows delta(m[k])[rows]
+    [base point, direction] of level k of the stack into the
+    (len(rows), n) array out, with tmp a second array of that shape for
+    scratch, and returns out, rows a slice of the base points.  Each entry
+    is the same elementwise expression whatever the rows, so a block is
+    bit for bit that block of the full matrix.  The fill's vectors are
+    formed once per _slice call, so the fills of all levels can take
+    turns on one workspace.  Both are None when the derivative vanishes.
+    eval(m) returns the field, and for a stack the (K, n) fields: from one
+    gemm, each row within round-off of the row's own eval, or with exact
+    each row bit for bit eval(m[k]).  delta(m) fills every row into a
+    fresh matrix, the dense reference of the convention and
+    finite-difference checks.  A Coupling holds no state between calls.
     """
 
     label: str
     strength: float
-    _slice: Callable[[np.ndarray], tuple[np.ndarray, Callable | None, Callable | None]]
+    _slice: Callable[..., tuple[np.ndarray, Callable | None, Callable | None]]
     grid: Grid
 
-    def eval(self, m: np.ndarray) -> np.ndarray:
-        return self._slice(np.asarray(m, dtype=float))[0]
+    def eval(self, m: np.ndarray, exact: bool = False) -> np.ndarray:
+        return self._slice(np.asarray(m, dtype=float), exact)[0]
 
     def delta(self, m: np.ndarray) -> np.ndarray:
-        fill = self._slice(np.asarray(m, dtype=float))[1]
+        fill = self._slice(np.asarray(m, dtype=float)[None], True)[1]
         n = self.grid.n
-        return np.zeros((n, n)) if fill is None else fill(np.empty((n, n)), slice(0, n))
+        if fill is None:
+            return np.zeros((n, n))
+        return fill(np.empty((n, n)), np.empty((n, n)), slice(0, n), 0)
 
     def _path_terms(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fields and residual fields of every row of the (K, n) stack m.
@@ -137,6 +147,42 @@ class Coupling:
         return fields, np.zeros_like(m) if residual is None else residual()
 
 
+DENSE_BLOCK = 32768  # entries of one kernel row block (256 KiB of float64)
+
+
+def dense_block_rows(n: int) -> int:
+    """Row height b of the kernel blocks of the exact products and of delta(m)'s fills.
+
+    A multiple of 4 whose (b, n) block holds about DENSE_BLOCK entries,
+    so the block stays in cache; b = n, a single block, when n is not a
+    multiple of 4 or the whole matrix is that small.
+    """
+    if n % 4 or n * n <= DENSE_BLOCK:
+        return n
+    return max(4, DENSE_BLOCK // n // 4 * 4)
+
+
+def kernel_products(kernel: np.ndarray, m: np.ndarray, exact: bool = False) -> np.ndarray:
+    """kernel @ m[k] for every row k of the (..., n) stack m.
+
+    Without exact, one BLAS call (a gemm for a stack), each row within
+    round-off of the one-slice gemv.  With exact, each row is bit for bit
+    that gemv: one batched gemv per dense_block_rows(n) row block of the
+    kernel, so each block stays in cache for every row.  OpenBLAS's gemv
+    takes each output in the same order in any 4-row-aligned block
+    (TestExactStackedProduct).  A transpose takes one block: its row
+    blocks, column blocks of the matrix, run no faster than the whole.
+    """
+    if not exact:
+        return (kernel @ m.T).T
+    n = kernel.shape[0]
+    b = dense_block_rows(n) if kernel.flags.c_contiguous else n
+    out = np.empty(m.shape)
+    for r in range(0, n, b):
+        np.matmul(kernel[r:r + b], m[..., None], out=out[..., r:r + b, None])
+    return out
+
+
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for every row of the (..., n) stacks, each bit for bit a 1-D a @ b."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
@@ -148,7 +194,7 @@ def _kernel_matrix(grid: Grid, kernel: Callable) -> np.ndarray:
 
 
 def coupling_zero(grid: Grid) -> Coupling:
-    return Coupling("zero", 0.0, lambda m: (np.zeros(m.shape), None, None), grid)
+    return Coupling("zero", 0.0, lambda m, exact=False: (np.zeros(m.shape), None, None), grid)
 
 
 def coupling_spatial(grid: Grid, f: Callable[[np.ndarray], np.ndarray],
@@ -156,7 +202,15 @@ def coupling_spatial(grid: Grid, f: Callable[[np.ndarray], np.ndarray],
     """m-independent coupling F(x, m) = lam * f(x); derivative vanishes."""
     values = lam * np.asarray(f(grid.xs()), dtype=float)
     return Coupling(label, lam,
-                    lambda m: (np.broadcast_to(values, m.shape).copy(), None, None), grid)
+                    lambda m, exact=False: (np.broadcast_to(values, m.shape).copy(), None, None),
+                    grid)
+
+
+def _scaled(out: np.ndarray, lam: float) -> np.ndarray:
+    """out *= lam in place, skipped at lam = 1: x * 1.0 == x for every double."""
+    if lam != 1.0:
+        out *= lam
+    return out
 
 
 def coupling_convolution(grid: Grid, kernel: Callable | None = None,
@@ -165,15 +219,14 @@ def coupling_convolution(grid: Grid, kernel: Callable | None = None,
     phi = _kernel_matrix(grid, kernel or kernel_cos_diff)
     dx = grid.dx
 
-    def terms(m):
-        pm = (phi @ m.T).T
+    def terms(m, exact=False):
+        pm = kernel_products(phi, m, exact)
         a1 = pm * dx  # int phi(x, y) m(dy)
 
-        def fill(out, rows):  # lam * (phi - a1[:, None]), no broadcast temporary
-            np.copyto(out, a1[rows, None])
+        def fill(out, tmp, rows, k):  # lam * (phi - a1[k][:, None]), no broadcast temporary
+            np.copyto(out, a1[k, rows, None])
             np.subtract(phi[rows], out, out=out)
-            out *= lam
-            return out
+            return _scaled(out, lam)
 
         def residual():  # lam * (a2 - int int phi m m), a2 = int phi(z, .) m(dz)
             a2 = (m @ phi) * dx
@@ -197,18 +250,19 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
     phi_sym = phi + phi.T  # the m-independent part of delta(m)
     dx = grid.dx
 
-    def terms(m):
-        a1 = (phi @ m.T).T * dx    # int phi(x, y) m(dy)
-        a2 = (phi.T @ m.T).T * dx  # int phi(z, x) m(dz)
-        q = row_dot(m, a1) * dx    # int int phi m m
+    def terms(m, exact=False):
+        a1 = kernel_products(phi, m, exact) * dx    # int phi(x, y) m(dy)
+        a2 = kernel_products(phi.T, m, exact) * dx  # int phi(z, x) m(dz)
+        q = row_dot(m, a1) * dx                     # int int phi m m
         s = a1 + a2
 
-        def fill(out, rows):  # lam * (phi + phi.T - s[None, :] - s[:, None] + 2 q)
-            np.subtract(phi_sym[rows], s, out=out)
-            out -= s[rows, None]
-            out += 2.0 * q
-            out *= lam
-            return out
+        def fill(out, tmp, rows, k):  # lam * (phi + phi.T - s[k][None, :] - s[k][:, None] + 2q[k])
+            np.copyto(out, s[k])
+            np.subtract(phi_sym[rows], out, out=out)
+            np.copyto(tmp, s[k, rows, None])
+            np.subtract(out, tmp, out=out)
+            out += 2.0 * q[k]
+            return _scaled(out, lam)
 
         def residual():  # lam (1 - M) (s - 2 q), M the mass of m
             mass = m.sum(axis=-1) * dx
@@ -230,18 +284,19 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
     k = 0.5 * (k + k.T)  # potential structure needs a symmetric kernel
     dx = grid.dx
 
-    def terms(m):
-        km = (k @ m.T).T * dx
+    def terms(m, exact=False):
+        km = kernel_products(k, m, exact) * dx
         q = row_dot(m, km) * dx
         field = lam * (km - q[..., None])
-        km2 = 2.0 * km if m.ndim == 1 else None  # fill is of a single slice
+        km2 = 2.0 * km if exact else None  # only the fill reads it
 
-        def fill(out, rows):  # lam * (k - 2 km[None, :] - km[:, None] + 2 q)
-            np.subtract(k[rows], km2, out=out)
-            out -= km[rows, None]
-            out += 2.0 * q
-            out *= lam
-            return out
+        def fill(out, tmp, rows, i):  # lam * (k - 2 km[i][None, :] - km[i][:, None] + 2 q[i])
+            np.copyto(out, km2[i])
+            np.subtract(k[rows], out, out=out)
+            np.copyto(tmp, km[i, rows, None])
+            np.subtract(out, tmp, out=out)
+            out += 2.0 * q[i]
+            return _scaled(out, lam)
 
         def residual():  # (1 - 2 M) F, M the mass of m
             return (1.0 - 2.0 * m.sum(axis=-1) * dx)[..., None] * field
@@ -262,12 +317,13 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
     dx = grid.dx
     ones = np.ones(grid.n)
 
-    def terms(m):
+    def terms(m, exact=False):
         s = row_dot(c, m) * dx
-        row = lam * gp(s) * (c - s) if m.ndim == 1 else None  # fill is of a single slice
+        # every base point of level k has the row lam g'(s[k]) (c - s[k]); only the fill reads it
+        row = lam * gp(s[..., None]) * (c - s[..., None]) if exact else None
 
-        def fill(out, rows):  # every base point has the row lam g'(s) (c - s)
-            out[:] = row
+        def fill(out, tmp, rows, k):
+            out[:] = row[k]
             return out
 
         def residual():  # M lam g'(s) (c - s), M the mass of m

@@ -16,12 +16,15 @@ discretize-then-optimize gradient of the very quadrature reported as
 cost), warm-started at the equilibrium feedback so its first objective
 value is the equilibrium social cost.  Its adjoint source contracts the
 dense delta(m) of each slice (ControlObjective._dense_terms), whose
-rounding its round-off-level stop follows, one cache-sized row block at
-a time, block-outer and level-inner: each block of the kernel is read
-once for all levels, the n x n matrix is never built, and the blocked
-BLAS sum equals the single product bit for bit.  The two values
-cross-validate each other; for nonconvex couplings the system route is
-only a critical point, so the descent value is the one used for gaps.
+rounding its round-off-level stop follows.  The kernel products of all
+levels come from one exact stacked product, each level bit for bit its
+own (model.kernel_products); the contraction then runs one cache-sized
+row block at a time, block-outer and level-inner: each block of the
+kernel is read once for all levels, the n x n matrix is never built,
+and the blocked BLAS sum equals the single product bit for bit.  The
+two values cross-validate each other; for nonconvex couplings the
+system route is only a critical point, so the descent value is the one
+used for gaps.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ from scipy.optimize import minimize
 
 from .grids import DensityPath, ScalarPath, shift_next, shift_prev
 from .mfg import SolverParams, _heat_flow, fixed_point, solve_mfg
-from .model import Problem, delta_ghat, row_dot
+from .model import Problem, delta_ghat, dense_block_rows, row_dot
 from .stepping import PeriodicTridiagLU, fp_forward_sweep, fp_residual, upwind_bands
 
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
 DESCENT_GTOL = 1e-12     # L-BFGS projected-gradient tolerance
 COST_ROWS = 32           # levels per slice_costs call: keeps its temporaries (32, n)
-DENSE_BLOCK = 32768      # entries of one _dense_terms row block (256 KiB of float64)
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def planner_cost(m, alpha, problem: Problem) -> float:
     expect = (grid.nt + 1, grid.n)
     if mv.shape != expect or av.shape != expect:
         raise ValueError(f"paths must have shape {expect}, got {mv.shape} and {av.shape}")
-    fields = [problem.coupling.eval(mv[k]) for k in range(grid.nt)]
+    fields = problem.coupling.eval(mv[:grid.nt], exact=True)
     return _path_cost(problem, mv, av, fields, problem.terminal.eval(mv[-1]))
 
 
@@ -142,18 +144,6 @@ def solve_planner_system(problem: Problem,
 # route two: exact-gradient descent on the discrete control objective
 # ---------------------------------------------------------------------------
 
-def dense_block_rows(n: int) -> int:
-    """Row height b of the delta(m) blocks that _dense_terms contracts.
-
-    A multiple of 4 whose (b, n) block holds about DENSE_BLOCK entries,
-    so the block stays in cache; b = n, a single product, when n is not
-    a multiple of 4 or the whole matrix is that small.
-    """
-    if n % 4 or n * n <= DENSE_BLOCK:
-        return n
-    return max(4, DENSE_BLOCK // n // 4 * 4)
-
-
 class ControlObjective:
     """Discrete objective J(a) = planner_cost(m(a), a) and its exact gradient.
 
@@ -162,9 +152,9 @@ class ControlObjective:
     the cost).  The gradient is the discretize-then-optimize adjoint of
     exactly this computation, so descent stationarity is measured against
     the discrete objective, independent of truncation error.  The
-    objective owns one (block, n) workspace for the delta(m) row blocks
-    of _dense_terms, block = dense_block_rows(n) (32 rows at n = 1024),
-    allocated on first use; no n x n matrix is built.
+    objective owns one (2, block, n) workspace for the delta(m) row blocks
+    of _dense_terms and the fills' scratch, block = dense_block_rows(n)
+    (32 rows at n = 1024), allocated on first use; no n x n matrix is built.
     """
 
     def __init__(self, problem: Problem):
@@ -177,7 +167,7 @@ class ControlObjective:
         self.w[g.nt] = 0.0
         self._terms = None  # (bytes of m, terms) of the latest path, see _path_terms
         self.block = dense_block_rows(g.n)
-        self._work = None   # the (block, n) delta(m) row-block workspace of _dense_terms
+        self._work = None   # the (2, block, n) row block and scratch of _dense_terms
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         return fp_forward_sweep(self.grid, self.problem.m0, a)
@@ -202,8 +192,10 @@ class ControlObjective:
     def _dense_terms(self, coupling, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """eval(m[k]) and (m[k] @ delta(m[k])) dx for every row k of m.
 
-        Each residual contracts the dense delta(m[k]) without building
-        it.  The fields and fills of all levels come first; then, block by
+        One exact stacked call, coupling._slice(m, True), forms the fields
+        and the fill vectors of every level, each level's kernel products
+        bit for bit its own eval's (model.kernel_products).  Each residual
+        contracts the dense delta(m[k]) without building it: block by
         block, every level's fill writes one (b, n) row block into the
         objective's workspace, b = self.block, and it is contracted at
         once, so each block of the kernel stays in cache for all levels.
@@ -220,22 +212,20 @@ class ControlObjective:
         these terms, and the benchmark's reference rows pin those counts.
         """
         n, b = self.grid.n, self.block
-        fields = np.empty_like(m)
+        fields, fill, _ = coupling._slice(m, True)
         residuals = np.zeros_like(m)
-        fills = []
-        for k, m_k in enumerate(m):
-            fields[k], fill, _ = coupling._slice(m_k)
-            if fill is not None:
-                fills.append((fill, m_k, residuals[k]))
-        if fills and self._work is None:
-            self._work = np.empty((b, n))
-        for r in range(0, n, b):
-            for fill, m_k, y in fills:
-                w = fill(self._work[:min(b, n - r)], slice(r, r + b))
-                if r == 0:
-                    np.matmul(m_k[:b], w, out=y)
-                else:  # in place: y is a contiguous row of residuals
-                    dgemv(1.0, w.T, m_k[r:r + b], 1.0, y, overwrite_y=1)
+        if fill is not None:
+            if self._work is None:
+                self._work = np.empty((2, b, n))
+            for r in range(0, n, b):
+                out, tmp = self._work[:, :min(b, n - r)]
+                rows = slice(r, r + b)
+                for k, (m_k, y) in enumerate(zip(m, residuals)):
+                    w = fill(out, tmp, rows, k)
+                    if r == 0:
+                        np.matmul(m_k[:b], w, out=y)
+                    else:  # in place: y is a contiguous row of residuals
+                        dgemv(1.0, w.T, m_k[rows], 1.0, y, overwrite_y=1)
         residuals *= self.grid.dx
         return fields, residuals
 

@@ -437,9 +437,10 @@ def fused_and_dense_reports(request):
 
 
 class TestFusedTermsBitwise:
-    # The equilibrium and the descent take their coupling fields one eval
-    # per slice, and the descent its residuals from one dense delta(m) per
-    # slice.  Their rounding must equal the dense reference exactly:
+    # The equilibrium and the descent take their coupling fields from the
+    # exact stacked eval, each slice bit for bit its own eval, and the
+    # descent its residuals from one dense delta(m) per slice.  Their
+    # rounding must equal the dense reference exactly:
     # L-BFGS stops by stagnation at round-off level, so any change of
     # rounding can move iteration counts and costs.  The tiny bench
     # reference misses such changes; this comparison does not.  The

@@ -23,8 +23,17 @@ from mfglab import (
     residual_field,
     weighted_average,
 )
+from mfglab import model
 from mfglab.errors import MassConservationError
-from mfglab.model import COUPLING_LABELS, KERNELS, Problem, convention_defect, kernel_cos_prod
+from mfglab.model import (
+    COUPLING_LABELS,
+    KERNELS,
+    Problem,
+    convention_defect,
+    dense_block_rows,
+    kernel_cos_prod,
+    kernel_products,
+)
 
 from conftest import random_density
 
@@ -309,6 +318,73 @@ class TestFusedTerms:
         assert fields.shape == (count, n)
         rows = np.stack([c.eval(m) for m in stack])
         assert np.all(np.abs(fields - rows) <= 1e-13 * (1.0 + np.abs(rows).max()))
+
+
+# DENSE_BLOCK lowered so that small grids run several kernel blocks: n=64 in
+# 8-row blocks, n=100 in 32-row blocks with a 4-row tail, and n=66, not a
+# multiple of 4, in one block
+BLOCK_CASES = [(64, 512, 8), (100, 3200, 32), (66, 512, 66)]
+
+
+class TestExactStackedProduct:
+    """The exact stacked product and the fills of an exact stack.
+
+    Every row of kernel_products(K, m, exact=True) must be the one-slice
+    gemv K @ m[k] bit for bit, whatever the row blocks; this rests on the
+    BLAS gemv taking each output in the same order in any 4-row-aligned
+    block (see kernel_products).  The equilibrium's fields, the reported
+    costs and the descent's terms take it, and the benchmark's reference
+    rows pin the iteration counts that follow their rounding.
+    """
+
+    @pytest.mark.parametrize("n,entries,rows", BLOCK_CASES)
+    def test_rows_equal_one_slice_products(self, monkeypatch, n, entries, rows):
+        monkeypatch.setattr(model, "DENSE_BLOCK", entries)
+        assert dense_block_rows(n) == rows
+        r = np.random.default_rng(n)
+        kernel = r.standard_normal((n, n))  # not symmetric: K and K.T differ
+        m = r.uniform(0.1, 2.0, (5, n))
+        for k in (kernel, kernel.T):  # row blocks; one block for a transpose
+            expect = np.stack([k @ m_k for m_k in m])
+            assert np.array_equal(kernel_products(k, m, exact=True), expect)
+            assert np.array_equal(kernel_products(k, m[2], exact=True), expect[2])
+
+    @pytest.mark.parametrize("n,entries,rows", BLOCK_CASES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_fields_equal_per_slice_eval(self, monkeypatch, label, kernel, n, entries, rows):
+        monkeypatch.setattr(model, "DENSE_BLOCK", entries)
+        g = Grid(n=n, nt=8)
+        c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+        stack = TestFusedTerms.densities(g, n + 7, count=5)
+        fields = c.eval(stack, exact=True)
+        assert fields.shape == stack.shape
+        for m, field in zip(stack, fields):
+            assert np.array_equal(field, c.eval(m))
+
+    @pytest.mark.parametrize("lam", (1.0, 2.5))  # the skipped and the applied strength pass
+    @pytest.mark.parametrize("n,entries,rows", BLOCK_CASES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_fill_blocks_equal_delta_rows(self, monkeypatch, label, kernel, n, entries, rows,
+                                          lam):
+        # every level of an exact stack, filled block by block in one shared
+        # workspace, gives the rows of its own delta(m) and of the reference form
+        monkeypatch.setattr(model, "DENSE_BLOCK", entries)
+        g = Grid(n=n, nt=8)
+        c = coupling_from_label(g, label, lam=lam, kernel=kernel)
+        stack = TestFusedTerms.densities(g, n + 11, count=3)
+        fill = c._slice(stack, True)[1]
+        if fill is None:
+            assert label in ("zero", "spatial_cos")
+            return
+        out, tmp = np.empty((2, rows, n))
+        for k, m in enumerate(stack):
+            dmat = TestFusedTerms.reference_terms(label, g, kernel, lam, m)[1]
+            assert np.array_equal(c.delta(m), dmat)
+            for r in range(0, n, rows):
+                b = min(rows, n - r)
+                assert np.array_equal(fill(out[:b], tmp[:b], slice(r, r + b), k), dmat[r:r + b])
 
 
 class TestClosedFormResiduals:

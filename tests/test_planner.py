@@ -15,10 +15,17 @@ from mfglab import (
     solve_planner_system,
     weighted_average,
 )
-from mfglab import planner
-from mfglab.mfg import feedback_drift
-from mfglab.model import COUPLING_LABELS, KERNELS, coupling_spatial, default_problem
-from mfglab.planner import ControlObjective, dense_block_rows
+from mfglab import model, planner
+from mfglab.efficiency import _window_levels, holder_diagnostic
+from mfglab.mfg import _coupling_fields, feedback_drift
+from mfglab.model import (
+    COUPLING_LABELS,
+    KERNELS,
+    coupling_spatial,
+    default_problem,
+    dense_block_rows,
+)
+from mfglab.planner import ControlObjective
 
 from conftest import make_problem, random_density
 
@@ -103,7 +110,7 @@ class TestBlockedContraction:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("label", COUPLING_LABELS)
     def test_blocks_equal_the_single_product(self, monkeypatch, label, kernel, n, entries, rows):
-        monkeypatch.setattr(planner, "DENSE_BLOCK", entries)
+        monkeypatch.setattr(model, "DENSE_BLOCK", entries)
         g = Grid(n=n, nt=8)
         c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
         obj = ControlObjective(default_problem(g, c))
@@ -117,7 +124,7 @@ class TestBlockedContraction:
         if c._slice(m[0])[1] is None:
             assert obj._work is None
         else:
-            assert obj._work.shape == (rows, n)
+            assert obj._work.shape == (2, rows, n)
 
     @pytest.mark.parametrize("n,entries", [(64, 512), (100, 3200)])  # 8-row blocks; a 4-row tail
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -125,7 +132,7 @@ class TestBlockedContraction:
     def test_levels_are_contracted_independently(self, monkeypatch, label, kernel, n, entries):
         # every level is filled and contracted per block in turn, sharing one workspace:
         # no level may read another level's block, vector or fill
-        monkeypatch.setattr(planner, "DENSE_BLOCK", entries)
+        monkeypatch.setattr(model, "DENSE_BLOCK", entries)
         g = Grid(n=n, nt=8)
         c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
         obj = ControlObjective(default_problem(g, c))
@@ -144,12 +151,48 @@ class TestBlockedContraction:
     def test_block_rows_are_n_or_a_multiple_of_4(self, n):
         b = dense_block_rows(n)
         assert b == n or (b % 4 == 0 and 4 <= b < n and n % 4 == 0)
-        if n * n > planner.DENSE_BLOCK and n % 4 == 0:
-            assert b * n <= max(planner.DENSE_BLOCK, 4 * n)
+        if n * n > model.DENSE_BLOCK and n % 4 == 0:
+            assert b * n <= max(model.DENSE_BLOCK, 4 * n)
 
     def test_default_block_sizes(self):
         # desk scale keeps the single product; the wide grid streams 256 KiB blocks
         assert [dense_block_rows(n) for n in (128, 256, 512, 1024)] == [128, 128, 64, 32]
+
+
+class TestExactStackedCallers:
+    """The equilibrium's fields, planner_cost and the Holder diagnostic take
+    the exact stacked eval: equal to their old per-slice loops bit for bit,
+    with DENSE_BLOCK lowered so that the kernel products run several blocks
+    (n=64 in 8-row blocks, n=100 in 32-row blocks with a 4-row tail)."""
+
+    @pytest.mark.parametrize("n,entries", [(64, 512), (100, 3200)])
+    @pytest.mark.parametrize("label", ("convolution", "efficient", "potential", "xfree"))
+    def test_equal_their_per_slice_loops(self, monkeypatch, label, n, entries):
+        monkeypatch.setattr(model, "DENSE_BLOCK", entries)
+        g = Grid(n=n, nt=8)
+        prob = make_problem(g, label, lam=0.7, terminal=coupling_from_label(g, label, lam=0.5))
+        r = np.random.default_rng(n)
+        a = 0.3 * r.standard_normal((g.nt + 1, g.n))
+        m = ControlObjective(prob).forward(a)
+        # the old loops, one eval per slice
+        fields = np.stack([prob.coupling.eval(m[k]) for k in range(g.nt + 1)])
+        assert np.array_equal(_coupling_fields(prob, m), fields)
+        assert planner_cost(m, a, prob) == planner._path_cost(
+            prob, m, a, [prob.coupling.eval(m[k]) for k in range(g.nt)], prob.terminal.eval(m[-1]))
+
+    def test_holder_equals_its_per_slice_loop(self, monkeypatch):
+        monkeypatch.setattr(model, "DENSE_BLOCK", 512)
+        g = Grid(n=64, nt=16)
+        prob = make_problem(g, "xfree", lam=0.7)
+        sol = solve_mfg(prob)
+        eps = 0.125
+        idx = _window_levels(g, eps)
+        f = np.array([prob.coupling.eval(sol.m.values[k])[0] for k in idx])  # the old loop
+        tt = g.times()[idx]
+        dts = np.abs(tt[:, None] - tt[None, :])
+        mask = dts > 0
+        expect = np.max(np.abs(f[:, None] - f[None, :])[mask] / np.sqrt(dts[mask]))
+        assert holder_diagnostic(sol, prob, eps) == expect
 
 
 class TestAdjointGradient:

@@ -11,14 +11,18 @@ is ``stepping.hjb_backward_sweep`` (no source term), ``adjoint`` is
 descent) and ``factor`` is one ``PeriodicTridiagLU`` of the nt forward
 step matrices.  The sweeps include their own band building and
 factorization, so ``fp_sweep - factor`` is the forward loop itself.
-``path_terms`` is ``Coupling._path_terms`` (closed-form residual fields,
-the kernel products of all levels at once) and ``descent_terms`` the
-descent's per-level dense loop (``ControlObjective._dense_terms``, which
-fills and contracts ``delta(m)`` one cache-sized row block at a time,
-every level per block: several blocks from n = 256 on), both on the nt
-levels 0..nt-1 of the ``--label`` coupling (default convolution), so
-they are µs per level.  n = 1024 is the benchmark's wide grid.  BLAS
-runs on one thread.
+``fields`` is the equilibrium's coupling fields of the nt + 1 levels
+(``mfg._coupling_fields``: the exact stacked eval, each level's kernel
+products bit for bit its own, one cache-sized row block of the kernel
+at a time for every level, several blocks from n = 256 on), divided by
+nt + 1.  ``path_terms`` is ``Coupling._path_terms`` (closed-form
+residual fields, one gemm for the kernel products of all levels) and
+``descent_terms`` the descent's dense loop
+(``ControlObjective._dense_terms``: the exact fields, then the fills and
+contractions of ``delta(m)`` block by block, every level per block),
+both on the nt levels 0..nt-1.  All three take the ``--label`` coupling
+(default convolution) and are µs per level.  n = 1024 is the
+benchmark's wide grid.  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from time import perf_counter  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-COLUMNS = ("fp_sweep", "hjb_sweep", "adjoint", "factor", "path_terms", "descent_terms")
+COLUMNS = ("fp_sweep", "hjb_sweep", "adjoint", "factor", "fields", "path_terms",
+           "descent_terms")
 
 
 def _best(fn, repeats: int) -> float:
@@ -51,6 +56,7 @@ def _best(fn, repeats: int) -> float:
 def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dict:
     """{column: µs per time step} at one grid size (see the module docstring)."""
     from mfglab import Grid, coupling_from_label, density_cosine, quadratic_hamiltonian
+    from mfglab.mfg import _coupling_fields
     from mfglab.model import Problem, coupling_zero
     from mfglab.planner import ControlObjective
     from mfglab.stepping import (
@@ -77,10 +83,12 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
         "hjb_sweep": lambda: hjb_backward_sweep(grid, problem.hamiltonian, fields, fields[-1]),
         "adjoint": lambda: obj.adjoint(a, m),
         "factor": lambda: PeriodicTridiagLU(*bands),
+        "fields": lambda: _coupling_fields(problem, m),
         "path_terms": lambda: problem.coupling._path_terms(m[:nt]),
         "descent_terms": lambda: obj._dense_terms(problem.coupling, m[:nt]),
     }
-    return {name: 1e6 * _best(fn, repeats) / nt for name, fn in calls.items()}
+    levels = {"fields": nt + 1}
+    return {name: 1e6 * _best(fn, repeats) / levels.get(name, nt) for name, fn in calls.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -92,7 +100,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--label", default="convolution",
                     choices=("convolution", "efficient", "potential", "xfree"),
-                    help="catalog coupling of path_terms and descent_terms (default: convolution)")
+                    help="catalog coupling of fields, path_terms and descent_terms "
+                         "(default: convolution)")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
 
