@@ -26,8 +26,8 @@ from mfglab import (
     coupling_efficient,
     default_epsilon,
     default_problem,
+    equilibrium,
     phi_eval,
-    social_cost,
     solve_mfg,
     solve_planner_descent,
 )
@@ -37,25 +37,26 @@ params = SolverParams(tol_fixed_point=1e-9)
 eps = default_epsilon(grid)
 
 problem = default_problem(grid, coupling=coupling_convolution(grid, lam=1.0))
-eq = solve_mfg(problem, params)
-cost_eq = social_cost(eq, problem)
-descent = solve_planner_descent(problem, params, init=eq.alpha_star)
+sol = solve_mfg(problem, params)
+eq = equilibrium(sol, problem)  # residual fields and social cost, computed once
+cost_eq = eq.cost
+descent = solve_planner_descent(problem, params, init=sol.alpha_star)
 gap = cost_eq - descent.cost
 
 print(f"convolution coupling: equilibrium cost {cost_eq:.6e}, "
       f"measured gap {gap:.3e}\n")
 
-pert = build_perturbation_running(eq, problem, eps)
+pert = build_perturbation_running(eq, eps)
 print(f"perturbation admissible up to tau = {pert.tau:.3f} "
       f"(density stays above half of itself)")
 print(f"{'h':>12} {'phi(h) - cost':>15} {'certified bound':>16}")
 best = 0.0
 for h in np.geomspace(1e-4 * pert.tau, pert.tau, 12):
-    phi = phi_eval(eq, pert, h, problem)
+    phi = phi_eval(sol, pert, h, problem)
     best = max(best, cost_eq - phi)
     print(f"{h:12.4e} {phi - cost_eq:+15.3e} {max(0.0, cost_eq - phi):16.3e}")
 
-cert = certificate(eq, problem, eps)
+cert = certificate(eq, eps)
 print(f"\ncertificate (both variants, 32 samples): {cert:.3e}")
 print(f"measured gap:                            {gap:.3e}")
 print(f"certified fraction of the gap:           {cert / gap:.1%}")
@@ -63,6 +64,6 @@ assert cert <= gap + 1e-6 * (1 + cost_eq)
 
 print("\n--- efficient coupling for contrast ---")
 problem_eff = default_problem(grid, coupling=coupling_efficient(grid, lam=1.0))
-eq_eff = solve_mfg(problem_eff, params)
-cert_eff = certificate(eq_eff, problem_eff, eps)
+eq_eff = equilibrium(solve_mfg(problem_eff, params), problem_eff)
+cert_eff = certificate(eq_eff, eps)
 print(f"residual vanishes structurally; certificate = {cert_eff:.3e}")

@@ -10,12 +10,14 @@ perturbation certificates bounding the gap from below.
 from .efficiency import (
     DualityReport,
     EfficiencyReport,
+    Equilibrium,
     Perturbation,
     build_perturbation_running,
     build_perturbation_terminal,
     certificate,
     default_epsilon,
     duality_check,
+    equilibrium,
     full_report,
     holder_diagnostic,
     lb_integrands,
@@ -29,10 +31,8 @@ from .grids import (
     ScalarPath,
     continuity_residual_1d,
     gradient,
-    integrate,
     laplacian,
     reconstruct_flux_1d,
-    w1_distance_1d,
 )
 from .harness import FitResult, emit_plotdata, fit_scaling, read_rows, run
 from .mfg import MFGSolution, SolverParams, solve_mfg
@@ -53,10 +53,8 @@ from .model import (
     delta_m_fd_check,
     density_cosine,
     density_uniform,
-    grid_delta,
     quadratic_hamiltonian,
     residual_field,
-    weighted_average,
 )
 from .planner import (
     ControlObjective,

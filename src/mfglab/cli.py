@@ -23,6 +23,7 @@ from .harness import (
     RESULT_COLUMNS,
     SCHEMA_VERSION,
     _fmt,
+    _is_number,
     build_problem,
     emit_plotdata,
     fit_scaling,
@@ -74,21 +75,11 @@ def _cmd_solve_planner(cfg: dict, out: str) -> int:
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
-def _rows_converged(rows: list[dict]) -> bool:
-    return all(r["mfg_converged"] and r["system_converged"] and r["descent_converged"]
-               for r in rows)
-
-
-def _cmd_report(cfg: dict, out: str) -> int:
-    cfg = dict(cfg)
-    cfg.pop("sweep", None)
+def _cmd_run(cfg: dict, out: str) -> int:
     rows = run(cfg, out)
-    return EXIT_OK if _rows_converged(rows) else EXIT_NOT_CONVERGED
-
-
-def _cmd_sweep(cfg: dict, out: str) -> int:
-    rows = run(cfg, out)
-    return EXIT_OK if _rows_converged(rows) else EXIT_NOT_CONVERGED
+    converged = all(r["mfg_converged"] and r["system_converged"] and r["descent_converged"]
+                    for r in rows)
+    return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
 def _cmd_fit(cfg: dict, rows_path: str, out: str) -> int:
@@ -101,7 +92,7 @@ def _cmd_fit(cfg: dict, rows_path: str, out: str) -> int:
         if section[key] not in RESULT_COLUMNS:
             raise ConfigError(f"fit.{key}: unknown column {section[key]!r}")
     tol = section.get("tolerance", 1e-8)
-    if not isinstance(tol, (int, float)) or tol < 0:
+    if not _is_number(tol) or not tol >= 0:  # also rejects nan
         raise ConfigError(f"fit.tolerance: expected a nonnegative number, got {tol!r}")
     rows = read_rows(rows_path)
     res = fit_scaling(rows, section["x_column"], section["y_column"], tolerance=tol)
@@ -158,10 +149,10 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_solve_mfg(cfg, args.out)
         if args.command == "solve-planner":
             return _cmd_solve_planner(cfg, args.out)
-        if args.command == "report":
-            return _cmd_report(cfg, args.out)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, args.out)
+        if args.command in ("report", "sweep"):
+            if args.command == "report":
+                cfg.pop("sweep", None)  # report runs the base point only
+            return _cmd_run(cfg, args.out)
         if args.command == "fit":
             return _cmd_fit(cfg, args.rows, args.out)
         if args.command == "emit":

@@ -70,45 +70,49 @@ def _window_weights(grid, eps: float) -> np.ndarray:
     return w
 
 
-def _residual_paths(sol: MFGSolution, problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """The residual fields of F on every level of the flow m and of G at m(T),
-    in closed form from the kernel products of the whole flow (Coupling._path_terms)."""
+@dataclass(frozen=True)
+class Equilibrium:
+    """An equilibrium with the data of its bounds and certificate: the residual
+    fields of F on every level of m (r_path) and of G at m(T) (r_g), and its social cost."""
+
+    sol: MFGSolution
+    problem: Problem
+    r_path: np.ndarray
+    r_g: np.ndarray
+    cost: float
+
+
+def equilibrium(sol: MFGSolution, problem: Problem) -> Equilibrium:
+    """The Equilibrium of sol: its residual fields in closed form (Coupling._path_terms)."""
     m = sol.m.values
-    return problem.coupling._path_terms(m)[1], residual_field(problem.terminal, m[-1])
+    return Equilibrium(sol, problem, problem.coupling._path_terms(m)[1],
+                       residual_field(problem.terminal, m[-1]), social_cost(sol, problem))
 
 
-def lb_integrands(sol: MFGSolution, problem: Problem, eps: float) -> tuple[float, float]:
+def lb_integrands(eq: Equilibrium, eps: float) -> tuple[float, float]:
     """Squared-residual integrals entering the gap lower bound.
 
     lb_F integrates ||residual_field(F, m(t))||_L2^2 over [t0+eps, T-eps];
     lb_G is the squared L2 norm of the terminal residual.  eps = 0 gives
     the full-interval quantity used by ub_norm.
     """
-    return _lb_integrands(problem.grid, *_residual_paths(sol, problem), eps)
-
-
-def _lb_integrands(grid, r_path: np.ndarray, r_g: np.ndarray,
-                   eps: float) -> tuple[float, float]:
+    grid = eq.problem.grid
     w = _window_weights(grid, eps)
     lb_f = 0.0
     for k in np.flatnonzero(w):
-        lb_f += float(w[k]) * float(r_path[k] @ r_path[k]) * grid.dx
-    lb_g = float(r_g @ r_g) * grid.dx
+        lb_f += float(w[k]) * float(eq.r_path[k] @ eq.r_path[k]) * grid.dx
+    lb_g = float(eq.r_g @ eq.r_g) * grid.dx
     return lb_f, lb_g
 
 
-def ub_norm(sol: MFGSolution, problem: Problem) -> float:
+def ub_norm(eq: Equilibrium) -> float:
     """Square root of the full-interval residual integral plus the terminal one.
 
     This is the quantity whose size controls the gap from above for convex
     averaged couplings; it vanishes exactly for the efficient structure and
     scales linearly in the coupling strength.
     """
-    return _ub_norm(problem.grid, *_residual_paths(sol, problem))
-
-
-def _ub_norm(grid, r_path: np.ndarray, r_g: np.ndarray) -> float:
-    lb_f, lb_g = _lb_integrands(grid, r_path, r_g, 0.0)
+    lb_f, lb_g = lb_integrands(eq, 0.0)
     return float(np.sqrt(lb_f + lb_g))
 
 
@@ -130,7 +134,6 @@ class Perturbation:
     beta: ScalarPath
     gamma: np.ndarray
     tau: float
-    variant: str
 
 
 def _ramp_running(grid, eps: float) -> np.ndarray:
@@ -156,8 +159,8 @@ def _check_eps(grid, eps: float):
         raise ValueError(f"need 0 < eps < (T-t0)/2, got {eps}")
 
 
-def _build_perturbation(sol: MFGSolution, grid, direction: np.ndarray,
-                        gamma: np.ndarray, variant: str) -> Perturbation:
+def _build_perturbation(m: np.ndarray, grid, direction: np.ndarray,
+                        gamma: np.ndarray) -> Perturbation:
     """Assemble (mu, beta, tau) from the residual direction field.
 
     direction[k] is the residual field paired with slice k; mu is
@@ -166,7 +169,6 @@ def _build_perturbation(sol: MFGSolution, grid, direction: np.ndarray,
     by the callers).
     """
     mu = -gamma[:, None] * direction
-    m = sol.m.values
     # positivity margin: m + h mu >= m/2 <=> h * (-mu/m) <= 1/2 where mu < 0
     with np.errstate(divide="ignore", invalid="ignore"):
         shrink = np.where(m > 0.0, -mu / m, np.inf)
@@ -174,21 +176,15 @@ def _build_perturbation(sol: MFGSolution, grid, direction: np.ndarray,
     tau = np.inf if worst <= 0.0 else 0.5 / worst
     mu_path = ScalarPath(mu, grid)
     beta = reconstruct_flux_1d(mu_path, grid)
-    return Perturbation(mu=mu_path, beta=beta, gamma=gamma, tau=tau, variant=variant)
+    return Perturbation(mu=mu_path, beta=beta, gamma=gamma, tau=tau)
 
 
-def build_perturbation_running(sol: MFGSolution, problem: Problem,
-                               eps: float) -> Perturbation:
+def build_perturbation_running(eq: Equilibrium, eps: float) -> Perturbation:
     """Perturbation along the running-cost residual with the four-piece ramp."""
-    return _perturbation_running(sol, problem.grid, eps,
-                                 problem.coupling._path_terms(sol.m.values)[1])
-
-
-def _perturbation_running(sol: MFGSolution, grid, eps: float,
-                          r_path: np.ndarray) -> Perturbation:
+    grid = eq.problem.grid
     _check_eps(grid, eps)
     gamma = _ramp_running(grid, eps)
-    m = sol.m.values
+    m = eq.sol.m.values
     active = gamma > 0.0
     if m[active].min() <= 0.0:
         k = int(np.flatnonzero(active)[np.argmin(m[active].min(axis=1))])
@@ -196,25 +192,19 @@ def _perturbation_running(sol: MFGSolution, grid, eps: float,
             f"density vanishes on slice {k}; the perturbation needs m > 0 "
             "wherever the ramp is active"
         )
-    return _build_perturbation(sol, grid, m * r_path, gamma, "running-cost")
+    return _build_perturbation(m, grid, m * eq.r_path, gamma)
 
 
-def build_perturbation_terminal(sol: MFGSolution, problem: Problem,
-                                eps: float) -> Perturbation:
+def build_perturbation_terminal(eq: Equilibrium, eps: float) -> Perturbation:
     """Perturbation along the terminal residual, supported on [T-eps, T]."""
-    return _perturbation_terminal(sol, problem.grid, eps,
-                                  residual_field(problem.terminal, sol.m.values[-1]))
-
-
-def _perturbation_terminal(sol: MFGSolution, grid, eps: float,
-                           r_g: np.ndarray) -> Perturbation:
+    grid = eq.problem.grid
     _check_eps(grid, eps)
     gamma = _ramp_terminal(grid, eps)
-    m_T = sol.m.values[-1]
-    if m_T.min() <= 0.0:
+    m = eq.sol.m.values
+    if m[-1].min() <= 0.0:
         raise MassConservationError("terminal density vanishes somewhere")
-    direction = np.tile(m_T * r_g, (grid.nt + 1, 1))
-    return _build_perturbation(sol, grid, direction, gamma, "terminal")
+    direction = np.tile(m[-1] * eq.r_g, (grid.nt + 1, 1))
+    return _build_perturbation(m, grid, direction, gamma)
 
 
 def phi_eval(sol: MFGSolution, pert: Perturbation, h: float,
@@ -268,7 +258,7 @@ def _phi_stack(sol: MFGSolution, pert: Perturbation, hs: np.ndarray,
     return running + row_dot(problem.terminal.eval(m_h), m_h) * grid.dx
 
 
-def certificate(sol: MFGSolution, problem: Problem, eps: float) -> float:
+def certificate(eq: Equilibrium, eps: float) -> float:
     """Constant-free lower bound on the inefficiency gap.
 
     Builds both perturbation variants, samples H_SAMPLES values of h
@@ -280,22 +270,15 @@ def certificate(sol: MFGSolution, problem: Problem, eps: float) -> float:
     difference of cost-sized numbers, the result agrees with the per-h
     maximum on the cost scale: within 1e-12 (1 + |cost(u,m)|).
     """
-    return _certificate(sol, problem, eps, social_cost(sol, problem),
-                        *_residual_paths(sol, problem))
-
-
-def _certificate(sol: MFGSolution, problem: Problem, eps: float, cost_eq: float,
-                 r_path: np.ndarray, r_g: np.ndarray) -> float:
-    """certificate, given cost_eq and the residual paths of _residual_paths."""
     best = 0.0
-    for build, residual in ((_perturbation_running, r_path), (_perturbation_terminal, r_g)):
-        pert = build(sol, problem.grid, eps, residual)
+    for build in (build_perturbation_running, build_perturbation_terminal):
+        pert = build(eq, eps)
         if float(np.abs(pert.mu.values).max()) == 0.0:
             continue  # residual vanishes; this variant certifies nothing
         tau = pert.tau if np.isfinite(pert.tau) else 1.0
         hs = np.geomspace(1e-4 * tau, tau, H_SAMPLES)
-        for phi in _phi_stack(sol, pert, hs, problem):
-            best = max(best, cost_eq - float(phi))
+        for phi in _phi_stack(eq.sol, pert, hs, eq.problem):
+            best = max(best, eq.cost - float(phi))
     return best
 
 
@@ -439,35 +422,30 @@ def full_report(problem: Problem, params: SolverParams | None = None,
     critical point.
     """
     params = params or SolverParams()
-    grid = problem.grid
-    eps = default_epsilon(grid) if eps is None else eps
+    eps = default_epsilon(problem.grid) if eps is None else eps
 
     mfg = solve_mfg(problem, params)
-    cost_eq = social_cost(mfg, problem)
     descent = solve_planner_descent(problem, params, init=mfg.alpha_star)
     system = solve_planner_system(problem, params)
 
     # the equilibrium's residual fields, once, for the sups, bounds and certificate
-    r_path, r_g = _residual_paths(mfg, problem)
-    res_f_sup = float(np.abs(r_path).max())
-    res_g_sup = float(np.abs(r_g).max())
-    lb_f, lb_g = _lb_integrands(grid, r_path, r_g, eps)
-    cert = _certificate(mfg, problem, eps, cost_eq, r_path, r_g)
+    eq = equilibrium(mfg, problem)
+    lb_f, lb_g = lb_integrands(eq, eps)
     hol = (holder_diagnostic(mfg, problem, eps)
            if problem.coupling.label == "xfree" else float("nan"))
     disagree = abs(system.cost - descent.cost) > 1e-3 * (1.0 + abs(descent.cost))
 
     return EfficiencyReport(
-        cost_mfg=cost_eq,
+        cost_mfg=eq.cost,
         cost_planner=descent.cost,
         cost_planner_system=system.cost,
-        gap=cost_eq - descent.cost,
+        gap=eq.cost - descent.cost,
         lb_integrand_F=lb_f,
         lb_integrand_G=lb_g,
-        ub_norm=_ub_norm(grid, r_path, r_g),
-        residual_F_sup=res_f_sup,
-        residual_G_sup=res_g_sup,
-        certificate=cert,
+        ub_norm=ub_norm(eq),
+        residual_F_sup=float(np.abs(eq.r_path).max()),
+        residual_G_sup=float(np.abs(eq.r_g).max()),
+        certificate=certificate(eq, eps),
         epsilon=eps,
         holder=hol,
         mfg_converged=mfg.converged,

@@ -1,4 +1,4 @@
-"""Periodic space-time grids, discrete operators and quadrature.
+"""Periodic space-time grids and discrete operators.
 
 Space is the circle discretized with n points (spacing dx = 1/n,
 index n wraps to 0).  Time is the uniform grid t_k = t0 + k*dt,
@@ -78,9 +78,6 @@ class ScalarPath:
         if not np.all(np.isfinite(v)):
             raise ValueError("path contains non-finite entries")
         object.__setattr__(self, "values", _frozen(v))
-
-    def slice(self, k: int) -> np.ndarray:
-        return self.values[k]
 
 
 class DensityPath(ScalarPath):
@@ -162,12 +159,6 @@ def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     return (shift_next(f) - 2.0 * f + shift_prev(f)) / grid.dx**2
 
 
-def integrate(f: np.ndarray, grid: Grid) -> float:
-    """Periodic quadrature sum(f) * dx (trapezoid = rectangle on a periodic grid)."""
-    f = grid.check_field(f)
-    return float(f.sum() * grid.dx)
-
-
 # ---------------------------------------------------------------------------
 # flux reconstruction for the perturbation certificate
 # ---------------------------------------------------------------------------
@@ -214,25 +205,3 @@ def continuity_residual_1d(mu: ScalarPath, beta: ScalarPath, grid: Grid) -> floa
     res = (v[1:] - v[:-1]) / grid.dt - laplacian(v[:-1], grid) + div
     return float(np.abs(res).max())
 
-
-# ---------------------------------------------------------------------------
-# circular 1-Wasserstein distance
-# ---------------------------------------------------------------------------
-
-def w1_distance_1d(m1: np.ndarray, m2: np.ndarray, grid: Grid) -> float:
-    """Monge-Kantorovich distance between two density slices on the circle.
-
-    Classical reduction: with D the cumulative difference of the densities,
-    the circular W1 distance is min_c int |D - c| dx, attained at the median
-    of D.
-    """
-    m1 = grid.check_field(m1)
-    m2 = grid.check_field(m2)
-    mass1, mass2 = m1.sum() * grid.dx, m2.sum() * grid.dx
-    if abs(mass1 - mass2) > 1e-8:
-        raise MassConservationError(
-            f"mass mismatch: {mass1:.12f} vs {mass2:.12f}"
-        )
-    cdf_diff = np.cumsum(m1 - m2) * grid.dx
-    c = np.median(cdf_diff)
-    return float(np.abs(cdf_diff - c).sum() * grid.dx)

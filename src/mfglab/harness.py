@@ -35,13 +35,49 @@ from .model import (
 
 SCHEMA_VERSION = 1
 
-CONFIG_ECHO_COLUMNS = (
-    "sweep_index", "n", "nt", "t0", "T", "hamiltonian",
-    "coupling", "kernel", "coupling_lambda", "terminal", "terminal_lambda",
-    "m0_kind", "m0_amplitude", "tol_fixed_point", "damping", "max_iters", "seed",
-)
+_REQUIRED = object()  # the default of a key that every config point must give
+# abs(v) <= _FLOAT_MAX is false for nan, infinities and ints beyond the float range
+_FLOAT_MAX = float(np.finfo(float).max)
 
-RESULT_COLUMNS = CONFIG_ECHO_COLUMNS + EfficiencyReport.SCHEMA + ("wall_time_s",)
+# Every key of a config point: dotted path -> (type, default).  A float key
+# also takes an int and rejects nan and infinities; a default of None also
+# admits null.  solver.damping is a factor or a schedule name.
+CONFIG_KEYS = {
+    "schema": (int, SCHEMA_VERSION),
+    "grid.n": (int, _REQUIRED), "grid.nt": (int, _REQUIRED),
+    "grid.t0": (float, 0.0), "grid.T": (float, 1.0),
+    "hamiltonian": (str, "quadratic"),
+    "coupling.label": (str, "zero"), "coupling.kernel": (str, "cos_diff"),
+    "coupling.profile": (str, "quadratic"), "coupling.lambda": (float, 1.0),
+    "terminal.label": (str, "zero"), "terminal.kernel": (str, "cos_diff"),
+    "terminal.profile": (str, "quadratic"), "terminal.lambda": (float, 1.0),
+    "m0.kind": (str, "cosine"), "m0.amplitude": (float, 0.5), "m0.path": (str, None),
+    "solver.tol_fixed_point": (float, 1e-8), "solver.damping": ((str, float), "auto"),
+    "solver.max_iters": (int, 200),
+    "epsilon": (float, None),
+    "seed": (int, 0),
+}
+_SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS if "." in key}
+_CHOICES = {  # name key -> the names it takes
+    "hamiltonian": tuple(HAMILTONIANS), "m0.kind": ("uniform", "cosine", "file"),
+    **{f"{section}.{name}": tuple(choices) for section in ("coupling", "terminal")
+       for name, choices in (("label", COUPLING_LABELS), ("kernel", KERNELS),
+                             ("profile", PROFILES))},
+}
+_OTHER_TOP_KEYS = ("sweep", "fit", "emit")  # sections of the sweep, fit and emit commands
+
+# result column -> the config key it echoes
+CONFIG_ECHO_COLUMNS = {
+    "n": "grid.n", "nt": "grid.nt", "t0": "grid.t0", "T": "grid.T",
+    "hamiltonian": "hamiltonian", "coupling": "coupling.label",
+    "kernel": "coupling.kernel", "coupling_lambda": "coupling.lambda",
+    "terminal": "terminal.label", "terminal_lambda": "terminal.lambda",
+    "m0_kind": "m0.kind", "m0_amplitude": "m0.amplitude",
+    "tol_fixed_point": "solver.tol_fixed_point", "damping": "solver.damping",
+    "max_iters": "solver.max_iters", "seed": "seed",
+}
+
+RESULT_COLUMNS = ("sweep_index", *CONFIG_ECHO_COLUMNS, *EfficiencyReport.SCHEMA, "wall_time_s")
 
 SWEEPABLE = (
     "coupling.lambda", "terminal.lambda", "grid.n", "grid.nt",
@@ -49,28 +85,48 @@ SWEEPABLE = (
 )
 
 
-def _need(cfg: dict, path: str, typ, default=None, required=False):
-    node = cfg
-    parts = path.split(".")
-    for p in parts[:-1]:
-        node = node.get(p, {}) if isinstance(node, dict) else {}
-    if not isinstance(node, dict) or parts[-1] not in node:
-        if required:
-            raise ConfigError(f"{path}: missing required field")
-        return default
-    val = node[parts[-1]]
-    if isinstance(val, bool) and typ is not bool:  # bool is an int subclass, but no number
-        raise ConfigError(f"{path}: expected {typ.__name__}, got bool")
-    if typ is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, typ):
-        raise ConfigError(f"{path}: expected {typ.__name__}, got {type(val).__name__}")
-    return val
-
-
 def _is_number(val) -> bool:
     """An int or a float, not a bool (JSON true and false are no numbers)."""
     return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _typed(key: str, val, typ):
+    """val as a value of the key's type (an int becomes a float); ConfigError otherwise."""
+    kinds = typ if isinstance(typ, tuple) else (typ,)
+    if float in kinds and _is_number(val):
+        if not abs(val) <= _FLOAT_MAX:
+            raise ConfigError(f"{key}: expected a finite number, got {val}")
+        return float(val) if typ is float else val
+    if isinstance(val, kinds) and not isinstance(val, bool):
+        return val
+    names = " or ".join(k.__name__ for k in kinds)
+    raise ConfigError(f"{key}: expected {names}, got {type(val).__name__}")
+
+
+def _config_values(cfg: dict) -> dict:
+    """{key: value} of every CONFIG_KEYS key of a config point, given or default.
+
+    One walk over the point: a section that is no JSON object, a key
+    that the table does not hold, a missing required key and a value of
+    the wrong type each raise ConfigError naming the path.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError("top level: expected a JSON object")
+    for name, node in cfg.items():
+        if name in _SECTIONS and not isinstance(node, dict):
+            raise ConfigError(f"{name}: expected a JSON object, got {type(node).__name__}")
+        paths = [f"{name}.{key}" for key in node] if name in _SECTIONS else [name]
+        for path in paths:
+            if path not in CONFIG_KEYS and path not in _OTHER_TOP_KEYS:
+                raise ConfigError(f"{path}: unknown key")
+    values = {}
+    for key, (typ, default) in CONFIG_KEYS.items():
+        section, _, name = key.rpartition(".")
+        val = (cfg.get(section, {}) if section else cfg).get(name, default)
+        if val is _REQUIRED:
+            raise ConfigError(f"{key}: missing required field")
+        values[key] = None if val is None and default is None else _typed(key, val, typ)
+    return values
 
 
 def load_config(path: str | Path) -> dict:
@@ -91,152 +147,105 @@ def validate_config(cfg: dict) -> None:
     A sweep is checked point by point before any point runs; an error in
     the point of value i names sweep.values[i] and the field.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("top level: expected a JSON object")
     _validate_point(cfg)
     sweep = cfg.get("sweep")
-    if sweep is not None:
-        param = _need(cfg, "sweep.parameter", str, required=True)
-        if param not in SWEEPABLE:
-            raise ConfigError(f"sweep.parameter: {param!r} not sweepable; "
-                              f"choose from {SWEEPABLE}")
-        values = _need(cfg, "sweep.values", list, required=True)
-        if not values:
-            raise ConfigError("sweep.values: empty list")
-        for i, v in enumerate(values):
-            if not _is_number(v):
-                raise ConfigError(f"sweep.values[{i}]: expected a number, got {v!r}")
-            if param in ("grid.n", "grid.nt") and not float(v).is_integer():
-                raise ConfigError(f"sweep.values[{i}]: {param}: expected an integer, got {v}")
-            try:
-                _validate_point(_apply_sweep_value(cfg, param, v))
-            except ConfigError as exc:
-                raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
+    if sweep is None:
+        return
+    if not isinstance(sweep, dict):
+        raise ConfigError(f"sweep: expected a JSON object, got {type(sweep).__name__}")
+    param = sweep.get("parameter")
+    if param not in SWEEPABLE:
+        raise ConfigError(f"sweep.parameter: {param!r} not sweepable; choose from {SWEEPABLE}")
+    values = sweep.get("values")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep.values: expected a nonempty list, got {values!r}")
+    for i, v in enumerate(values):
+        if not _is_number(v) or not abs(v) <= _FLOAT_MAX:
+            raise ConfigError(f"sweep.values[{i}]: expected a finite number, got {v!r}")
+        if CONFIG_KEYS[param][0] is int and not float(v).is_integer():
+            raise ConfigError(f"sweep.values[{i}]: {param}: expected an integer, got {v}")
+        try:
+            _validate_point(_apply_sweep_value(cfg, param, v))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
 
 
-def _validate_point(cfg: dict) -> None:
-    """validate_config for everything but the sweep section."""
-    schema = cfg.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"schema: unsupported version {schema}")
-    n = _need(cfg, "grid.n", int, required=True)
-    nt = _need(cfg, "grid.nt", int, required=True)
-    if n < 4:
-        raise ConfigError(f"grid.n: need >= 4, got {n}")
-    if nt < 4:
-        raise ConfigError(f"grid.nt: need >= 4, got {nt}")
-    t0 = _need(cfg, "grid.t0", float, 0.0)
-    T = _need(cfg, "grid.T", float, 1.0)
+def _validate_point(cfg: dict) -> dict:
+    """validate_config for everything but the sweep section; the point's values."""
+    v = _config_values(cfg)
+    if v["schema"] != SCHEMA_VERSION:
+        raise ConfigError(f"schema: unsupported version {v['schema']}")
+    for key in ("grid.n", "grid.nt"):
+        if v[key] < 4:
+            raise ConfigError(f"{key}: need >= 4, got {v[key]}")
+    t0, T = v["grid.t0"], v["grid.T"]
     if not T > t0:
         raise ConfigError(f"grid.T: need T > t0, got t0={t0}, T={T}")
-    ham = _need(cfg, "hamiltonian", str, "quadratic")
-    if ham not in HAMILTONIANS:
-        raise ConfigError(f"hamiltonian: unknown label {ham!r}")
-    for section in ("coupling", "terminal"):
-        label = _need(cfg, f"{section}.label", str, "zero")
-        if label not in COUPLING_LABELS:
-            raise ConfigError(f"{section}.label: unknown label {label!r}; "
-                              f"choose from {COUPLING_LABELS}")
-        kern = _need(cfg, f"{section}.kernel", str, "cos_diff")
-        if kern not in KERNELS:
-            raise ConfigError(f"{section}.kernel: unknown kernel {kern!r}")
-        prof = _need(cfg, f"{section}.profile", str, "quadratic")
-        if prof not in PROFILES:
-            raise ConfigError(f"{section}.profile: unknown profile {prof!r}")
-        _need(cfg, f"{section}.lambda", float, 1.0)
-    kind = _need(cfg, "m0.kind", str, "cosine")
-    if kind not in ("uniform", "cosine", "file"):
-        raise ConfigError(f"m0.kind: unknown kind {kind!r}")
-    if kind == "cosine":
-        amp = _need(cfg, "m0.amplitude", float, 0.5)
-        if not -1.0 < amp < 1.0:
-            raise ConfigError(f"m0.amplitude: {amp} does not keep the density positive")
-    if kind == "file":
-        _need(cfg, "m0.path", str, required=True)
-    tol = _need(cfg, "solver.tol_fixed_point", float, 1e-8)
-    if tol <= 0:
-        raise ConfigError(f"solver.tol_fixed_point: must be positive, got {tol}")
-    damping = cfg.get("solver", {}).get("damping", "auto")
+    for key, choices in _CHOICES.items():
+        if v[key] not in choices:
+            raise ConfigError(f"{key}: unknown name {v[key]!r}; choose from {choices}")
+    if v["m0.kind"] == "cosine" and not -1.0 < v["m0.amplitude"] < 1.0:
+        raise ConfigError(f"m0.amplitude: {v['m0.amplitude']} does not keep the density positive")
+    if v["m0.kind"] == "file" and v["m0.path"] is None:
+        raise ConfigError("m0.path: missing required field")
+    if v["solver.tol_fixed_point"] <= 0:
+        raise ConfigError(f"solver.tol_fixed_point: need > 0, got {v['solver.tol_fixed_point']}")
+    damping = v["solver.damping"]
     if isinstance(damping, str):
         if damping not in ("auto", "averaging"):
             raise ConfigError(f"solver.damping: unknown schedule {damping!r}")
-    elif _is_number(damping):
-        if not 0.0 < float(damping) <= 1.0:
-            raise ConfigError(f"solver.damping: need a factor in (0, 1], got {damping}")
-    else:
-        raise ConfigError("solver.damping: expected a number or schedule name")
-    max_iters = _need(cfg, "solver.max_iters", int, 200)
-    if max_iters < 1:
-        raise ConfigError(f"solver.max_iters: need >= 1, got {max_iters}")
-    eps = cfg.get("epsilon")
+    elif not 0.0 < damping <= 1.0:
+        raise ConfigError(f"solver.damping: need a factor in (0, 1], got {damping}")
+    if v["solver.max_iters"] < 1:
+        raise ConfigError(f"solver.max_iters: need >= 1, got {v['solver.max_iters']}")
+    eps = v["epsilon"]
     if eps is not None:
-        if not _is_number(eps):
-            raise ConfigError("epsilon: expected a number or null")
         if not 0.0 < eps < 0.5 * (T - t0):
-            raise ConfigError(f"epsilon: need 0 < epsilon < (T-t0)/2 = {0.5 * (T - t0)}, "
-                              f"got {eps}")
-        if not _window_levels(Grid(n=n, nt=nt, t0=t0, T=T), eps).size:
+            raise ConfigError(f"epsilon: need 0 < epsilon < (T-t0)/2 = {(T - t0) / 2}, got {eps}")
+        if not _window_levels(Grid(n=v["grid.n"], nt=v["grid.nt"], t0=t0, T=T), eps).size:
             raise ConfigError(f"epsilon: no time level of the grid lies in "
                               f"[t0+epsilon, T-epsilon] for epsilon={eps}")
-    _need(cfg, "seed", int, 0)
+    return v
 
 
 def _apply_sweep_value(cfg: dict, param: str, value) -> dict:
     out = copy.deepcopy(cfg)
     out.pop("sweep", None)
-    if param == "coupling.lambda":
-        out.setdefault("coupling", {})["lambda"] = float(value)
-    elif param == "terminal.lambda":
-        out.setdefault("terminal", {})["lambda"] = float(value)
-    elif param == "grid.n":
-        out.setdefault("grid", {})["n"] = int(value)
-    elif param == "grid.nt":
-        out.setdefault("grid", {})["nt"] = int(value)
-    elif param == "m0.amplitude":
-        out.setdefault("m0", {})["amplitude"] = float(value)
-    elif param == "epsilon":
-        out["epsilon"] = float(value)
+    section, _, name = param.rpartition(".")
+    (out.setdefault(section, {}) if section else out)[name] = CONFIG_KEYS[param][0](value)
     return out
 
 
 def build_problem(cfg: dict) -> tuple[Problem, SolverParams, float]:
     """Instantiate the model of one (sweep-free) config point."""
-    grid = Grid(n=_need(cfg, "grid.n", int, required=True),
-                nt=_need(cfg, "grid.nt", int, required=True),
-                t0=_need(cfg, "grid.t0", float, 0.0),
-                T=_need(cfg, "grid.T", float, 1.0))
-    ham = HAMILTONIANS[_need(cfg, "hamiltonian", str, "quadratic")]()
+    v = _validate_point(cfg)
+    grid = Grid(n=v["grid.n"], nt=v["grid.nt"], t0=v["grid.t0"], T=v["grid.T"])
+    ham = HAMILTONIANS[v["hamiltonian"]]()
 
     def make(section):
-        return coupling_from_label(
-            grid,
-            _need(cfg, f"{section}.label", str, "zero"),
-            lam=_need(cfg, f"{section}.lambda", float, 1.0),
-            kernel=_need(cfg, f"{section}.kernel", str, "cos_diff"),
-            profile=_need(cfg, f"{section}.profile", str, "quadratic"),
-        )
+        return coupling_from_label(grid, v[f"{section}.label"], lam=v[f"{section}.lambda"],
+                                   kernel=v[f"{section}.kernel"], profile=v[f"{section}.profile"])
 
-    kind = _need(cfg, "m0.kind", str, "cosine")
+    kind = v["m0.kind"]
     if kind == "uniform":
         m0 = density_uniform(grid)
     elif kind == "cosine":
-        m0 = density_cosine(grid, _need(cfg, "m0.amplitude", float, 0.5))
+        m0 = density_cosine(grid, v["m0.amplitude"])
     else:
-        path = _need(cfg, "m0.path", str, required=True)
+        path = v["m0.path"]
         try:
             m0 = check_density_slice(np.load(path) if path.endswith(".npy")
                                      else np.loadtxt(path), grid)
         except (OSError, ValueError) as exc:  # unreadable file, wrong length, not a density
             raise ConfigError(f"m0.path: {path}: {exc}") from exc
 
-    damping = cfg.get("solver", {}).get("damping", "auto")
+    damping = v["solver.damping"]
     params = SolverParams(
         damping=damping if isinstance(damping, str) else float(damping),
-        max_iters=_need(cfg, "solver.max_iters", int, 200),
-        tol_fixed_point=_need(cfg, "solver.tol_fixed_point", float, 1e-8),
+        max_iters=v["solver.max_iters"],
+        tol_fixed_point=v["solver.tol_fixed_point"],
     )
-    eps = cfg.get("epsilon")
-    eps = default_epsilon(grid) if eps is None else float(eps)
+    eps = default_epsilon(grid) if v["epsilon"] is None else v["epsilon"]
     problem = Problem(hamiltonian=ham, coupling=make("coupling"),
                       terminal=make("terminal"), m0=m0, grid=grid)
     return problem, params, eps
@@ -248,29 +257,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):  # np.float64 too: its repr names the type
         return repr(float(v))
     return str(v)
-
-
-def _echo(cfg: dict, index: int) -> dict:
-    damping = cfg.get("solver", {}).get("damping", "auto")
-    return {
-        "sweep_index": index,
-        "n": _need(cfg, "grid.n", int, required=True),
-        "nt": _need(cfg, "grid.nt", int, required=True),
-        "t0": _need(cfg, "grid.t0", float, 0.0),
-        "T": _need(cfg, "grid.T", float, 1.0),
-        "hamiltonian": _need(cfg, "hamiltonian", str, "quadratic"),
-        "coupling": _need(cfg, "coupling.label", str, "zero"),
-        "kernel": _need(cfg, "coupling.kernel", str, "cos_diff"),
-        "coupling_lambda": _need(cfg, "coupling.lambda", float, 1.0),
-        "terminal": _need(cfg, "terminal.label", str, "zero"),
-        "terminal_lambda": _need(cfg, "terminal.lambda", float, 1.0),
-        "m0_kind": _need(cfg, "m0.kind", str, "cosine"),
-        "m0_amplitude": _need(cfg, "m0.amplitude", float, 0.5),
-        "tol_fixed_point": _need(cfg, "solver.tol_fixed_point", float, 1e-8),
-        "damping": damping,
-        "max_iters": _need(cfg, "solver.max_iters", int, 200),
-        "seed": _need(cfg, "seed", int, 0),
-    }
 
 
 def run(cfg: dict, out_path: str | Path) -> list[dict]:
@@ -298,7 +284,9 @@ def run(cfg: dict, out_path: str | Path) -> list[dict]:
             problem, params, eps = build_problem(point)
             report = full_report(problem, params, eps)
             wall = time.perf_counter() - start
-            row = _echo(point, idx)
+            values = _config_values(point)
+            row = {"sweep_index": idx}
+            row.update((column, values[key]) for column, key in CONFIG_ECHO_COLUMNS.items())
             row.update({k: getattr(report, k) for k in EfficiencyReport.SCHEMA})
             row["wall_time_s"] = wall
             rows.append(row)

@@ -81,16 +81,12 @@ def feedback_drift(problem: Problem, u: np.ndarray) -> np.ndarray:
     return -problem.hamiltonian.dp_h0(grid.xs()[None, :], gradient(u, grid))
 
 
-def _coupling_fields(problem: Problem, m: np.ndarray) -> np.ndarray:
+def _equilibrium_data(problem: Problem, m: np.ndarray):
+    """Backward data of the equilibrium system along the flow m (see fixed_point)."""
     # the exact stacked eval: each slice bit for bit its own eval; a gemm over the stack
     # would sum in another order and move the iteration counts that the benchmark's
     # reference rows pin exactly
-    return problem.coupling.eval(m, exact=True)
-
-
-def _equilibrium_data(problem: Problem, m: np.ndarray):
-    """Backward data of the equilibrium system along the flow m (see fixed_point)."""
-    return _coupling_fields(problem, m), problem.terminal.eval(m[-1]), None
+    return problem.coupling.eval(m, exact=True), problem.terminal.eval(m[-1]), None
 
 
 def _heat_flow(problem: Problem) -> np.ndarray:

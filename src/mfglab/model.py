@@ -1,8 +1,8 @@
 """Hamiltonians, coupling functions and their measure derivatives.
 
 Couplings F(x, m) and terminal costs G(x, m) share one representation: a
-label, a strength multiplier, a vectorized evaluation m -> field over grid
-points, and the kernel of the linear functional derivative as a matrix
+label, a vectorized evaluation m -> field over grid points, and the
+kernel of the linear functional derivative as a matrix
 
     delta(m)[i, j] = dF/dm(x_i, m, y_j),
 
@@ -69,13 +69,6 @@ class Hamiltonian:
     dp_h0: Callable[[np.ndarray, np.ndarray], np.ndarray]
     l0: Callable[[np.ndarray, np.ndarray], np.ndarray]
     da_l0: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    label: str = "custom"
-
-    def legendre_defect(self, x: np.ndarray, p: np.ndarray) -> float:
-        """Max violation of l0(x, -dp_h0) + h0 - p dp_h0 = 0 on given samples."""
-        dp = self.dp_h0(x, p)
-        res = self.l0(x, -dp) + self.h0(x, p) - p * dp
-        return float(np.abs(res).max())
 
 
 def quadratic_hamiltonian() -> Hamiltonian:
@@ -85,7 +78,6 @@ def quadratic_hamiltonian() -> Hamiltonian:
         dp_h0=lambda x, p: p,
         l0=lambda x, a: 0.5 * a**2,
         da_l0=lambda x, a: a,
-        label="quadratic",
     )
 
 
@@ -121,7 +113,6 @@ class Coupling:
     """
 
     label: str
-    strength: float
     _slice: Callable[..., tuple[np.ndarray, Callable | None, Callable | None]]
     grid: Grid
 
@@ -194,14 +185,14 @@ def _kernel_matrix(grid: Grid, kernel: Callable) -> np.ndarray:
 
 
 def coupling_zero(grid: Grid) -> Coupling:
-    return Coupling("zero", 0.0, lambda m, exact=False: (np.zeros(m.shape), None, None), grid)
+    return Coupling("zero", lambda m, exact=False: (np.zeros(m.shape), None, None), grid)
 
 
 def coupling_spatial(grid: Grid, f: Callable[[np.ndarray], np.ndarray],
                      lam: float = 1.0, label: str = "spatial") -> Coupling:
     """m-independent coupling F(x, m) = lam * f(x); derivative vanishes."""
     values = lam * np.asarray(f(grid.xs()), dtype=float)
-    return Coupling(label, lam,
+    return Coupling(label,
                     lambda m, exact=False: (np.broadcast_to(values, m.shape).copy(), None, None),
                     grid)
 
@@ -234,7 +225,7 @@ def coupling_convolution(grid: Grid, kernel: Callable | None = None,
 
         return lam * pm * dx, fill, residual
 
-    return Coupling("convolution", lam, terms, grid)
+    return Coupling("convolution", terms, grid)
 
 
 def coupling_efficient(grid: Grid, kernel: Callable | None = None,
@@ -270,7 +261,7 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
 
         return lam * (s - q[..., None]), fill, residual
 
-    return Coupling("efficient", lam, terms, grid)
+    return Coupling("efficient", terms, grid)
 
 
 def coupling_potential(grid: Grid, kernel: Callable | None = None,
@@ -303,7 +294,7 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
 
         return field, fill, residual
 
-    return Coupling("potential", lam, terms, grid)
+    return Coupling("potential", terms, grid)
 
 
 def coupling_xfree(grid: Grid, profile: Callable | None = None,
@@ -332,7 +323,7 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
 
         return np.multiply.outer(lam * g(s), ones), fill, residual
 
-    return Coupling("xfree", lam, terms, grid)
+    return Coupling("xfree", terms, grid)
 
 
 def kernel_cos_diff(x, y):
@@ -411,12 +402,6 @@ def delta_m_fd_check(coupling: Coupling, m: np.ndarray, i: int, j: int,
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def weighted_average(coupling: Coupling, m: np.ndarray) -> float:
-    """int F(x, m) m(dx) -- the averaged coupling along m."""
-    m = np.asarray(m, dtype=float)
-    return float(coupling.eval(m) @ m) * coupling.grid.dx
-
-
 def residual_field(coupling: Coupling, m: np.ndarray) -> np.ndarray:
     """The field y -> int dF/dm(x, m, y) m(dx) (quadrature over base points).
 
@@ -454,13 +439,6 @@ def density_cosine(grid: Grid, amplitude: float = 0.5) -> np.ndarray:
     if not -1.0 < amplitude < 1.0:
         raise ValueError(f"amplitude {amplitude} does not keep the density positive")
     return 1.0 + amplitude * np.cos(TWO_PI * grid.xs())
-
-
-def grid_delta(grid: Grid, j: int) -> np.ndarray:
-    """Unit-mass single-cell spike at index j."""
-    m = np.zeros(grid.n)
-    m[j] = 1.0 / grid.dx
-    return m
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from mfglab import (
     default_epsilon,
     delta_m_fd_check,
     duality_check,
+    equilibrium,
     lb_integrands,
     phi_eval,
     residual_field,
@@ -32,7 +33,6 @@ from mfglab import (
     solve_mfg,
     solve_planner_descent,
     solve_planner_system,
-    weighted_average,
 )
 from mfglab.harness import fit_scaling, read_rows, run
 from mfglab.model import coupling_from_label
@@ -80,8 +80,9 @@ def desk():
 def phi_samples(b: Bundle, h_samples: int = 32):
     """phi values over both perturbation variants at the standard h grid."""
     out = []
+    eq = equilibrium(b.sol, b.problem)
     for builder in (build_perturbation_running, build_perturbation_terminal):
-        pert = builder(b.sol, b.problem, b.eps)
+        pert = builder(eq, b.eps)
         if np.abs(pert.mu.values).max() == 0.0:
             continue
         tau = pert.tau if np.isfinite(pert.tau) else 1.0
@@ -128,7 +129,7 @@ class TestCriterion3:
     def test_strict_inefficiency_detection(self):
         tol = 1e-9
         b = make_bundle("convolution", lam=1.0, amp=0.8, tol=tol)
-        cert = certificate(b.sol, b.problem, b.eps)
+        cert = certificate(equilibrium(b.sol, b.problem), b.eps)
         ok = cert >= 10.0 * tol
         report(3, ok, f"convolution lambda=1: certificate={cert:.3e} >= "
                f"10 x fixed-point tol = {10 * tol:.1e}")
@@ -194,12 +195,12 @@ class TestCriterion7:
         b = desk["potential"]
         g = b.problem.grid
         m = b.sol.m.values
-        fhat = max(abs(weighted_average(b.problem.coupling, m[k]))
+        fhat = max(abs(float(b.problem.coupling.eval(m[k]) @ m[k]) * g.dx)
                    for k in range(g.nt + 1))
         resid_vs_f = max(float(np.abs(residual_field(b.problem.coupling, m[k])
                                       + b.problem.coupling.eval(m[k])).max())
                          for k in range(g.nt + 1))
-        lb_f, _ = lb_integrands(b.sol, b.problem, 0.0)
+        lb_f, _ = lb_integrands(equilibrium(b.sol, b.problem), 0.0)
         w = np.full(g.nt + 1, g.dt)
         w[0] = w[-1] = g.dt / 2
         f_sq = sum(w[k] * float(b.problem.coupling.eval(m[k]) ** 2 @ np.ones(g.n))

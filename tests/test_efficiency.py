@@ -11,6 +11,7 @@ from mfglab import (
     certificate,
     default_epsilon,
     duality_check,
+    equilibrium,
     full_report,
     holder_diagnostic,
     lb_integrands,
@@ -100,7 +101,7 @@ class TestBoundIntegrands:
         g, b = bench64
         prob, sol = b["efficient"]
         eps = default_epsilon(g)
-        lb_f, lb_g = lb_integrands(sol, prob, eps)
+        lb_f, lb_g = lb_integrands(equilibrium(sol, prob), eps)
         assert lb_f <= 1e-12 and lb_g == 0.0
 
     def test_potential_equals_coupling_square_integral(self, bench64):
@@ -108,7 +109,7 @@ class TestBoundIntegrands:
         # exactly the time-space integral of F^2 in the same quadrature
         g, b = bench64
         prob, sol = b["potential"]
-        lb_f, _ = lb_integrands(sol, prob, 0.0)
+        lb_f, _ = lb_integrands(equilibrium(sol, prob), 0.0)
         w = np.full(g.nt + 1, g.dt)
         w[0] = w[-1] = g.dt / 2
         oracle = sum(w[k] * float(prob.coupling.eval(sol.m.values[k]) ** 2
@@ -119,8 +120,8 @@ class TestBoundIntegrands:
     def test_window_monotone(self, bench64):
         g, b = bench64
         prob, sol = b["convolution"]
-        full, lb_g0 = lb_integrands(sol, prob, 0.0)
-        windowed, lb_g1 = lb_integrands(sol, prob, default_epsilon(g))
+        full, lb_g0 = lb_integrands(equilibrium(sol, prob), 0.0)
+        windowed, lb_g1 = lb_integrands(equilibrium(sol, prob), default_epsilon(g))
         assert windowed <= full
         assert lb_g0 == lb_g1
 
@@ -128,26 +129,26 @@ class TestBoundIntegrands:
         g, b = bench64
         prob, sol = b["convolution"]
         with pytest.raises(ValueError):
-            lb_integrands(sol, prob, 0.6 * (g.T - g.t0))
+            lb_integrands(equilibrium(sol, prob), 0.6 * (g.T - g.t0))
 
     def test_empty_window_rejected(self):
         # on seven steps no time level lies in [0.45, 0.55]
         g = Grid(n=16, nt=7)
         prob = make_problem(g, "convolution")
         with pytest.raises(ValueError, match="no time level"):
-            lb_integrands(solve_mfg(prob), prob, 0.45)
+            lb_integrands(equilibrium(solve_mfg(prob), prob), 0.45)
 
     def test_ub_norm_consistency(self, bench64):
         g, b = bench64
         prob, sol = b["convolution"]
-        lb_f, lb_g = lb_integrands(sol, prob, 0.0)
+        lb_f, lb_g = lb_integrands(equilibrium(sol, prob), 0.0)
         assert lb_g == 0.0  # zero terminal cost
-        assert ub_norm(sol, prob) == pytest.approx(np.sqrt(lb_f + lb_g), rel=1e-15)
+        assert ub_norm(equilibrium(sol, prob)) == pytest.approx(np.sqrt(lb_f + lb_g), rel=1e-15)
 
     def test_ub_norm_efficient_vanishes(self, bench64):
         g, b = bench64
         prob, sol = b["efficient"]
-        assert ub_norm(sol, prob) <= 1e-6
+        assert ub_norm(equilibrium(sol, prob)) <= 1e-6
 
     def test_homogeneity_in_strength(self, bench64):
         # at a frozen density path the residual is linear in the coupling
@@ -155,10 +156,11 @@ class TestBoundIntegrands:
         g, b = bench64
         prob, sol = b["convolution"]
         prob2 = make_problem(g, "convolution", lam=2.0)
-        lb1, _ = lb_integrands(sol, prob, 0.0)
-        lb2, _ = lb_integrands(sol, prob2, 0.0)
+        lb1, _ = lb_integrands(equilibrium(sol, prob), 0.0)
+        lb2, _ = lb_integrands(equilibrium(sol, prob2), 0.0)
         assert lb2 == pytest.approx(4.0 * lb1, rel=1e-12)
-        assert ub_norm(sol, prob2) == pytest.approx(2.0 * ub_norm(sol, prob), rel=1e-12)
+        assert ub_norm(equilibrium(sol, prob2)) == pytest.approx(
+            2.0 * ub_norm(equilibrium(sol, prob)), rel=1e-12)
 
 
 class TestPerturbations:
@@ -166,7 +168,7 @@ class TestPerturbations:
         g, b = bench64
         prob, sol = b["convolution"]
         eps = default_epsilon(g)
-        pert = build_perturbation_running(sol, prob, eps)
+        pert = build_perturbation_running(equilibrium(sol, prob), eps)
         mu = pert.mu.values
         assert np.abs(mu.sum(axis=1) * g.dx).max() <= 1e-10
         assert np.all(mu[0] == 0.0)
@@ -183,7 +185,7 @@ class TestPerturbations:
                             terminal=coupling_from_label(g, "convolution", lam=0.5))
         sol = solve_mfg(prob)
         eps = default_epsilon(g)
-        pert = build_perturbation_terminal(sol, prob, eps)
+        pert = build_perturbation_terminal(equilibrium(sol, prob), eps)
         t = g.times()
         support = np.abs(pert.mu.values).max(axis=1) > 0
         assert not support[t < g.T - eps - 1e-12].any()
@@ -194,13 +196,13 @@ class TestPerturbations:
     def test_efficient_direction_vanishes(self, bench64):
         g, b = bench64
         prob, sol = b["efficient"]
-        pert = build_perturbation_running(sol, prob, default_epsilon(g))
+        pert = build_perturbation_running(equilibrium(sol, prob), default_epsilon(g))
         assert np.abs(pert.mu.values).max() <= 1e-12
 
     def test_zero_terminal_cost_gives_zero_direction(self, bench64):
         g, b = bench64
         prob, sol = b["convolution"]  # G = 0 here
-        pert = build_perturbation_terminal(sol, prob, default_epsilon(g))
+        pert = build_perturbation_terminal(equilibrium(sol, prob), default_epsilon(g))
         assert np.abs(pert.mu.values).max() == 0.0
         assert np.all(pert.beta.values == 0.0)
 
@@ -208,20 +210,20 @@ class TestPerturbations:
         g, b = bench64
         prob, sol = b["convolution"]
         with pytest.raises(ValueError):
-            build_perturbation_running(sol, prob, 0.0)
+            build_perturbation_running(equilibrium(sol, prob), 0.0)
 
 
 class TestPhi:
     def test_zero_perturbation_size_reproduces_cost(self, bench64):
         g, b = bench64
         prob, sol = b["convolution"]
-        pert = build_perturbation_running(sol, prob, default_epsilon(g))
+        pert = build_perturbation_running(equilibrium(sol, prob), default_epsilon(g))
         assert phi_eval(sol, pert, 0.0, prob) == social_cost(sol, prob)
 
     def test_h_range_enforced(self, bench64):
         g, b = bench64
         prob, sol = b["convolution"]
-        pert = build_perturbation_running(sol, prob, default_epsilon(g))
+        pert = build_perturbation_running(equilibrium(sol, prob), default_epsilon(g))
         with pytest.raises(ValueError):
             phi_eval(sol, pert, pert.tau * 1.01, prob)
         with pytest.raises(ValueError):
@@ -234,7 +236,7 @@ class TestPhi:
         prob = make_problem(g, "potential", lam=0.8)
         sol = solve_mfg(prob)
         eps = default_epsilon(g)
-        pert = build_perturbation_running(sol, prob, eps)
+        pert = build_perturbation_running(equilibrium(sol, prob), eps)
         c0 = social_cost(sol, prob)
         m = sol.m.values
         formula = -sum(g.dt * pert.gamma[k]
@@ -248,7 +250,7 @@ class TestPhi:
         g, b = bench64
         prob, sol = b["potential"]
         desc = solve_planner_descent(prob, fast_params, init=sol.alpha_star)
-        pert = build_perturbation_running(sol, prob, default_epsilon(g))
+        pert = build_perturbation_running(equilibrium(sol, prob), default_epsilon(g))
         tau = pert.tau if np.isfinite(pert.tau) else 1.0
         for h in np.geomspace(1e-4 * tau, tau, 8):
             assert phi_eval(sol, pert, h, prob) >= desc.cost - 1e-6 * (1 + abs(desc.cost))
@@ -260,7 +262,7 @@ class TestPhi:
         # the cost, certifying nothing)
         g, b = bench64
         prob, sol = b["efficient"]
-        pert = build_perturbation_running(sol, prob, default_epsilon(g))
+        pert = build_perturbation_running(equilibrium(sol, prob), default_epsilon(g))
         c0 = social_cost(sol, prob)
         for h in np.geomspace(1e-3, 1e3, 5):
             assert abs(phi_eval(sol, pert, h, prob) - c0) <= 1e-10 * (1 + abs(c0))
@@ -270,17 +272,17 @@ class TestCertificate:
     def test_zero_problem(self, bench64):
         g, b = bench64
         prob, sol = b["zero"]
-        assert certificate(sol, prob, default_epsilon(g)) == 0.0
+        assert certificate(equilibrium(sol, prob), default_epsilon(g)) == 0.0
 
     def test_efficient_below_tolerance(self, bench64):
         g, b = bench64
         prob, sol = b["efficient"]
-        assert certificate(sol, prob, default_epsilon(g)) <= 1e-8
+        assert certificate(equilibrium(sol, prob), default_epsilon(g)) <= 1e-8
 
     def test_strictly_positive_and_below_gap(self, bench64, fast_params):
         g, b = bench64
         prob, sol = b["convolution"]
-        cert = certificate(sol, prob, default_epsilon(g))
+        cert = certificate(equilibrium(sol, prob), default_epsilon(g))
         desc = solve_planner_descent(prob, fast_params, init=sol.alpha_star)
         gap = social_cost(sol, prob) - desc.cost
         assert cert > 1e-9
@@ -297,10 +299,11 @@ class TestCertificate:
                             terminal=coupling_from_label(g, "convolution", lam=0.5))
         sol = solve_mfg(prob)
         eps = default_epsilon(g)
+        eq = equilibrium(sol, prob)
         cost_eq = social_cost(sol, prob)
         best = 0.0
         for builder in (build_perturbation_running, build_perturbation_terminal):
-            pert = builder(sol, prob, eps)
+            pert = builder(eq, eps)
             assert float(np.abs(pert.mu.values).max()) > 0.0
             tau = pert.tau if np.isfinite(pert.tau) else 1.0
             hs = np.geomspace(1e-4 * tau, tau, 32)
@@ -310,7 +313,7 @@ class TestCertificate:
             for phi in phis:
                 best = max(best, cost_eq - phi)
         assert best > 0.0
-        assert abs(certificate(sol, prob, eps) - best) <= 1e-12 * (1.0 + abs(cost_eq))
+        assert abs(certificate(eq, eps) - best) <= 1e-12 * (1.0 + abs(cost_eq))
 
 
 class TestDuality:
@@ -407,6 +410,21 @@ class TestFullReport:
         assert rep.gap == pytest.approx(rep.cost_mfg, rel=1e-6)
         assert rep.lb_integrand_G == 0.0
         assert rep.holder != rep.holder  # NaN for non-xfree couplings
+
+    def test_fields_equal_the_public_functions_on_the_equilibrium(self):
+        # full_report reads its bounds and certificate through the same public
+        # functions, on the same record, bit for bit
+        g = Grid(n=32, nt=64)
+        prob = make_problem(g, "convolution", lam=1.0,
+                            terminal=coupling_from_label(g, "convolution", lam=0.5))
+        rep = full_report(prob)
+        eq = equilibrium(solve_mfg(prob), prob)
+        assert (rep.lb_integrand_F, rep.lb_integrand_G) == lb_integrands(eq, rep.epsilon)
+        assert rep.ub_norm == ub_norm(eq)
+        assert rep.certificate == certificate(eq, rep.epsilon) > 0.0
+        assert rep.residual_F_sup == float(np.abs(eq.r_path).max()) > 0.0
+        assert rep.residual_G_sup == float(np.abs(eq.r_g).max()) > 0.0
+        assert rep.cost_mfg == eq.cost == social_cost(eq.sol, prob)
 
 
 def _dense_path_terms(coupling, m):

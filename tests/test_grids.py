@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +10,8 @@ from mfglab import (
     ScalarPath,
     continuity_residual_1d,
     gradient,
-    integrate,
     laplacian,
     reconstruct_flux_1d,
-    w1_distance_1d,
 )
 from mfglab import stepping
 from mfglab.errors import (
@@ -136,21 +132,6 @@ class TestOperators:
         np.testing.assert_allclose(lhs, rhs, atol=1e-7)
 
 
-class TestIntegrate:
-    def test_constant(self, grid32):
-        assert integrate(np.ones(32), grid32) == pytest.approx(1.0, abs=1e-15)
-
-    def test_sine_exact_zero(self):
-        g = Grid(n=128, nt=4)
-        assert abs(integrate(np.sin(TWO_PI * g.xs()), g)) < 1e-12
-
-    def test_against_fsum_oracle(self, rng):
-        g = Grid(n=128, nt=4)
-        f = rng.standard_normal(128) * 100
-        oracle = math.fsum(float(v) for v in f) * g.dx
-        assert integrate(f, g) == pytest.approx(oracle, rel=1e-14)
-
-
 class TestPaths:
     def test_shape_validation(self, grid32):
         with pytest.raises(ShapeMismatchError):
@@ -244,39 +225,6 @@ class TestFluxReconstruction:
         mu = ScalarPath(np.ones((17, 32)) * 1e-3, grid32)
         with pytest.raises(ValueError, match="nonzero mean"):
             reconstruct_flux_1d(mu, grid32)
-
-
-class TestW1:
-    def test_identical(self, grid32):
-        m = np.ones(32)
-        assert w1_distance_1d(m, m, grid32) == 0.0
-
-    def test_translated_deltas(self):
-        g = Grid(n=16, nt=4)
-        for shift in (1, 3, 7):
-            m1 = np.zeros(16)
-            m2 = np.zeros(16)
-            m1[0] = 1.0 / g.dx
-            m2[shift] = 1.0 / g.dx
-            d = w1_distance_1d(m1, m2, g)
-            assert abs(d - min(shift, 16 - shift) * g.dx) <= g.dx + 1e-12
-
-    def test_mass_mismatch(self, grid32):
-        with pytest.raises(MassConservationError):
-            w1_distance_1d(np.ones(32), np.ones(32) * 1.01, grid32)
-
-    def test_against_cut_enumeration(self, rng):
-        # brute force: unroll the circle at every cut and take the best
-        # line-transport value; the median construction must match it
-        g = Grid(n=16, nt=4)
-        for _ in range(20):
-            m1 = rng.uniform(0.1, 2.0, 16)
-            m2 = rng.uniform(0.1, 2.0, 16)
-            m1 /= m1.sum() * g.dx
-            m2 /= m2.sum() * g.dx
-            cdf = np.cumsum(m1 - m2) * g.dx
-            brute = min(float(np.abs(cdf - c).sum() * g.dx) for c in cdf)
-            assert w1_distance_1d(m1, m2, g) == pytest.approx(brute, abs=1e-14)
 
 
 class TestPeriodicTridiag:

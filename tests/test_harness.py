@@ -287,6 +287,42 @@ class TestCli:
         assert f"config error: {field}" in err and "Traceback" not in err
         assert not out.exists()  # every point is checked before the first one runs
 
+    # malformed configs that used to run on defaults or end in a traceback
+    @pytest.mark.parametrize("command,over,message", [
+        ("report", dict(solver=5), "solver: expected a JSON object, got int"),
+        ("report", dict(coupling="convolution"), "coupling: expected a JSON object, got str"),
+        ("report", dict(coupling={"lamda": 3.0}), "coupling.lamda: unknown key"),
+        ("report", dict(sovler={"max_iters": 3}), "sovler: unknown key"),
+        ("report", dict(grid={"T": float("inf")}), "grid.T: expected a finite number"),
+        ("report", dict(coupling={"lambda": float("nan")}),
+         "coupling.lambda: expected a finite number"),
+        ("report", dict(coupling={"lambda": 10**400}), "coupling.lambda: expected a finite number"),
+        ("sweep", dict(sweep={"parameter": "coupling.lambda", "values": [0.5, float("nan")]}),
+         "sweep.values[1]: expected a finite number"),
+    ], ids=["solver_not_object", "coupling_not_object", "unknown_key", "unknown_section",
+            "infinite_T", "nan_lambda", "huge_int_lambda", "nan_sweep_value"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, command, over, message):
+        path = write_cfg(tmp_path, cfg(**over))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_integer_damping_factor(self):
+        _, params, _ = build_problem(cfg(solver={"damping": 1}))
+        assert params.damping == 1.0
+
+    @pytest.mark.parametrize("tolerance", [True, float("nan"), -1.0])
+    def test_fit_tolerance_must_be_a_nonnegative_number(self, tmp_path, capsys, tolerance):
+        c = cfg(fit={"x_column": "coupling_lambda", "y_column": "gap", "tolerance": tolerance})
+        path = write_cfg(tmp_path, c)
+        rows = tmp_path / "rows.csv"
+        rows.write_text("# schema=1\n" + ",".join(RESULT_COLUMNS) + "\n")
+        assert main(["fit", "--config", path, "--rows", str(rows),
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert "config error: fit.tolerance" in capsys.readouterr().err
+
     def test_fit_unknown_column(self, tmp_path):
         c = cfg(fit={"x_column": "nope", "y_column": "gap"})
         path = write_cfg(tmp_path, c)

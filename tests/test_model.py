@@ -18,10 +18,8 @@ from mfglab import (
     delta_m_fd_check,
     density_cosine,
     density_uniform,
-    grid_delta,
     quadratic_hamiltonian,
     residual_field,
-    weighted_average,
 )
 from mfglab import model
 from mfglab.errors import MassConservationError
@@ -60,7 +58,8 @@ class TestHamiltonian:
         ham = quadratic_hamiltonian()
         x = g.xs()
         p = rng.standard_normal(g.n) * 3
-        assert ham.legendre_defect(x, p) < 1e-10
+        dp = ham.dp_h0(x, p)  # l0(x, -dp_h0) + h0 - p dp_h0 = 0
+        assert np.abs(ham.l0(x, -dp) + ham.h0(x, p) - p * dp).max() < 1e-10
 
     def test_dp_matches_finite_difference(self, g, rng):
         ham = quadratic_hamiltonian()
@@ -85,7 +84,8 @@ class TestConvolution:
         lam = 0.7
         c = coupling_convolution(g, lam=lam)
         j0 = 13
-        m = grid_delta(g, j0)
+        m = np.zeros(g.n)
+        m[j0] = 1.0 / g.dx  # unit-mass single-cell spike
         x = g.xs()
         phi = np.cos(TWO_PI * (x[:, None] - x[None, :]))
         np.testing.assert_allclose(c.delta(m), lam * (phi - phi[:, [j0]]), atol=1e-12)
@@ -115,7 +115,7 @@ class TestPotential:
         c = coupling_potential(g, lam=0.9)
         for _ in range(10):
             m = random_density(g, rng)
-            assert abs(weighted_average(c, m)) < 1e-10
+            assert abs(float(c.eval(m) @ m) * g.dx) < 1e-10  # int F(x, m) m(dx)
 
     def test_residual_equals_minus_coupling(self, g, rng):
         c = coupling_potential(g, lam=0.9)

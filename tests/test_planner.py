@@ -13,11 +13,10 @@ from mfglab import (
     solve_mfg,
     solve_planner_descent,
     solve_planner_system,
-    weighted_average,
 )
 from mfglab import model, planner
 from mfglab.efficiency import _window_levels, holder_diagnostic
-from mfglab.mfg import _coupling_fields, feedback_drift
+from mfglab.mfg import feedback_drift
 from mfglab.model import (
     COUPLING_LABELS,
     KERNELS,
@@ -59,7 +58,7 @@ class TestPlannerCost:
         terms = []
         for k in range(g.nt):
             kin = math.fsum(float(v) for v in 0.5 * a[k] ** 2 * m[k]) * g.dx
-            terms.append(g.dt * (kin + weighted_average(prob.coupling, m[k])))
+            terms.append(g.dt * (kin + float(prob.coupling.eval(m[k]) @ m[k]) * g.dx))
         oracle = math.fsum(terms)
         assert planner_cost(m, a, prob) == pytest.approx(oracle, rel=1e-12)
 
@@ -176,7 +175,7 @@ class TestExactStackedCallers:
         m = ControlObjective(prob).forward(a)
         # the old loops, one eval per slice
         fields = np.stack([prob.coupling.eval(m[k]) for k in range(g.nt + 1)])
-        assert np.array_equal(_coupling_fields(prob, m), fields)
+        assert np.array_equal(prob.coupling.eval(m, exact=True), fields)
         assert planner_cost(m, a, prob) == planner._path_cost(
             prob, m, a, [prob.coupling.eval(m[k]) for k in range(g.nt)], prob.terminal.eval(m[-1]))
 

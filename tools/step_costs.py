@@ -12,7 +12,7 @@ descent) and ``factor`` is one ``PeriodicTridiagLU`` of the nt forward
 step matrices.  The sweeps include their own band building and
 factorization, so ``fp_sweep - factor`` is the forward loop itself.
 ``fields`` is the equilibrium's coupling fields of the nt + 1 levels
-(``mfg._coupling_fields``: the exact stacked eval, each level's kernel
+(``Coupling.eval(m, exact=True)``: the exact stacked eval, each level's kernel
 products bit for bit its own, one cache-sized row block of the kernel
 at a time for every level, several blocks from n = 256 on), divided by
 nt + 1.  ``path_terms`` is ``Coupling._path_terms`` (closed-form
@@ -56,7 +56,6 @@ def _best(fn, repeats: int) -> float:
 def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dict:
     """{column: µs per time step} at one grid size (see the module docstring)."""
     from mfglab import Grid, coupling_from_label, density_cosine, quadratic_hamiltonian
-    from mfglab.mfg import _coupling_fields
     from mfglab.model import Problem, coupling_zero
     from mfglab.planner import ControlObjective
     from mfglab.stepping import (
@@ -83,7 +82,7 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
         "hjb_sweep": lambda: hjb_backward_sweep(grid, problem.hamiltonian, fields, fields[-1]),
         "adjoint": lambda: obj.adjoint(a, m),
         "factor": lambda: PeriodicTridiagLU(*bands),
-        "fields": lambda: _coupling_fields(problem, m),
+        "fields": lambda: problem.coupling.eval(m, exact=True),
         "path_terms": lambda: problem.coupling._path_terms(m[:nt]),
         "descent_terms": lambda: obj._dense_terms(problem.coupling, m[:nt]),
     }
