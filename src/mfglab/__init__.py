@@ -15,6 +15,7 @@ from .efficiency import (
     build_perturbation_running,
     build_perturbation_terminal,
     certificate,
+    check_epsilon,
     default_epsilon,
     duality_check,
     equilibrium,

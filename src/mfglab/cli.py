@@ -22,8 +22,8 @@ from .errors import (
 from .harness import (
     RESULT_COLUMNS,
     SCHEMA_VERSION,
+    _config_values,
     _fmt,
-    _is_number,
     build_problem,
     emit_plotdata,
     fit_scaling,
@@ -83,37 +83,30 @@ def _cmd_run(cfg: dict, out: str) -> int:
 
 
 def _cmd_fit(cfg: dict, rows_path: str, out: str) -> int:
-    section = cfg.get("fit")
-    if not isinstance(section, dict):
-        raise ConfigError("fit: missing section with x_column / y_column")
-    for key in ("x_column", "y_column"):
-        if key not in section:
-            raise ConfigError(f"fit.{key}: missing required field")
-        if section[key] not in RESULT_COLUMNS:
-            raise ConfigError(f"fit.{key}: unknown column {section[key]!r}")
-    tol = section.get("tolerance", 1e-8)
-    if not _is_number(tol) or not tol >= 0:  # also rejects nan
-        raise ConfigError(f"fit.tolerance: expected a nonnegative number, got {tol!r}")
-    rows = read_rows(rows_path)
-    res = fit_scaling(rows, section["x_column"], section["y_column"], tolerance=tol)
+    v = _config_values(cfg)
+    for key in ("fit.x_column", "fit.y_column"):
+        if v[key] is None:
+            raise ConfigError(f"{key}: missing required field")
+    if not v["fit.tolerance"] >= 0:
+        raise ConfigError(f"fit.tolerance: need >= 0, got {v['fit.tolerance']}")
+    res = fit_scaling(read_rows(rows_path), v["fit.x_column"], v["fit.y_column"],
+                      tolerance=v["fit.tolerance"])
     _write_row(out, ["slope", "intercept", "r2", "n_used", "degenerate"],
                [res.slope, res.intercept, res.r2, res.n_used, res.degenerate])
     return EXIT_OK
 
 
 def _cmd_emit(cfg: dict, rows_path: str, out: str) -> int:
-    section = cfg.get("emit")
-    if not isinstance(section, dict) or "series" not in section:
+    series = _config_values(cfg)["emit.series"]
+    if series is None:
         raise ConfigError("emit.series: missing required field")
-    series = []
-    for i, pair in enumerate(section["series"]):
+    for i, pair in enumerate(series):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"emit.series[{i}]: expected a [x_column, y_column] pair")
         for col in pair:
             if col not in RESULT_COLUMNS:
                 raise ConfigError(f"emit.series[{i}]: unknown column {col!r}")
-        series.append((pair[0], pair[1]))
-    emit_plotdata(read_rows(rows_path), series, out)
+    emit_plotdata(read_rows(rows_path), [tuple(pair) for pair in series], out)
     return EXIT_OK
 
 

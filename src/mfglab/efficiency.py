@@ -22,7 +22,7 @@ structural zero/nonzero dichotomy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,13 +57,20 @@ def _window_levels(grid, eps: float) -> np.ndarray:
     return np.flatnonzero((t >= grid.t0 + eps - 1e-12) & (t <= grid.T - eps + 1e-12))
 
 
+def check_epsilon(grid, eps: float) -> None:
+    """ValueError unless 0 < eps < (T-t0)/2 and the window [t0+eps, T-eps] of
+    the bounds and the certificate holds a time level of the grid."""
+    horizon = grid.T - grid.t0
+    if not 0.0 < eps < 0.5 * horizon:
+        raise ValueError(f"epsilon: need 0 < epsilon < (T-t0)/2 = {horizon / 2}, got {eps}")
+    if not _window_levels(grid, eps).size:
+        raise ValueError(f"epsilon: no time level of the grid lies in "
+                         f"[t0+epsilon, T-epsilon] for epsilon={eps}")
+
+
 def _window_weights(grid, eps: float) -> np.ndarray:
     """Trapezoidal weights supported on time levels inside [t0+eps, T-eps]."""
-    if eps < 0 or 2 * eps >= grid.T - grid.t0:
-        raise ValueError(f"need 0 <= eps < (T-t0)/2, got {eps}")
     idx = _window_levels(grid, eps)
-    if not idx.size:
-        raise ValueError(f"no time level lies in [t0+eps, T-eps] for eps={eps}")
     w = np.zeros(grid.nt + 1)
     w[idx] = grid.dt
     w[idx[0]] = w[idx[-1]] = 0.5 * grid.dt
@@ -94,9 +101,12 @@ def lb_integrands(eq: Equilibrium, eps: float) -> tuple[float, float]:
 
     lb_F integrates ||residual_field(F, m(t))||_L2^2 over [t0+eps, T-eps];
     lb_G is the squared L2 norm of the terminal residual.  eps = 0 gives
-    the full-interval quantity used by ub_norm.
+    the full-interval quantity used by ub_norm; any other eps must pass
+    check_epsilon.
     """
     grid = eq.problem.grid
+    if eps != 0.0:
+        check_epsilon(grid, eps)
     w = _window_weights(grid, eps)
     lb_f = 0.0
     for k in np.flatnonzero(w):
@@ -154,11 +164,6 @@ def _ramp_terminal(grid, eps: float) -> np.ndarray:
     return g
 
 
-def _check_eps(grid, eps: float):
-    if not 0.0 < eps < 0.5 * (grid.T - grid.t0):
-        raise ValueError(f"need 0 < eps < (T-t0)/2, got {eps}")
-
-
 def _build_perturbation(m: np.ndarray, grid, direction: np.ndarray,
                         gamma: np.ndarray) -> Perturbation:
     """Assemble (mu, beta, tau) from the residual direction field.
@@ -182,7 +187,7 @@ def _build_perturbation(m: np.ndarray, grid, direction: np.ndarray,
 def build_perturbation_running(eq: Equilibrium, eps: float) -> Perturbation:
     """Perturbation along the running-cost residual with the four-piece ramp."""
     grid = eq.problem.grid
-    _check_eps(grid, eps)
+    check_epsilon(grid, eps)
     gamma = _ramp_running(grid, eps)
     m = eq.sol.m.values
     active = gamma > 0.0
@@ -198,7 +203,7 @@ def build_perturbation_running(eq: Equilibrium, eps: float) -> Perturbation:
 def build_perturbation_terminal(eq: Equilibrium, eps: float) -> Perturbation:
     """Perturbation along the terminal residual, supported on [T-eps, T]."""
     grid = eq.problem.grid
-    _check_eps(grid, eps)
+    check_epsilon(grid, eps)
     gamma = _ramp_terminal(grid, eps)
     m = eq.sol.m.values
     if m[-1].min() <= 0.0:
@@ -369,7 +374,8 @@ def holder_diagnostic(sol: MFGSolution, problem: Problem, eps: float) -> float:
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    """Flat record of costs, gap, residual norms and the certificate."""
+    """Flat record of costs, gap, residual norms and the certificate.  Its
+    SCHEMA, the report columns of a result row, is its field names in order."""
 
     cost_mfg: float
     cost_planner: float          # descent value: constructive upper bound
@@ -393,15 +399,8 @@ class EfficiencyReport:
     fpk_residual: float
     planner_values_disagree: bool
 
-    SCHEMA = (
-        "cost_mfg", "cost_planner", "cost_planner_system", "gap",
-        "lb_integrand_F", "lb_integrand_G", "ub_norm",
-        "residual_F_sup", "residual_G_sup", "certificate", "epsilon",
-        "holder", "mfg_converged", "system_converged", "descent_converged",
-        "mfg_iterations", "descent_iterations",
-        "fp_residual", "hjb_residual", "fpk_residual",
-        "planner_values_disagree",
-    )
+
+EfficiencyReport.SCHEMA = tuple(f.name for f in fields(EfficiencyReport))
 
 
 def default_epsilon(grid) -> float:

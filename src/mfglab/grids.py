@@ -34,12 +34,11 @@ class Grid:
     dt: float = field(init=False)
 
     def __post_init__(self):
-        if self.n < 4:
-            raise ValueError(f"need n >= 4, got {self.n}")
-        if self.nt < 4:
-            raise ValueError(f"need nt >= 4, got {self.nt}")
+        for name in ("n", "nt"):
+            if not getattr(self, name) >= 4:
+                raise ValueError(f"{name}: need >= 4, got {getattr(self, name)}")
         if not self.T > self.t0:
-            raise ValueError(f"need T > t0, got t0={self.t0}, T={self.T}")
+            raise ValueError(f"T: need T > t0, got t0={self.t0}, T={self.T}")
         object.__setattr__(self, "dx", 1.0 / self.n)
         object.__setattr__(self, "dt", (self.T - self.t0) / self.nt)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .efficiency import EfficiencyReport, _window_levels, default_epsilon, full_report
+from .efficiency import EfficiencyReport, check_epsilon, default_epsilon, full_report
 from .errors import ConfigError
 from .grids import Grid, check_density_slice
 from .mfg import SolverParams
@@ -41,7 +41,8 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 # Every key of a config point: dotted path -> (type, default).  A float key
 # also takes an int and rejects nan and infinities; a default of None also
-# admits null.  solver.damping is a factor or a schedule name.
+# admits null.  solver.damping is a factor or a schedule name.  The sweep,
+# fit and emit sections belong to the commands of those names.
 CONFIG_KEYS = {
     "schema": (int, SCHEMA_VERSION),
     "grid.n": (int, _REQUIRED), "grid.nt": (int, _REQUIRED),
@@ -56,15 +57,11 @@ CONFIG_KEYS = {
     "solver.max_iters": (int, 200),
     "epsilon": (float, None),
     "seed": (int, 0),
+    "sweep.parameter": (str, None), "sweep.values": (list, None),
+    "fit.x_column": (str, None), "fit.y_column": (str, None), "fit.tolerance": (float, 1e-8),
+    "emit.series": (list, None),
 }
 _SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS if "." in key}
-_CHOICES = {  # name key -> the names it takes
-    "hamiltonian": tuple(HAMILTONIANS), "m0.kind": ("uniform", "cosine", "file"),
-    **{f"{section}.{name}": tuple(choices) for section in ("coupling", "terminal")
-       for name, choices in (("label", COUPLING_LABELS), ("kernel", KERNELS),
-                             ("profile", PROFILES))},
-}
-_OTHER_TOP_KEYS = ("sweep", "fit", "emit")  # sections of the sweep, fit and emit commands
 
 # result column -> the config key it echoes
 CONFIG_ECHO_COLUMNS = {
@@ -83,6 +80,15 @@ SWEEPABLE = (
     "coupling.lambda", "terminal.lambda", "grid.n", "grid.nt",
     "m0.amplitude", "epsilon",
 )
+
+_CHOICES = {  # name key -> the names it takes
+    "hamiltonian": tuple(HAMILTONIANS), "m0.kind": ("uniform", "cosine", "file"),
+    **{f"{section}.{name}": tuple(choices) for section in ("coupling", "terminal")
+       for name, choices in (("label", COUPLING_LABELS), ("kernel", KERNELS),
+                             ("profile", PROFILES))},
+    "sweep.parameter": SWEEPABLE,
+    "fit.x_column": RESULT_COLUMNS, "fit.y_column": RESULT_COLUMNS,
+}
 
 
 def _is_number(val) -> bool:
@@ -117,7 +123,7 @@ def _config_values(cfg: dict) -> dict:
             raise ConfigError(f"{name}: expected a JSON object, got {type(node).__name__}")
         paths = [f"{name}.{key}" for key in node] if name in _SECTIONS else [name]
         for path in paths:
-            if path not in CONFIG_KEYS and path not in _OTHER_TOP_KEYS:
+            if path not in CONFIG_KEYS:
                 raise ConfigError(f"{path}: unknown key")
     values = {}
     for key, (typ, default) in CONFIG_KEYS.items():
@@ -141,71 +147,84 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict) -> None:
+def validate_config(cfg: dict) -> list[_Point]:
     """Schema check with path-to-field diagnostics; raises ConfigError.
 
-    A sweep is checked point by point before any point runs; an error in
-    the point of value i names sweep.values[i] and the field.
+    Returns the checked points to run: the config itself, or one per
+    sweep value.  A sweep is checked point by point before any point
+    runs; an error in the point of value i names sweep.values[i] and the
+    field.
     """
-    _validate_point(cfg)
-    sweep = cfg.get("sweep")
-    if sweep is None:
-        return
-    if not isinstance(sweep, dict):
-        raise ConfigError(f"sweep: expected a JSON object, got {type(sweep).__name__}")
-    param = sweep.get("parameter")
-    if param not in SWEEPABLE:
-        raise ConfigError(f"sweep.parameter: {param!r} not sweepable; choose from {SWEEPABLE}")
-    values = sweep.get("values")
-    if not isinstance(values, list) or not values:
+    base = _validate_point(cfg)
+    if "sweep" not in cfg:
+        return [base]
+    param, values = base.values["sweep.parameter"], base.values["sweep.values"]
+    if param is None:
+        raise ConfigError("sweep.parameter: missing required field")
+    if not values:
         raise ConfigError(f"sweep.values: expected a nonempty list, got {values!r}")
+    points = []
     for i, v in enumerate(values):
         if not _is_number(v) or not abs(v) <= _FLOAT_MAX:
             raise ConfigError(f"sweep.values[{i}]: expected a finite number, got {v!r}")
         if CONFIG_KEYS[param][0] is int and not float(v).is_integer():
             raise ConfigError(f"sweep.values[{i}]: {param}: expected an integer, got {v}")
         try:
-            _validate_point(_apply_sweep_value(cfg, param, v))
+            points.append(_validate_point(_apply_sweep_value(cfg, param, v)))
         except ConfigError as exc:
             raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
+    return points
 
 
-def _validate_point(cfg: dict) -> dict:
-    """validate_config for everything but the sweep section; the point's values."""
+@dataclass(frozen=True)
+class _Point:
+    """A checked config point: its key values and the objects they build.
+    m0 is None for m0.kind file; build_problem reads the file."""
+
+    values: dict
+    grid: Grid
+    params: SolverParams
+    m0: np.ndarray | None
+    eps: float
+
+
+def _built(prefix: str, build, *args, **kwargs):
+    """build(*args, **kwargs); its ValueError, which names the field first,
+    becomes a ConfigError under the section prefix."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _validate_point(cfg: dict) -> _Point:
+    """validate_config for everything but the sweep values: the point's values
+    and the grid, solver parameters, m0 and epsilon they build.  Each value
+    rule lives in the object the value builds."""
     v = _config_values(cfg)
     if v["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"schema: unsupported version {v['schema']}")
-    for key in ("grid.n", "grid.nt"):
-        if v[key] < 4:
-            raise ConfigError(f"{key}: need >= 4, got {v[key]}")
-    t0, T = v["grid.t0"], v["grid.T"]
-    if not T > t0:
-        raise ConfigError(f"grid.T: need T > t0, got t0={t0}, T={T}")
     for key, choices in _CHOICES.items():
-        if v[key] not in choices:
+        if v[key] is not None and v[key] not in choices:
             raise ConfigError(f"{key}: unknown name {v[key]!r}; choose from {choices}")
-    if v["m0.kind"] == "cosine" and not -1.0 < v["m0.amplitude"] < 1.0:
-        raise ConfigError(f"m0.amplitude: {v['m0.amplitude']} does not keep the density positive")
-    if v["m0.kind"] == "file" and v["m0.path"] is None:
-        raise ConfigError("m0.path: missing required field")
-    if v["solver.tol_fixed_point"] <= 0:
-        raise ConfigError(f"solver.tol_fixed_point: need > 0, got {v['solver.tol_fixed_point']}")
+    grid = _built("grid.", Grid, n=v["grid.n"], nt=v["grid.nt"], t0=v["grid.t0"], T=v["grid.T"])
     damping = v["solver.damping"]
-    if isinstance(damping, str):
-        if damping not in ("auto", "averaging"):
-            raise ConfigError(f"solver.damping: unknown schedule {damping!r}")
-    elif not 0.0 < damping <= 1.0:
-        raise ConfigError(f"solver.damping: need a factor in (0, 1], got {damping}")
-    if v["solver.max_iters"] < 1:
-        raise ConfigError(f"solver.max_iters: need >= 1, got {v['solver.max_iters']}")
+    params = _built("solver.", SolverParams,
+                    damping=damping if isinstance(damping, str) else float(damping),
+                    max_iters=v["solver.max_iters"], tol_fixed_point=v["solver.tol_fixed_point"])
+    kind, m0 = v["m0.kind"], None
+    if kind == "uniform":
+        m0 = density_uniform(grid)
+    elif kind == "cosine":
+        m0 = _built("m0.", density_cosine, grid, v["m0.amplitude"])
+    elif v["m0.path"] is None:
+        raise ConfigError("m0.path: missing required field")
     eps = v["epsilon"]
-    if eps is not None:
-        if not 0.0 < eps < 0.5 * (T - t0):
-            raise ConfigError(f"epsilon: need 0 < epsilon < (T-t0)/2 = {(T - t0) / 2}, got {eps}")
-        if not _window_levels(Grid(n=v["grid.n"], nt=v["grid.nt"], t0=t0, T=T), eps).size:
-            raise ConfigError(f"epsilon: no time level of the grid lies in "
-                              f"[t0+epsilon, T-epsilon] for epsilon={eps}")
-    return v
+    if eps is None:
+        eps = default_epsilon(grid)
+    else:
+        _built("", check_epsilon, grid, eps)
+    return _Point(v, grid, params, m0, eps)
 
 
 def _apply_sweep_value(cfg: dict, param: str, value) -> dict:
@@ -216,39 +235,26 @@ def _apply_sweep_value(cfg: dict, param: str, value) -> dict:
     return out
 
 
-def build_problem(cfg: dict) -> tuple[Problem, SolverParams, float]:
-    """Instantiate the model of one (sweep-free) config point."""
-    v = _validate_point(cfg)
-    grid = Grid(n=v["grid.n"], nt=v["grid.nt"], t0=v["grid.t0"], T=v["grid.T"])
-    ham = HAMILTONIANS[v["hamiltonian"]]()
+def build_problem(cfg: dict | _Point) -> tuple[Problem, SolverParams, float]:
+    """Instantiate the model of one (sweep-free) config point, or of a point
+    that validate_config returned."""
+    point = cfg if isinstance(cfg, _Point) else _validate_point(cfg)
+    v, grid, m0 = point.values, point.grid, point.m0
 
     def make(section):
         return coupling_from_label(grid, v[f"{section}.label"], lam=v[f"{section}.lambda"],
                                    kernel=v[f"{section}.kernel"], profile=v[f"{section}.profile"])
 
-    kind = v["m0.kind"]
-    if kind == "uniform":
-        m0 = density_uniform(grid)
-    elif kind == "cosine":
-        m0 = density_cosine(grid, v["m0.amplitude"])
-    else:
+    if m0 is None:
         path = v["m0.path"]
         try:
             m0 = check_density_slice(np.load(path) if path.endswith(".npy")
                                      else np.loadtxt(path), grid)
         except (OSError, ValueError) as exc:  # unreadable file, wrong length, not a density
             raise ConfigError(f"m0.path: {path}: {exc}") from exc
-
-    damping = v["solver.damping"]
-    params = SolverParams(
-        damping=damping if isinstance(damping, str) else float(damping),
-        max_iters=v["solver.max_iters"],
-        tol_fixed_point=v["solver.tol_fixed_point"],
-    )
-    eps = default_epsilon(grid) if v["epsilon"] is None else v["epsilon"]
-    problem = Problem(hamiltonian=ham, coupling=make("coupling"),
+    problem = Problem(hamiltonian=HAMILTONIANS[v["hamiltonian"]](), coupling=make("coupling"),
                       terminal=make("terminal"), m0=m0, grid=grid)
-    return problem, params, eps
+    return problem, point.params, point.eps
 
 
 def _fmt(v) -> str:
@@ -265,14 +271,7 @@ def run(cfg: dict, out_path: str | Path) -> list[dict]:
     Returns the rows as dicts.  Never raises on solver non-convergence;
     the flags land in the row and the caller decides the exit code.
     """
-    validate_config(cfg)
-    sweep = cfg.get("sweep")
-    if sweep is None:
-        points = [cfg]
-    else:
-        points = [_apply_sweep_value(cfg, sweep["parameter"], v)
-                  for v in sweep["values"]]
-
+    points = validate_config(cfg)
     rows = []
     out_path = Path(out_path)
     with open(out_path, "w") as fh:
@@ -284,9 +283,8 @@ def run(cfg: dict, out_path: str | Path) -> list[dict]:
             problem, params, eps = build_problem(point)
             report = full_report(problem, params, eps)
             wall = time.perf_counter() - start
-            values = _config_values(point)
             row = {"sweep_index": idx}
-            row.update((column, values[key]) for column, key in CONFIG_ECHO_COLUMNS.items())
+            row.update((column, point.values[key]) for column, key in CONFIG_ECHO_COLUMNS.items())
             row.update({k: getattr(report, k) for k in EfficiencyReport.SCHEMA})
             row["wall_time_s"] = wall
             rows.append(row)
@@ -372,14 +370,3 @@ def emit_plotdata(rows: list[dict], series: list[tuple[str, str]],
                 fh.write(f"{_fmt(r[x_col])} {_fmt(r[y_col])}\n")
         written.append(path)
     return written
-
-
-def read_plotdata(path: str | Path) -> tuple[list[float], list[float]]:
-    xs, ys = [], []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        a, b = line.split()
-        xs.append(float(a))
-        ys.append(float(b))
-    return xs, ys

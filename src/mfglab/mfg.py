@@ -44,13 +44,13 @@ class SolverParams:
     def __post_init__(self):
         if isinstance(self.damping, str):
             if self.damping not in ("auto", "averaging"):
-                raise ValueError(f"unknown damping schedule {self.damping!r}")
+                raise ValueError(f"damping: unknown schedule {self.damping!r}")
         elif not 0.0 < float(self.damping) <= 1.0:
-            raise ValueError(f"fixed damping must lie in (0, 1], got {self.damping}")
-        if self.tol_fixed_point <= 0.0:
-            raise ValueError("tol_fixed_point must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ValueError(f"damping: need a factor in (0, 1], got {self.damping}")
+        if not self.tol_fixed_point > 0.0:
+            raise ValueError(f"tol_fixed_point: need > 0, got {self.tol_fixed_point}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters: need >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)

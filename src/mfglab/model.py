@@ -180,8 +180,14 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_matrix(grid: Grid, kernel: Callable) -> np.ndarray:
+    """kernel(x, y) on the grid, built by dense_block_rows(n) row blocks, so that
+    the kernel's temporaries are a block, not n x n."""
     x = grid.xs()
-    return np.asarray(kernel(x[:, None], x[None, :]), dtype=float)
+    out = np.empty((grid.n, grid.n))
+    b = dense_block_rows(grid.n)
+    for r in range(0, grid.n, b):
+        out[r:r + b] = kernel(x[r:r + b, None], x[None, :])
+    return out
 
 
 def coupling_zero(grid: Grid) -> Coupling:
@@ -343,8 +349,7 @@ PROFILES = {
 
 
 def coupling_from_label(grid: Grid, label: str, lam: float = 1.0,
-                        kernel: str = "cos_diff", profile: str = "quadratic",
-                        weight: str = "cos") -> Coupling:
+                        kernel: str = "cos_diff", profile: str = "quadratic") -> Coupling:
     """Catalog lookup used by the experiment harness and the demos."""
     if label == "zero":
         return coupling_zero(grid)
@@ -356,8 +361,6 @@ def coupling_from_label(grid: Grid, label: str, lam: float = 1.0,
         return coupling_potential(grid, KERNELS[kernel], lam)
     if label == "xfree":
         g, gp = PROFILES[profile]
-        if weight != "cos":
-            raise ValueError(f"unknown moment weight {weight!r}")
         return coupling_xfree(grid, g, gp, lam=lam)
     if label == "spatial_cos":
         return coupling_spatial(grid, lambda x: np.cos(TWO_PI * x), lam, "spatial_cos")
@@ -437,7 +440,7 @@ def density_uniform(grid: Grid) -> np.ndarray:
 def density_cosine(grid: Grid, amplitude: float = 0.5) -> np.ndarray:
     """1 + amplitude * cos(2 pi x); amplitude in (-1, 1) keeps it positive."""
     if not -1.0 < amplitude < 1.0:
-        raise ValueError(f"amplitude {amplitude} does not keep the density positive")
+        raise ValueError(f"amplitude: {amplitude} does not keep the density positive")
     return 1.0 + amplitude * np.cos(TWO_PI * grid.xs())
 
 

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from mfglab.cli import main
-from mfglab.efficiency import EfficiencyReport, full_report
+from mfglab.efficiency import EfficiencyReport, check_epsilon, full_report
 from mfglab.errors import ConfigError
+from mfglab.grids import Grid
 from mfglab.harness import (
     RESULT_COLUMNS,
     build_problem,
     emit_plotdata,
     fit_scaling,
-    read_plotdata,
     read_rows,
     run,
     validate_config,
 )
+from mfglab.mfg import SolverParams
+from mfglab.model import density_cosine
 
 BASE = {
     "schema": 1,
@@ -37,6 +39,13 @@ def cfg(**over):
         else:
             out[key] = val
     return out
+
+
+def plot_columns(path):
+    """The x and y columns of a plot-data file, comment lines skipped."""
+    pairs = [line.split() for line in Path(path).read_text().splitlines()
+             if not line.startswith("#")]
+    return [float(x) for x, _ in pairs], [float(y) for _, y in pairs]
 
 
 def write_cfg(tmp_path, c, name="cfg.json"):
@@ -169,13 +178,13 @@ class TestEmit:
                 {"coupling_lambda": 1.0, "gap": 4.938271560494e-5}]
         files = emit_plotdata(rows, [("coupling_lambda", "gap")], tmp_path)
         assert len(files) == 1
-        xs, ys = read_plotdata(files[0])
+        xs, ys = plot_columns(files[0])
         assert xs == [0.5, 1.0]
         assert ys == [rows[0]["gap"], rows[1]["gap"]]
 
     def test_empty_rows_header_only(self, tmp_path):
         files = emit_plotdata([], [("coupling_lambda", "gap")], tmp_path)
-        xs, ys = read_plotdata(files[0])
+        xs, ys = plot_columns(files[0])
         assert xs == [] and ys == []
         assert files[0].read_text().startswith("# schema=")
 
@@ -299,8 +308,18 @@ class TestCli:
         ("report", dict(coupling={"lambda": 10**400}), "coupling.lambda: expected a finite number"),
         ("sweep", dict(sweep={"parameter": "coupling.lambda", "values": [0.5, float("nan")]}),
          "sweep.values[1]: expected a finite number"),
+        # the sweep, fit and emit sections are walked like the others, by every command
+        ("report", dict(fit={"x_column": "coupling_lambda", "y_column": "gap",
+                             "tolerence": 1e-6}), "fit.tolerence: unknown key"),
+        ("sweep", dict(sweep={"parameter": "coupling.lambda", "values": [0.5], "extra": 1}),
+         "sweep.extra: unknown key"),
+        ("report", dict(emit={"series": 5}), "emit.series: expected list, got int"),
+        ("report", dict(fit=5), "fit: expected a JSON object, got int"),
+        ("sweep", dict(fit={"x_column": "nope", "y_column": "gap"}), "fit.x_column: unknown name"),
     ], ids=["solver_not_object", "coupling_not_object", "unknown_key", "unknown_section",
-            "infinite_T", "nan_lambda", "huge_int_lambda", "nan_sweep_value"])
+            "infinite_T", "nan_lambda", "huge_int_lambda", "nan_sweep_value",
+            "fit_unknown_key", "sweep_unknown_key", "emit_series_not_list", "fit_not_object",
+            "fit_unknown_column"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, over, message):
         path = write_cfg(tmp_path, cfg(**over))
         out = tmp_path / "o.csv"
@@ -329,6 +348,47 @@ class TestCli:
         run(cfg(), tmp_path / "rows.csv")
         assert main(["fit", "--config", path, "--rows", str(tmp_path / "rows.csv"),
                      "--out", str(tmp_path / "f.csv")]) == 2
+
+
+class TestDomainRules:
+    """Each value rule lives in the object the value builds; its message names the
+    field first, so the harness only adds the config section."""
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: Grid(n=2, nt=8), "n"),
+        (lambda: Grid(n=8, nt=3), "nt"),
+        (lambda: Grid(n=8, nt=8, t0=1.0, T=1.0), "T"),
+        (lambda: SolverParams(damping="bogus"), "damping"),
+        (lambda: SolverParams(damping=1.5), "damping"),
+        (lambda: SolverParams(tol_fixed_point=0.0), "tol_fixed_point"),
+        (lambda: SolverParams(max_iters=0), "max_iters"),
+        (lambda: density_cosine(Grid(n=8, nt=8), 1.0), "amplitude"),
+        (lambda: check_epsilon(Grid(n=8, nt=8), 0.5), "epsilon"),
+        (lambda: check_epsilon(Grid(n=8, nt=7), 0.45), "epsilon"),  # no level in the window
+    ], ids=["n", "nt", "T", "schedule", "factor", "tol", "max_iters", "amplitude",
+            "epsilon_range", "epsilon_window"])
+    def test_message_names_the_field_first(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: SolverParams(tol_fixed_point=float("nan")),
+        lambda: SolverParams(damping=float("nan")),
+        lambda: Grid(n=8, nt=8, T=float("nan")),
+        lambda: density_cosine(Grid(n=8, nt=8), float("nan")),
+        lambda: check_epsilon(Grid(n=8, nt=8), float("nan")),
+    ], ids=["tol", "damping", "T", "amplitude", "epsilon"])
+    def test_nan_fails_every_rule(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_readme_config_example_validates():
+    """The README's config example is a config that validate_config accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Config example", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    points = validate_config(json.loads(block))
+    assert len(points) == len(json.loads(block)["sweep"]["values"])
 
 
 # The benchmark's reference rows for its tiny desk_catalog points (n=16,
