@@ -244,8 +244,9 @@ def _phi_stack(sol: MFGSolution, pert: Perturbation, hs: np.ndarray,
     """phi(h) for every h > 0 in hs, each within 1e-12 (1 + |phi|) of phi_eval's.
 
     All h advance together through fp_step as one (len(hs), n) stack; each
-    step prices it with one coupling eval (one kernel product, summed in
-    another order than phi_eval's one-slice products) and slice_costs.
+    step prices it with one coupling eval (its kernel products through the
+    kernel's factor, O(len(hs) n) rather than phi_eval's dense one-slice
+    products, model.kernel_products) and slice_costs.
     Only the current slices are held, never the (len(hs), nt+1, n) paths.
     """
     grid = problem.grid
@@ -404,9 +405,13 @@ EfficiencyReport.SCHEMA = tuple(f.name for f in fields(EfficiencyReport))
 
 
 def default_epsilon(grid) -> float:
-    """The ramp must resolve on the time grid (clamped below (T-t0)/2)."""
+    """The ramp must resolve on the time grid (clamped below (T-t0)/2), and
+    the window [t0+eps, T-eps] must hold a time level: eps is at most
+    (nt // 2) dt, which moves it only on grids where 7/16 of the horizon
+    leaves the window empty (nt = 5 or 7)."""
     horizon = grid.T - grid.t0
-    return min(max(4.0 * grid.dt, horizon / 16.0), horizon * 7.0 / 16.0)
+    return min(max(4.0 * grid.dt, horizon / 16.0), horizon * 7.0 / 16.0,
+               (grid.nt // 2) * grid.dt)
 
 
 def full_report(problem: Problem, params: SolverParams | None = None,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +76,12 @@ CONFIG_ECHO_COLUMNS = {
 
 RESULT_COLUMNS = ("sweep_index", *CONFIG_ECHO_COLUMNS, *EfficiencyReport.SCHEMA, "wall_time_s")
 
+# the result columns that hold numbers, not names or flags: what a fit can take
+_NOT_NUMBERS = ({c for c, key in CONFIG_ECHO_COLUMNS.items()
+                 if CONFIG_KEYS[key][0] not in (int, float)}
+                | {f.name for f in fields(EfficiencyReport) if f.type == "bool"})
+NUMBER_COLUMNS = tuple(c for c in RESULT_COLUMNS if c not in _NOT_NUMBERS)
+
 SWEEPABLE = (
     "coupling.lambda", "terminal.lambda", "grid.n", "grid.nt",
     "m0.amplitude", "epsilon",
@@ -87,7 +93,7 @@ _CHOICES = {  # name key -> the names it takes
        for name, choices in (("label", COUPLING_LABELS), ("kernel", KERNELS),
                              ("profile", PROFILES))},
     "sweep.parameter": SWEEPABLE,
-    "fit.x_column": RESULT_COLUMNS, "fit.y_column": RESULT_COLUMNS,
+    "fit.x_column": NUMBER_COLUMNS, "fit.y_column": NUMBER_COLUMNS,
 }
 
 

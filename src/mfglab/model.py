@@ -14,22 +14,26 @@ the base point of F, second the direction of differentiation.
 Each catalog coupling forms the kernel products of m once per call and
 derives from them the field F(., m), the residual field
 (m @ delta(m)) dx in closed form, and an in-place fill of any row block
-of delta(m).  A (K, n) stack takes its products in one of two ways: one
-gemm for the whole stack, within round-off of the slices' own products,
-or the exact stacked product, each row bit for bit the one-slice
-product, taken block-outer through cache-sized row blocks of the kernel
-(kernel_products).  delta(m) fills every row into a fresh matrix and is
-the dense reference of the convention and finite-difference checks.
-The planner system, the terminal-condition and residual helpers, the
-report's residual path and the certificate take the gemm: fields and
-residual fields of a whole path from Coupling._path_terms, with no
-n x n matrix, within round-off of the dense reference.  The
-equilibrium's fields, planner_cost and the planner descent take the
-exact product, so they keep the rounding of one product per slice: the
-iteration counts follow it, and the benchmark pins them.  The descent
-also contracts delta(m) slice by slice, one cache-sized row block at a
-time, each block for every slice of the path in turn
-(ControlObjective._dense_terms).
+of delta(m).  One rule prices every product (kernel_products): an exact
+product of a (K, n) stack, each row bit for bit its one-slice gemv, and
+any 1-D slice take the dense kernel; every other stack takes the
+kernel's factor, phi = u u^T with u of rank 2 for cos_diff and 1 for
+cos_prod (KERNEL_FACTORS), in O(K n r) rather than O(K n^2), within
+round-off of the dense product.  A callable kernel outside the catalog
+has the factor pair (phi, identity): one dense gemm.  The equilibrium's
+fields, planner_cost and the planner descent take the exact product, so
+they keep the rounding of one product per slice: the iteration counts
+follow it, and the benchmark pins them.  The planner system, the
+terminal-condition and residual helpers, the report's residual path and
+the certificate take the factor: fields and residual fields of a whole
+path from Coupling._path_terms, with no n x n matrix.  delta(m) fills
+every row into a fresh matrix and is the dense reference of the
+convention and finite-difference checks.  A fill copies the kernel's
+row block and adds its row term, column term and constant by exact
+BLAS rank-one updates (_add_outer), bit for bit the reference's
+subtractions and addition.  The descent contracts delta(m) one
+cache-sized row block at a time, each block for every slice of the
+path in turn (ControlObjective._dense_terms).
 
 The catalog covers the structurally distinct cases: a convolution
 coupling (never efficient unless m-independent), the efficient-by-
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .errors import MassConservationError
 from .grids import Grid, check_density_slice
@@ -97,19 +102,21 @@ class Coupling:
     the kernel products of m once (kernel_products) and returns
     (F(., m), fill, residual).  residual() gives the residual field
     (m @ delta(m)) dx of every row in closed form from those products.
-    With exact, fill(out, tmp, rows, k) writes the rows delta(m[k])[rows]
-    [base point, direction] of level k of the stack into the
-    (len(rows), n) array out, with tmp a second array of that shape for
-    scratch, and returns out, rows a slice of the base points.  Each entry
-    is the same elementwise expression whatever the rows, so a block is
-    bit for bit that block of the full matrix.  The fill's vectors are
-    formed once per _slice call, so the fills of all levels can take
-    turns on one workspace.  Both are None when the derivative vanishes.
-    eval(m) returns the field, and for a stack the (K, n) fields: from one
-    gemm, each row within round-off of the row's own eval, or with exact
-    each row bit for bit eval(m[k]).  delta(m) fills every row into a
-    fresh matrix, the dense reference of the convention and
-    finite-difference checks.  A Coupling holds no state between calls.
+    fill(out, rows, k) writes the rows delta(m[k])[rows] [base point,
+    direction] of level k of the stack into the C-contiguous
+    (len(rows), n) array out, in place, and returns out, rows a slice of
+    the base points.  Each entry is the same elementwise expression
+    whatever the rows, so a block is bit for bit that block of the full
+    matrix; with exact, the level's products are its one-slice products,
+    so the block is that of delta(m[k]).  The fill's vectors are formed
+    once per _slice call, so the fills of all levels can take turns on
+    one workspace.  Both are None when the derivative vanishes.  eval(m)
+    returns the field; for a stack the (K, n) fields, through the
+    kernel's factor, each row within round-off of the row's own eval,
+    or with exact each row bit for bit eval(m[k]); a 1-D m takes the
+    dense gemv either way.  delta(m) fills every row into a fresh
+    matrix, the dense reference of the convention and finite-difference
+    checks.  A Coupling holds no state between calls.
     """
 
     label: str
@@ -124,14 +131,15 @@ class Coupling:
         n = self.grid.n
         if fill is None:
             return np.zeros((n, n))
-        return fill(np.empty((n, n)), np.empty((n, n)), slice(0, n), 0)
+        return fill(np.empty((n, n)), slice(0, n), 0)
 
     def _path_terms(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fields and residual fields of every row of the (K, n) stack m.
 
-        The kernel products of the whole stack at once and no n x n
-        matrix: row k is eval(m[k]) and (m[k] @ delta(m[k])) dx up to
-        round-off, and a vanishing derivative gives an exact zero residual.
+        The kernel products of the whole stack at once, through the
+        kernel's factor, and no n x n matrix: row k is eval(m[k]) and
+        (m[k] @ delta(m[k])) dx up to round-off, and a vanishing
+        derivative gives an exact zero residual.
         """
         m = np.asarray(m, dtype=float)
         fields, _, residual = self._slice(m)
@@ -153,19 +161,24 @@ def dense_block_rows(n: int) -> int:
     return max(4, DENSE_BLOCK // n // 4 * 4)
 
 
-def kernel_products(kernel: np.ndarray, m: np.ndarray, exact: bool = False) -> np.ndarray:
+def kernel_products(kernel: np.ndarray, m: np.ndarray, exact: bool = False,
+                    factor: np.ndarray | None = None) -> np.ndarray:
     """kernel @ m[k] for every row k of the (..., n) stack m.
 
-    Without exact, one BLAS call (a gemm for a stack), each row within
-    round-off of the one-slice gemv.  With exact, each row is bit for bit
-    that gemv: one batched gemv per dense_block_rows(n) row block of the
-    kernel, so each block stays in cache for every row.  OpenBLAS's gemv
-    takes each output in the same order in any 4-row-aligned block
-    (TestExactStackedProduct).  A transpose takes one block: its row
-    blocks, column blocks of the matrix, run no faster than the whole.
+    With exact, each row is bit for bit the one-slice gemv: one batched
+    gemv per dense_block_rows(n) row block of the kernel, so each block
+    stays in cache for every row.  OpenBLAS's gemv takes each output in
+    the same order in any 4-row-aligned block (TestExactStackedProduct).
+    A transpose takes one block: its row blocks, column blocks of the
+    matrix, run no faster than the whole.  A 1-D m takes the gemv itself.
+    Any other stack takes the factor, kernel = factor @ factor.T, as
+    (m @ factor) @ factor.T, each row within round-off of the gemv; with
+    no factor, the pair (kernel, identity), it takes one gemm.
     """
     if not exact:
-        return (kernel @ m.T).T
+        if factor is None or m.ndim == 1:
+            return (kernel @ m.T).T
+        return (m @ factor) @ factor.T
     n = kernel.shape[0]
     b = dense_block_rows(n) if kernel.flags.c_contiguous else n
     out = np.empty(m.shape)
@@ -179,15 +192,32 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
 
 
-def _kernel_matrix(grid: Grid, kernel: Callable) -> np.ndarray:
-    """kernel(x, y) on the grid, built by dense_block_rows(n) row blocks, so that
-    the kernel's temporaries are a block, not n x n."""
+def _kernel(grid: Grid, kernel: Callable | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The kernel on the grid and its factor (KERNEL_FACTORS; None for a callable
+    outside the catalog).  The matrix is built by dense_block_rows(n) row
+    blocks, so that the kernel's temporaries are a block, not n x n."""
+    kernel = kernel or kernel_cos_diff
     x = grid.xs()
     out = np.empty((grid.n, grid.n))
     b = dense_block_rows(grid.n)
     for r in range(0, grid.n, b):
         out[r:r + b] = kernel(x[r:r + b, None], x[None, :])
-    return out
+    factor = KERNEL_FACTORS.get(kernel)
+    return out, None if factor is None else factor(x)
+
+
+def _add_outer(out: np.ndarray, alpha: float, col: np.ndarray, row: np.ndarray) -> None:
+    """out += alpha * col[:, None] * row[None, :] in place, one BLAS dger on out.T.
+
+    The fills pass alpha = -1 or -2 with one vector of ones, or a
+    constant alpha with two, so every product is exact and each entry
+    gets one rounded addition, on any BLAS, with or without FMA.  out
+    must be C-contiguous: f2py silently copies an out.T that is not
+    F-contiguous, and the update would be lost.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("rank-one update: out must be C-contiguous to be written in place")
+    dger(alpha, row, col, 1, 1, out.T, 1, 1, 1)  # incx, incy, a, overwrite_x, _y, _a
 
 
 def coupling_zero(grid: Grid) -> Coupling:
@@ -213,20 +243,21 @@ def _scaled(out: np.ndarray, lam: float) -> np.ndarray:
 def coupling_convolution(grid: Grid, kernel: Callable | None = None,
                          lam: float = 1.0) -> Coupling:
     """F(x, m) = lam * int phi(x, y) m(dy)."""
-    phi = _kernel_matrix(grid, kernel or kernel_cos_diff)
+    phi, u = _kernel(grid, kernel)
     dx = grid.dx
+    ones = np.ones(grid.n)
 
     def terms(m, exact=False):
-        pm = kernel_products(phi, m, exact)
+        pm = kernel_products(phi, m, exact, u)
         a1 = pm * dx  # int phi(x, y) m(dy)
 
-        def fill(out, tmp, rows, k):  # lam * (phi - a1[k][:, None]), no broadcast temporary
-            np.copyto(out, a1[k, rows, None])
-            np.subtract(phi[rows], out, out=out)
+        def fill(out, rows, k):  # lam * (phi - a1[k][:, None])
+            np.copyto(out, phi[rows])
+            _add_outer(out, -1.0, a1[k, rows], ones)
             return _scaled(out, lam)
 
         def residual():  # lam * (a2 - int int phi m m), a2 = int phi(z, .) m(dz)
-            a2 = (m @ phi) * dx
+            a2 = kernel_products(phi.T, m, factor=u) * dx
             return lam * (a2 - row_dot(a1, m)[..., None] * dx)
 
         return lam * pm * dx, fill, residual
@@ -243,22 +274,23 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
     direction j, which is the structure condition for a zero inefficiency
     gap from every start.
     """
-    phi = _kernel_matrix(grid, kernel or kernel_cos_diff)
+    phi, u = _kernel(grid, kernel)
     phi_sym = phi + phi.T  # the m-independent part of delta(m)
     dx = grid.dx
+    ones = np.ones(grid.n)
 
     def terms(m, exact=False):
-        a1 = kernel_products(phi, m, exact) * dx    # int phi(x, y) m(dy)
-        a2 = kernel_products(phi.T, m, exact) * dx  # int phi(z, x) m(dz)
-        q = row_dot(m, a1) * dx                     # int int phi m m
+        a1 = kernel_products(phi, m, exact, u) * dx    # int phi(x, y) m(dy)
+        a2 = kernel_products(phi.T, m, exact, u) * dx  # int phi(z, x) m(dz)
+        q = row_dot(m, a1) * dx                        # int int phi m m
         s = a1 + a2
 
-        def fill(out, tmp, rows, k):  # lam * (phi + phi.T - s[k][None, :] - s[k][:, None] + 2q[k])
-            np.copyto(out, s[k])
-            np.subtract(phi_sym[rows], out, out=out)
-            np.copyto(tmp, s[k, rows, None])
-            np.subtract(out, tmp, out=out)
-            out += 2.0 * q[k]
+        def fill(out, rows, k):  # lam * (phi + phi.T - s[k][None, :] - s[k][:, None] + 2q[k])
+            np.copyto(out, phi_sym[rows])
+            b = len(out)
+            _add_outer(out, -1.0, ones[:b], s[k])
+            _add_outer(out, -1.0, s[k, rows], ones)
+            _add_outer(out, 2.0 * q[k], ones[:b], ones)
             return _scaled(out, lam)
 
         def residual():  # lam (1 - M) (s - 2 q), M the mass of m
@@ -277,22 +309,22 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
     By construction int F(x, m) m(dx) = 0 for every m, and the efficiency
     residual field equals -F(., m) identically.
     """
-    k = _kernel_matrix(grid, kernel or kernel_cos_diff)
+    k, u = _kernel(grid, kernel)  # a catalog factor's u u^T is symmetric already
     k = 0.5 * (k + k.T)  # potential structure needs a symmetric kernel
     dx = grid.dx
+    ones = np.ones(grid.n)
 
     def terms(m, exact=False):
-        km = kernel_products(k, m, exact) * dx
+        km = kernel_products(k, m, exact, u) * dx
         q = row_dot(m, km) * dx
         field = lam * (km - q[..., None])
-        km2 = 2.0 * km if exact else None  # only the fill reads it
 
-        def fill(out, tmp, rows, i):  # lam * (k - 2 km[i][None, :] - km[i][:, None] + 2 q[i])
-            np.copyto(out, km2[i])
-            np.subtract(k[rows], out, out=out)
-            np.copyto(tmp, km[i, rows, None])
-            np.subtract(out, tmp, out=out)
-            out += 2.0 * q[i]
+        def fill(out, rows, i):  # lam * (k - 2 km[i][None, :] - km[i][:, None] + 2 q[i])
+            np.copyto(out, k[rows])
+            b = len(out)
+            _add_outer(out, -2.0, ones[:b], km[i])
+            _add_outer(out, -1.0, km[i, rows], ones)
+            _add_outer(out, 2.0 * q[i], ones[:b], ones)
             return _scaled(out, lam)
 
         def residual():  # (1 - 2 M) F, M the mass of m
@@ -319,7 +351,7 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
         # every base point of level k has the row lam g'(s[k]) (c - s[k]); only the fill reads it
         row = lam * gp(s[..., None]) * (c - s[..., None]) if exact else None
 
-        def fill(out, tmp, rows, k):
+        def fill(out, rows, k):
             out[:] = row[k]
             return out
 
@@ -341,6 +373,12 @@ def kernel_cos_prod(x, y):
 
 
 KERNELS = {"cos_diff": kernel_cos_diff, "cos_prod": kernel_cos_prod}
+
+# kernel -> its factor u on the grid points x, kernel(x, y) = u(x) @ u(y)
+KERNEL_FACTORS = {
+    kernel_cos_diff: lambda x: np.stack([np.cos(TWO_PI * x), np.sin(TWO_PI * x)], axis=-1),
+    kernel_cos_prod: lambda x: np.cos(TWO_PI * x)[:, None],
+}
 
 PROFILES = {
     "quadratic": (lambda s: 0.5 * s**2, lambda s: s),

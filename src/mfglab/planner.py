@@ -9,20 +9,23 @@ except the backward equation carries the source
 and the terminal condition is the derivative of m -> int G dm, so it
 runs the equilibrium's damped loop (mfg.fixed_point) on that backward
 data.  It takes the fields and the source of a whole flow from
-Coupling._path_terms, in closed form and with no n x n matrix.  The
-descent route never looks at optimality conditions: it runs exact
-adjoint gradient descent on the discrete control objective (the
-discretize-then-optimize gradient of the very quadrature reported as
-cost), warm-started at the equilibrium feedback so its first objective
-value is the equilibrium social cost.  Its adjoint source contracts the
-dense delta(m) of each slice (ControlObjective._dense_terms), whose
-rounding its round-off-level stop follows.  The kernel products of all
-levels come from one exact stacked product, each level bit for bit its
-own (model.kernel_products); the contraction then runs one cache-sized
+Coupling._path_terms, in closed form, its kernel products through the
+catalog kernels' factors (model.kernel_products), and with no n x n
+matrix.  The descent route never looks at optimality conditions: it
+runs exact adjoint gradient descent on the discrete control objective
+(the discretize-then-optimize gradient of the very quadrature reported
+as cost), warm-started at the equilibrium feedback so its first
+objective value is the equilibrium social cost.  Its stop is at
+round-off level, so every product it reads keeps the dense rounding of
+one product per slice: the fields of all levels come from one exact
+stacked product, each level bit for bit its own, and F(m[0]) from a
+1-D eval, the dense gemv.  Its adjoint source contracts the dense
+delta(m) of each slice (ControlObjective._dense_terms), one cache-sized
 row block at a time, block-outer and level-inner: each block of the
-kernel is read once for all levels, the n x n matrix is never built,
-and the blocked BLAS sum equals the single product bit for bit.  The
-two values cross-validate each other; for nonconvex couplings the
+kernel is read once for all levels, each fill adds its terms to a copy
+of the block by exact rank-one updates, the n x n matrix is never
+built, and the blocked BLAS sum equals the single product bit for bit.
+The two values cross-validate each other; for nonconvex couplings the
 system route is only a critical point, so the descent value is the one
 used for gaps.
 """
@@ -167,7 +170,7 @@ class ControlObjective:
         self.w[g.nt] = 0.0
         self._terms = None  # (bytes of m, terms) of the latest path, see _path_terms
         self.block = dense_block_rows(g.n)
-        self._work = None   # the (2, block, n) row block and scratch of _dense_terms
+        self._work = None   # the (block, n) row block of _dense_terms
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         return fp_forward_sweep(self.grid, self.problem.m0, a)
@@ -194,14 +197,16 @@ class ControlObjective:
 
         One exact stacked call, coupling._slice(m, True), forms the fields
         and the fill vectors of every level, each level's kernel products
-        bit for bit its own eval's (model.kernel_products).  Each residual
-        contracts the dense delta(m[k]) without building it: block by
-        block, every level's fill writes one (b, n) row block into the
-        objective's workspace, b = self.block, and it is contracted at
-        once, so each block of the kernel stays in cache for all levels.
-        Each level's first block product is numpy's m @ W, exactly the
-        single product when b = n; each later block is added into the same
-        vector by BLAS dgemv with beta = 1.
+        bit for bit its own eval's: an exact product, never the kernel's
+        factor (model.kernel_products).  Each residual contracts the dense
+        delta(m[k]) without building it: block by block, every level's
+        fill writes one (b, n) row block into the objective's workspace,
+        b = self.block, with exact rank-one updates on a copy of the
+        kernel's block, and it is contracted at once, so each block of
+        the kernel stays in cache for all levels.  Each level's first
+        block product is numpy's m @ W, exactly the single product when
+        b = n; each later block is added into the same vector by BLAS
+        dgemv with beta = 1.
         OpenBLAS's non-transposed dgemv adds every group of 4 rows of W
         into y in turn, so with n and b multiples of 4 the blocked sum is
         m[k] @ delta(m[k]) bit for bit (dense_block_rows keeps b = n
@@ -216,12 +221,12 @@ class ControlObjective:
         residuals = np.zeros_like(m)
         if fill is not None:
             if self._work is None:
-                self._work = np.empty((2, b, n))
+                self._work = np.empty((b, n))
             for r in range(0, n, b):
-                out, tmp = self._work[:, :min(b, n - r)]
+                out = self._work[:min(b, n - r)]
                 rows = slice(r, r + b)
                 for k, (m_k, y) in enumerate(zip(m, residuals)):
-                    w = fill(out, tmp, rows, k)
+                    w = fill(out, rows, k)
                     if r == 0:
                         np.matmul(m_k[:b], w, out=y)
                     else:  # in place: y is a contiguous row of residuals

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from mfglab.cli import main
-from mfglab.efficiency import EfficiencyReport, check_epsilon, full_report
+from mfglab.efficiency import EfficiencyReport, check_epsilon, default_epsilon, full_report
 from mfglab.errors import ConfigError
 from mfglab.grids import Grid
 from mfglab.harness import (
+    NUMBER_COLUMNS,
     RESULT_COLUMNS,
     build_problem,
     emit_plotdata,
@@ -348,6 +349,45 @@ class TestCli:
         run(cfg(), tmp_path / "rows.csv")
         assert main(["fit", "--config", path, "--rows", str(tmp_path / "rows.csv"),
                      "--out", str(tmp_path / "f.csv")]) == 2
+
+
+class TestDefaultEpsilon:
+    """The default epsilon leaves a time level in [t0+eps, T-eps] on every grid."""
+
+    @pytest.mark.parametrize("nt", (5, 7))  # 7/16 of the horizon used to empty the window
+    def test_odd_short_grids_end_in_a_row(self, tmp_path, capsys, nt):
+        path = write_cfg(tmp_path, {"grid": {"n": 16, "nt": nt}})
+        out = tmp_path / "o.csv"
+        assert main(["report", "--config", path, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        (row,) = read_rows(out)
+        check_epsilon(Grid(n=16, nt=nt), row["epsilon"])
+
+    @pytest.mark.parametrize("nt", (8, 16, 64, 256))
+    def test_unchanged_where_the_window_held_a_level(self, nt):
+        g = Grid(n=16, nt=nt)
+        assert default_epsilon(g) == min(max(4.0 * g.dt, 1.0 / 16.0), 7.0 / 16.0)
+
+
+class TestFitColumns:
+    @pytest.mark.parametrize("key", ("x_column", "y_column"))
+    @pytest.mark.parametrize("column", ("coupling", "damping", "mfg_converged"))
+    def test_fit_rejects_a_column_that_holds_no_numbers(self, tmp_path, capsys, key, column):
+        fit = {"x_column": "coupling_lambda", "y_column": "gap", key: column}
+        path = write_cfg(tmp_path, cfg(fit=fit))
+        rows = tmp_path / "rows.csv"
+        run(cfg(), rows)
+        assert main(["fit", "--config", path, "--rows", str(rows),
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: fit.{key}" in err and "Traceback" not in err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_number_columns(self):
+        assert set(RESULT_COLUMNS) - set(NUMBER_COLUMNS) == {
+            "hamiltonian", "coupling", "kernel", "terminal", "m0_kind", "damping",
+            "mfg_converged", "system_converged", "descent_converged",
+            "planner_values_disagree"}
 
 
 class TestDomainRules:

@@ -25,6 +25,7 @@ from mfglab import model
 from mfglab.errors import MassConservationError
 from mfglab.model import (
     COUPLING_LABELS,
+    KERNEL_FACTORS,
     KERNELS,
     Problem,
     convention_defect,
@@ -378,13 +379,130 @@ class TestExactStackedProduct:
         if fill is None:
             assert label in ("zero", "spatial_cos")
             return
-        out, tmp = np.empty((2, rows, n))
+        out = np.empty((rows, n))
         for k, m in enumerate(stack):
             dmat = TestFusedTerms.reference_terms(label, g, kernel, lam, m)[1]
             assert np.array_equal(c.delta(m), dmat)
             for r in range(0, n, rows):
                 b = min(rows, n - r)
-                assert np.array_equal(fill(out[:b], tmp[:b], slice(r, r + b), k), dmat[r:r + b])
+                assert np.array_equal(fill(out[:b], slice(r, r + b), k), dmat[r:r + b])
+
+
+# the kernel-based constructors, to rebuild a catalog coupling on a callable kernel
+KERNEL_COUPLINGS = {"convolution": coupling_convolution, "efficient": coupling_efficient,
+                    "potential": coupling_potential}
+
+
+class TestKernelFactors:
+    """Products priced through the catalog kernels' factors, phi = u u^T.
+
+    A stack without exact takes (m @ u) @ u.T; a Python-API callable
+    kernel has no factor and takes one dense gemm; an exact product and a
+    1-D slice keep the dense gemv bit for bit.
+    """
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_factor_rebuilds_the_kernel(self, kernel):
+        x = Grid(n=64, nt=8).xs()
+        u = KERNEL_FACTORS[KERNELS[kernel]](x)
+        assert u.shape == (64, 2 if kernel == "cos_diff" else 1)
+        dense = KERNELS[kernel](x[:, None], x[None, :])
+        assert np.all(np.abs(u @ u.T - dense) <= 1e-15)
+
+    @pytest.mark.parametrize("count", (1, 5, 32))
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_stack_agrees_with_the_dense_gemm(self, label, kernel, count):
+        # the same coupling on a callable outside the catalog takes the dense gemm
+        g = Grid(n=64, nt=8)
+        c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+        r = np.random.default_rng(count)
+        stack = np.stack([random_density(g, r, roughness=1.0) * r.uniform(0.5, 1.5)
+                          for _ in range(count)])
+        if label in KERNEL_COUPLINGS:
+            catalog = KERNELS[kernel]
+            dense = KERNEL_COUPLINGS[label](g, lambda x, y: catalog(x, y), lam=0.7)
+            fields, residuals = dense._path_terms(stack)
+        else:
+            fields = np.stack([c.eval(m) for m in stack])
+            residuals = np.stack([(m @ c.delta(m)) * g.dx for m in stack])
+        got_fields, got_residuals = c._path_terms(stack)
+        assert np.array_equal(c.eval(stack), got_fields)
+        for got, ref in ((got_fields, fields), (got_residuals, residuals)):
+            assert got.shape == (count, g.n)
+            assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + np.abs(ref).max()))
+
+    @pytest.mark.parametrize("label", KERNEL_COUPLINGS)
+    def test_callable_kernel_takes_the_dense_gemm(self, label):
+        # not symmetric, so phi and phi.T differ: no symmetric factor could stand in for it
+        def lopsided(x, y):
+            return np.cos(TWO_PI * (x - y)) + 0.3 * np.sin(TWO_PI * (x + 2.0 * y))
+
+        g = Grid(n=32, nt=8)
+        c = KERNEL_COUPLINGS[label](g, lopsided, lam=0.7)
+        stack = TestFusedTerms.densities(g, 5, count=4)
+        x = g.xs()
+        phi = lopsided(x[:, None], x[None, :])
+        if label == "potential":
+            phi = 0.5 * (phi + phi.T)
+        pm = kernel_products(phi, stack)
+        assert np.array_equal(pm, (phi @ stack.T).T)
+        if label == "convolution":
+            assert np.array_equal(c.eval(stack), 0.7 * pm * g.dx)
+        fields = c.eval(stack)
+        rows = np.stack([c.eval(m) for m in stack])
+        assert np.all(np.abs(fields - rows) <= 1e-13 * (1.0 + np.abs(rows).max()))
+        residuals = c._path_terms(stack)[1]
+        dense = np.stack([(m @ c.delta(m)) * g.dx for m in stack])
+        assert np.all(np.abs(residuals - dense) <= 1e-13 * (1.0 + np.abs(dense).max()))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_one_slice_is_the_dense_gemv(self, kernel):
+        g = Grid(n=128, nt=8)
+        x = g.xs()
+        phi = KERNELS[kernel](x[:, None], x[None, :])
+        u = KERNEL_FACTORS[KERNELS[kernel]](x)
+        for m in TestFusedTerms.densities(g, 9):
+            assert np.array_equal(kernel_products(phi, m, factor=u), phi @ m)
+            assert np.array_equal(kernel_products(phi, m[None], exact=True, factor=u)[0],
+                                  phi @ m)
+            for label in KERNEL_COUPLINGS:
+                c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+                field = TestFusedTerms.reference_terms(label, g, kernel, 0.7, m)[0]
+                assert np.array_equal(c.eval(m), field)
+
+    @pytest.mark.parametrize("label", ("convolution", "efficient", "potential", "xfree"))
+    def test_fill_writes_a_row_block_of_a_workspace_in_place(self, label):
+        # f2py hands BLAS a copy of an out.T that is not F-contiguous; a row
+        # block of a larger C-contiguous workspace is written where it lies
+        g = Grid(n=64, nt=8)
+        c = coupling_from_label(g, label, lam=0.7)
+        stack = TestFusedTerms.densities(g, 3, count=2)
+        fill = c._slice(stack, True)[1]
+        work = np.full((3, 16, g.n), np.nan)
+        block = work[1, :12]
+        assert fill(block, slice(20, 32), 1) is block
+        assert np.array_equal(work[1, :12], c.delta(stack[1])[20:32])
+        assert np.isnan(work[0]).all() and np.isnan(work[2]).all()
+        assert np.isnan(work[1, 12:]).all()
+
+    def test_rank_one_update_is_in_place_and_exact(self):
+        r = np.random.default_rng(4)
+        work = r.standard_normal((2, 8, 16))
+        before = work.copy()
+        col, row = r.standard_normal(5), r.standard_normal(16)
+        model._add_outer(work[1, 2:7], -1.0, col, np.ones(16))
+        model._add_outer(work[1, 2:7], -2.0, np.ones(5), row)
+        model._add_outer(work[1, 2:7], 0.375, np.ones(5), np.ones(16))
+        expect = before[1, 2:7] - col[:, None]
+        expect = expect - 2.0 * row[None, :]
+        expect = expect + 0.375
+        assert np.array_equal(work[1, 2:7], expect)
+        work[1, 2:7] = before[1, 2:7]
+        assert np.array_equal(work, before)
+        with pytest.raises(ValueError, match="C-contiguous"):  # f2py would update a copy
+            model._add_outer(work[1, :, :8], -1.0, np.ones(8), np.ones(8))
+        assert np.array_equal(work, before)
 
 
 class TestClosedFormResiduals:

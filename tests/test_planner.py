@@ -123,7 +123,7 @@ class TestBlockedContraction:
         if c._slice(m[0])[1] is None:
             assert obj._work is None
         else:
-            assert obj._work.shape == (2, rows, n)
+            assert obj._work.shape == (rows, n)
 
     @pytest.mark.parametrize("n,entries", [(64, 512), (100, 3200)])  # 8-row blocks; a 4-row tail
     @pytest.mark.parametrize("kernel", KERNELS)

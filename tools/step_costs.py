@@ -16,13 +16,18 @@ factorization, so ``fp_sweep - factor`` is the forward loop itself.
 products bit for bit its own, one cache-sized row block of the kernel
 at a time for every level, several blocks from n = 256 on), divided by
 nt + 1.  ``path_terms`` is ``Coupling._path_terms`` (closed-form
-residual fields, one gemm for the kernel products of all levels) and
+residual fields, the kernel products of all levels through the
+kernel's factor) and
 ``descent_terms`` the descent's dense loop
 (``ControlObjective._dense_terms``: the exact fields, then the fills and
 contractions of ``delta(m)`` block by block, every level per block),
 both on the nt levels 0..nt-1.  All three take the ``--label`` coupling
-(default convolution) and are µs per level.  n = 1024 is the
-benchmark's wide grid.  BLAS runs on one thread.
+(default convolution) and are µs per level.  ``cert_step`` is
+``efficiency._phi_stack``, the certificate's pricing of its H_SAMPLES
+perturbation sizes as one stack per time step (one forward step and one
+coupling eval through the kernel's factor), on the running perturbation
+of the same path, in µs per step.  n = 1024 is the benchmark's wide
+grid.  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 COLUMNS = ("fp_sweep", "hjb_sweep", "adjoint", "factor", "fields", "path_terms",
-           "descent_terms")
+           "descent_terms", "cert_step")
 
 
 def _best(fn, repeats: int) -> float:
@@ -56,6 +61,15 @@ def _best(fn, repeats: int) -> float:
 def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dict:
     """{column: µs per time step} at one grid size (see the module docstring)."""
     from mfglab import Grid, coupling_from_label, density_cosine, quadratic_hamiltonian
+    from mfglab.efficiency import (
+        H_SAMPLES,
+        _phi_stack,
+        build_perturbation_running,
+        default_epsilon,
+        equilibrium,
+    )
+    from mfglab.grids import DensityPath, ScalarPath
+    from mfglab.mfg import MFGSolution
     from mfglab.model import Problem, coupling_zero
     from mfglab.planner import ControlObjective
     from mfglab.stepping import (
@@ -77,6 +91,12 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
     obj = ControlObjective(problem)
     obj.adjoint(a, m)  # fills the path-term cache the descent also reuses
     bands = upwind_bands(grid, a[:nt])[3:]
+    # the path and its drift as an equilibrium record: _phi_stack reads only m and alpha
+    sol = MFGSolution(u=ScalarPath(np.zeros_like(m), grid), m=DensityPath(m, grid),
+                      alpha_star=ScalarPath(a, grid), iterations=0, fp_residual=0.0,
+                      hjb_residual=0.0, fpk_residual=0.0, converged=True)
+    pert = build_perturbation_running(equilibrium(sol, problem), default_epsilon(grid))
+    hs = np.geomspace(1e-4 * pert.tau, pert.tau, H_SAMPLES)
     calls = {
         "fp_sweep": lambda: fp_forward_sweep(grid, problem.m0, a),
         "hjb_sweep": lambda: hjb_backward_sweep(grid, problem.hamiltonian, fields, fields[-1]),
@@ -85,6 +105,7 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
         "fields": lambda: problem.coupling.eval(m, exact=True),
         "path_terms": lambda: problem.coupling._path_terms(m[:nt]),
         "descent_terms": lambda: obj._dense_terms(problem.coupling, m[:nt]),
+        "cert_step": lambda: _phi_stack(sol, pert, hs, problem),
     }
     levels = {"fields": nt + 1}
     return {name: 1e6 * _best(fn, repeats) / levels.get(name, nt) for name, fn in calls.items()}
