@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 at least one solver did
-not converge (results are still written), 4 a solver failed with a
-MassConservationError, LinearSolveError or TimeStepDivergenceError (one
-stderr line names the error and its message; rows of the points that
-finished before it are kept).
+Exit codes: 0 success, 2 configuration error, an input file that cannot
+be read or an output path that cannot be written (one stderr line names
+the path), 3 at least one solver did not converge (results are still
+written), 4 a solver failed with a MassConservationError,
+LinearSolveError or TimeStepDivergenceError (one stderr line names the
+error and its message; rows of the points that finished before it are
+kept).
 """
 
 from __future__ import annotations
@@ -153,6 +155,9 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # inputs that cannot be read raise ConfigError
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MassConservationError, LinearSolveError, TimeStepDivergenceError) as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -145,9 +145,9 @@ def load_config(path: str | Path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file ({type(exc).__name__})") from exc
+    except ValueError as exc:  # not JSON, or not text
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     validate_config(cfg)
     return cfg
@@ -300,11 +300,18 @@ def run(cfg: dict, out_path: str | Path) -> list[dict]:
 
 
 def read_rows(path: str | Path) -> list[dict]:
-    """Parse a result file back into typed row dicts (schema-checked)."""
-    lines = Path(path).read_text().splitlines()
+    """Parse a result file back into typed row dicts (schema-checked); a file
+    that cannot be read or has no integer schema line is a ConfigError."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, ValueError) as exc:  # missing, a directory, not text
+        raise ConfigError(f"{path}: cannot read result file ({type(exc).__name__})") from exc
     if not lines or not lines[0].startswith("# schema="):
         raise ConfigError(f"{path}: missing schema comment line")
-    version = int(lines[0].split("=", 1)[1])
+    try:
+        version = int(lines[0].split("=", 1)[1])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: result schema is no integer: {lines[0]!r}") from exc
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported result schema {version}")
     if len(lines) < 2:

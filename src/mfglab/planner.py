@@ -11,23 +11,23 @@ runs the equilibrium's damped loop (mfg.fixed_point) on that backward
 data.  It takes the fields and the source of a whole flow from
 Coupling._path_terms, in closed form, its kernel products through the
 catalog kernels' factors (model.kernel_products), and with no n x n
-matrix.  The descent route never looks at optimality conditions: it
-runs exact adjoint gradient descent on the discrete control objective
-(the discretize-then-optimize gradient of the very quadrature reported
-as cost), warm-started at the equilibrium feedback so its first
-objective value is the equilibrium social cost.  Its stop is at
+matrix.  The descent route runs L-BFGS with exact adjoint gradients on
+the discrete control objective (the discretize-then-optimize gradient of
+the very quadrature reported as cost), warm-started at the equilibrium
+feedback so its first objective value is the equilibrium social cost.
+Each evaluation (ControlObjective.evaluate) is one forward sweep, one
+set of path terms and one adjoint sweep, and the point L-BFGS returns
+keeps its evaluation's path, cost and multipliers.  Its stop is at
 round-off level, so every product it reads keeps the dense rounding of
 one product per slice: the fields of all levels come from one exact
-stacked product, each level bit for bit its own, and F(m[0]) from a
-1-D eval, the dense gemv.  Its adjoint source contracts the dense
-delta(m) of each slice (ControlObjective._dense_terms), one cache-sized
-row block at a time, block-outer and level-inner: each block of the
-kernel is read once for all levels, each fill adds its terms to a copy
-of the block by exact rank-one updates, the n x n matrix is never
-built, and the blocked BLAS sum equals the single product bit for bit.
-The two values cross-validate each other; for nonconvex couplings the
-system route is only a critical point, so the descent value is the one
-used for gaps.
+stacked product, each level bit for bit its own, and F(m[0]) from a 1-D
+eval, the dense gemv.  Its adjoint source contracts the dense delta(m)
+of each slice (ControlObjective._dense_terms) one cache-sized row block
+at a time, block-outer and level-inner, by exact rank-one updates on a
+copy of each kernel block: the n x n matrix is never built, and the
+blocked BLAS sum equals the single product bit for bit.  The two values
+cross-validate each other; for nonconvex couplings the system route is
+only a critical point, so the descent value is the one used for gaps.
 """
 
 from __future__ import annotations
@@ -155,9 +155,9 @@ class ControlObjective:
     the cost).  The gradient is the discretize-then-optimize adjoint of
     exactly this computation, so descent stationarity is measured against
     the discrete objective, independent of truncation error.  The
-    objective owns one (2, block, n) workspace for the delta(m) row blocks
-    of _dense_terms and the fills' scratch, block = dense_block_rows(n)
-    (32 rows at n = 1024), allocated on first use; no n x n matrix is built.
+    objective owns one (block, n) workspace for the delta(m) row blocks
+    of _dense_terms, block = dense_block_rows(n) (32 rows at n = 1024),
+    allocated on first use; no n x n matrix is built.
     """
 
     def __init__(self, problem: Problem):
@@ -168,29 +168,31 @@ class ControlObjective:
         # left-endpoint running-cost weights; the terminal level pays nothing
         self.w = np.full(g.nt + 1, g.dt)
         self.w[g.nt] = 0.0
-        self._terms = None  # (bytes of m, terms) of the latest path, see _path_terms
         self.block = dense_block_rows(g.n)
         self._work = None   # the (block, n) row block of _dense_terms
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         return fp_forward_sweep(self.grid, self.problem.m0, a)
 
+    def evaluate(self, a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """(m, J, grad, lam_path) at a: one forward sweep m, its path terms
+        formed once, the cost J on them and one adjoint sweep (gradient)."""
+        m = self.forward(a)
+        f_0, fields, _, g_field, _ = terms = self._path_terms(m)
+        cost = _path_cost(self.problem, m, a, (f_0, *fields), g_field)
+        return (m, cost, *self.gradient(a, m, terms))
+
     def _path_terms(self, m: np.ndarray) -> tuple:
         """(f_0, fields, residuals, g_field, g_residual) of the path m.
 
         f_0 is F(., m[0]); fields and residuals hold F and the residual
         field of levels 1..nt-1 (level 0 drives no adjoint step and level
-        nt has running weight 0); g_field and g_residual are those of G at
-        m[nt].  The objective and the adjoint of one path share them: the
-        latest path's terms are kept, keyed on the bytes of m.
+        nt has running weight 0); g_field and g_residual are G's at m[nt].
         """
-        key = m.tobytes()
-        if self._terms is None or self._terms[0] != key:
-            p, nt = self.problem, self.grid.nt
-            fields, residuals = self._dense_terms(p.coupling, m[1:nt])
-            (g_field,), (g_residual,) = self._dense_terms(p.terminal, m[nt:])
-            self._terms = key, (p.coupling.eval(m[0]), fields, residuals, g_field, g_residual)
-        return self._terms[1]
+        p, nt = self.problem, self.grid.nt
+        fields, residuals = self._dense_terms(p.coupling, m[1:nt])
+        (g_field,), (g_residual,) = self._dense_terms(p.terminal, m[nt:])
+        return p.coupling.eval(m[0]), fields, residuals, g_field, g_residual
 
     def _dense_terms(self, coupling, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """eval(m[k]) and (m[k] @ delta(m[k])) dx for every row k of m.
@@ -234,26 +236,17 @@ class ControlObjective:
         residuals *= self.grid.dx
         return fields, residuals
 
-    def objective(self, a: np.ndarray, m: np.ndarray | None = None) -> float:
-        if m is None:
-            m = self.forward(a)
-        f_0, fields, _, g_field, _ = self._path_terms(m)
-        return _path_cost(self.problem, m, a, (f_0, *fields), g_field)
-
-    def gradient(self, a: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
-        if m is None:
-            m = self.forward(a)
-        return self.adjoint(a, m)[0]
-
-    def adjoint(self, a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gradient(self, a: np.ndarray, m: np.ndarray,
+                 terms: tuple) -> tuple[np.ndarray, np.ndarray]:
         """One backward adjoint sweep: the gradient and the multipliers.
 
-        Returns (grad, lam_path).  lam_path[k] multiplies the step that
-        produces level k; level 0, which no step produces, copies level 1.
+        terms are _path_terms(m).  Returns (grad, lam_path).  lam_path[k]
+        multiplies the step that produces level k; level 0, which no step
+        produces, copies level 1.
         """
         g = self.grid
         n, nt, dx, dt = g.n, g.nt, g.dx, g.dt
-        _, fields, residuals, g_field, g_residual = self._path_terms(m)
+        _, fields, residuals, g_field, g_residual = terms
         # weighted running-cost gradient of level k + 1, the source of step k:
         # d/dm_i of sum_j [l0 + F] m_j dx, up to an additive constant that
         # cancels in the control gradient (the dynamics conserve mass);
@@ -309,49 +302,40 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
 
     obj = ControlObjective(problem)
     history = []
-    # (m, f) of the latest evaluation and of the latest accepted iterate,
-    # keyed on the exact bytes of x: the callback and the final result
-    # reuse them instead of sweeping again
-    latest: dict = {}
-    accepted: dict = {}
+    # (x, m, f, lam_path) of the latest evaluation and of the latest accepted
+    # iterate: L-BFGS-B hands its callback the point it evaluated last and
+    # returns one of the two (after a line-search failure, the accepted one)
+    latest = accepted = None
 
     def fun(vec):
-        a = vec.reshape(shape)
-        m = obj.forward(a)
-        f = obj.objective(a, m)  # the gradient below reuses this path's terms
-        latest.clear()
-        latest[vec.tobytes()] = (m, f)
-        if not history:
-            history.append(f)  # the first evaluation is at a0
-        return f, obj.gradient(a, m).ravel()
+        nonlocal latest, accepted
+        m, f, grad, lam_path = obj.evaluate(vec.reshape(shape))
+        latest = (vec.copy(), m, f, lam_path)
+        if accepted is None:  # the first evaluation is at a0
+            accepted = latest
+            history.append(f)
+        return f, grad.ravel()
 
-    def recall(vec):
-        key = vec.tobytes()
-        for seen in (latest, accepted):
-            if key in seen:
-                return seen[key]
-        a = vec.reshape(shape)
-        m = obj.forward(a)
-        return m, obj.objective(a, m)
-
-    def cb(vec):
-        hit = recall(vec)
-        accepted.clear()
-        accepted[vec.tobytes()] = hit
-        history.append(hit[1])
+    def cb(_):
+        nonlocal accepted
+        accepted = latest
+        history.append(latest[2])
 
     res = minimize(fun, a0.ravel(), jac=True, method="L-BFGS-B", callback=cb,
                    options={"maxiter": DESCENT_MAX_ITERS, "maxcor": 20,
                             "ftol": 1e-18, "gtol": DESCENT_GTOL})
+    for x, m_opt, cost, lam_path in (latest, accepted):
+        if np.array_equal(x, res.x):
+            break
+    else:
+        raise RuntimeError("L-BFGS-B returned a point that is neither its latest "
+                           "evaluation nor its latest accepted iterate")
     a_opt = res.x.reshape(shape)
-    m_opt, cost = recall(res.x)
     grad_norm = float(np.abs(res.jac).max())
     stagnated = res.status == 2
 
-    # discrete adjoint in value-function units, for inspection only
-    lam_path = obj.adjoint(a_opt, m_opt)[1]
-
     return PlannerSolution(
+        # the discrete adjoint in value-function units, for inspection only
         u_hat=ScalarPath(lam_path / grid.dx, grid),
         m_hat=DensityPath(m_opt, grid),
         w_hat=ScalarPath(m_opt * a_opt, grid),

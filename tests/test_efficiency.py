@@ -25,8 +25,9 @@ from mfglab import (
     planner_cost,
 )
 from mfglab import harness
-from mfglab.efficiency import EfficiencyReport, _phi_stack
-from mfglab.grids import continuity_residual_1d
+from mfglab.efficiency import EfficiencyReport, _phi_stack, _ramp_running
+from mfglab.errors import MassConservationError
+from mfglab.grids import DensityPath, continuity_residual_1d
 from mfglab.model import COUPLING_LABELS, Coupling, coupling_from_label, coupling_spatial
 
 from conftest import make_problem
@@ -211,6 +212,32 @@ class TestPerturbations:
         prob, sol = b["convolution"]
         with pytest.raises(ValueError):
             build_perturbation_running(equilibrium(sol, prob), 0.0)
+
+    @staticmethod
+    def vanishing_at(sol, k):
+        """sol with the mass of m[k, 3] moved onto m[k, 4]: still a density, zero at one cell."""
+        m = sol.m.values.copy()
+        m[k, 4] += m[k, 3]
+        m[k, 3] = 0.0
+        return dataclasses.replace(sol, m=DensityPath(m, sol.m.grid))
+
+    def test_running_needs_a_positive_density_where_the_ramp_is_active(self, bench64):
+        g, b = bench64
+        prob, sol = b["convolution"]
+        eps = default_epsilon(g)
+        active = np.flatnonzero(_ramp_running(g, eps) > 0.0)
+        k = int(active[len(active) // 2])
+        with pytest.raises(MassConservationError, match=f"density vanishes on slice {k};"):
+            build_perturbation_running(equilibrium(self.vanishing_at(sol, k), prob), eps)
+        assert _ramp_running(g, eps)[0] == 0.0  # a zero where the ramp is off is no error
+        build_perturbation_running(equilibrium(self.vanishing_at(sol, 0), prob), eps)
+
+    def test_terminal_needs_a_positive_terminal_density(self, bench64):
+        g, b = bench64
+        prob, sol = b["convolution"]
+        eq = equilibrium(self.vanishing_at(sol, g.nt), prob)
+        with pytest.raises(MassConservationError, match="terminal density vanishes"):
+            build_perturbation_terminal(eq, default_epsilon(g))
 
 
 class TestPhi:

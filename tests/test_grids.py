@@ -226,6 +226,11 @@ class TestFluxReconstruction:
         with pytest.raises(ValueError, match="nonzero mean"):
             reconstruct_flux_1d(mu, grid32)
 
+    def test_mu_on_another_grid_rejected(self, grid32):
+        mu = ScalarPath(np.zeros((17, 32)), grid32)
+        with pytest.raises(ShapeMismatchError, match="different grid"):
+            reconstruct_flux_1d(mu, Grid(n=32, nt=16, T=2.0))
+
 
 class TestPeriodicTridiag:
     def test_against_dense(self, rng):
@@ -324,6 +329,15 @@ class TestPeriodicTridiag:
         with pytest.raises(LinearSolveError):
             PeriodicTridiagLU(*bands[:, 1])
 
+    def test_factor_zero_pivot_raises(self):
+        # finite open bands whose second pivot is exactly 0: no elimination in
+        # the first column, and a zero subdiagonal below the zero diagonal
+        n = 6
+        lower, diag, upper = np.full(n, -1.0), np.full(n, 4.0), np.full(n, -1.0)
+        lower[1] = lower[2] = diag[1] = 0.0
+        with pytest.raises(LinearSolveError, match=r"singular matrix \(pivot 2\)"):
+            PeriodicTridiagLU(lower, diag, upper)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_factor_non_finite_rejected(self, bad):
         bands = np.full((3, 3, 16), -1.0)
@@ -398,7 +412,7 @@ def hjb_reference(g, ham, fields, terminal, source=None):
 
 
 def adjoint_reference(obj, a, m):
-    """ControlObjective.adjoint with one checked transposed solve per step."""
+    """ControlObjective.gradient with one checked transposed solve per step."""
     g = obj.grid
     n, nt, dx, dt = g.n, g.nt, g.dx, g.dt
     _, fields, residuals, g_field, g_residual = obj._path_terms(m)
@@ -462,7 +476,7 @@ class TestSweeps:
         obj = ControlObjective(make_problem(g, label, lam=2.0))
         a = 2.0 * rng.standard_normal((g.nt + 1, g.n))
         m = obj.forward(a)
-        grad, lam_path = obj.adjoint(a, m)
+        grad, lam_path = obj.gradient(a, m, obj._path_terms(m))
         ref_grad, ref_lam = adjoint_reference(obj, a, m)
         assert np.array_equal(grad, ref_grad)
         assert np.array_equal(lam_path, ref_lam)
@@ -512,5 +526,6 @@ class TestSweeps:
         fields[6, 3] = np.inf
         monkeypatch.setattr(obj, "_path_terms",
                             lambda m: (f_0, fields, residuals, g_field, g_residual))
-        err = same_error(lambda: obj.adjoint(a, m), lambda: adjoint_reference(obj, a, m))
+        err = same_error(lambda: obj.gradient(a, m, obj._path_terms(m)),
+                         lambda: adjoint_reference(obj, a, m))
         assert type(err) is ValueError

@@ -139,6 +139,17 @@ class TestReadRows:
         with pytest.raises(ConfigError):
             read_rows(p)
 
+    def test_schema_line_alone_holds_no_rows(self, tmp_path, capsys):
+        p = tmp_path / "empty.csv"
+        p.write_text("# schema=1\n")
+        assert read_rows(p) == []
+        c = cfg(fit={"x_column": "coupling_lambda", "y_column": "gap"})
+        out = tmp_path / "f.csv"
+        assert main(["fit", "--config", write_cfg(tmp_path, c), "--rows", str(p),
+                     "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        assert row["n_used"] == 0 and row["degenerate"] is True
+
     def test_torn_final_line_tolerated(self, tmp_path):
         c = cfg()
         run(c, tmp_path / "out.csv")
@@ -317,17 +328,85 @@ class TestCli:
         ("report", dict(emit={"series": 5}), "emit.series: expected list, got int"),
         ("report", dict(fit=5), "fit: expected a JSON object, got int"),
         ("sweep", dict(fit={"x_column": "nope", "y_column": "gap"}), "fit.x_column: unknown name"),
+        ("report", dict(schema=2), "schema: unsupported version 2"),
+        ("sweep", dict(sweep={"values": [0.5]}), "sweep.parameter: missing required field"),
+        ("report", dict(m0={"kind": "file"}), "m0.path: missing required field"),
+        ("fit", dict(fit={"y_column": "gap"}), "fit.x_column: missing required field"),
+        ("emit", {}, "emit.series: missing required field"),
+        ("emit", dict(emit={"series": [["gap"]]}),
+         "emit.series[0]: expected a [x_column, y_column] pair"),
+        ("emit", dict(emit={"series": [["coupling_lambda", "nope"]]}),
+         "emit.series[0]: unknown column 'nope'"),
     ], ids=["solver_not_object", "coupling_not_object", "unknown_key", "unknown_section",
             "infinite_T", "nan_lambda", "huge_int_lambda", "nan_sweep_value",
             "fit_unknown_key", "sweep_unknown_key", "emit_series_not_list", "fit_not_object",
-            "fit_unknown_column"])
+            "fit_unknown_column", "schema_2", "sweep_no_parameter", "m0_file_no_path",
+            "fit_no_x_column", "emit_no_series", "emit_one_column", "emit_unknown_column"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, over, message):
         path = write_cfg(tmp_path, cfg(**over))
         out = tmp_path / "o.csv"
-        assert main([command, "--config", path, "--out", str(out)]) == 2
+        rows = tmp_path / "rows.csv"
+        rows.write_text("# schema=1\n" + ",".join(RESULT_COLUMNS) + "\n")
+        inputs = ["--rows", str(rows)] if command in ("fit", "emit") else []
+        assert main([command, "--config", path, *inputs, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {message}" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "top level: expected a JSON object"),
+        ('{"grid": {"nt": 8}}', "grid.n: missing required field"),
+        ('{"grid": {"n": 16, "nt": 8}', "invalid JSON"),
+    ], ids=["top_level_list", "no_grid_n", "invalid_json"])
+    def test_config_text_exit_code(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "o.csv"
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    # an input that cannot be read, or an output path that cannot be written:
+    # exit 2 and one stderr line naming the path
+    @pytest.mark.parametrize("command,rows,out,named", [
+        ("fit", None, "f.csv", "rows"),
+        ("emit", None, "plots", "rows"),
+        ("fit", "# schema=x\n", "f.csv", "rows"),
+        ("emit", "# schema=x\n", "plots", "rows"),
+        ("fit", "# schema=2\n", "f.csv", "rows"),
+        ("report", None, "missing/o.csv", "out"),
+        ("sweep", None, "missing/o.csv", "out"),
+        ("solve-mfg", None, "missing/o.csv", "out"),
+        ("solve-planner", None, "missing/o.csv", "out"),
+        ("fit", "# schema=1\n", "missing/f.csv", "out"),
+        ("emit", "# schema=1\n", "existing", "out"),
+    ], ids=["fit_rows_missing", "emit_rows_missing", "fit_schema_not_int", "emit_schema_not_int",
+            "fit_schema_2", "report_out_dir_missing", "sweep_out_dir_missing",
+            "solve_mfg_out_dir_missing", "solve_planner_out_dir_missing",
+            "fit_out_dir_missing", "emit_out_is_a_file"])
+    def test_file_error_exit_code(self, tmp_path, capsys, command, rows, out, named):
+        c = cfg(grid={"n": 16, "nt": 8},
+                sweep={"parameter": "coupling.lambda", "values": [0.5]},
+                fit={"x_column": "coupling_lambda", "y_column": "gap"},
+                emit={"series": [["coupling_lambda", "gap"]]})
+        args = [command, "--config", write_cfg(tmp_path, c), "--out", str(tmp_path / out)]
+        if command in ("fit", "emit"):
+            if rows is not None:
+                (tmp_path / "rows.csv").write_text(rows)
+            args += ["--rows", str(tmp_path / "rows.csv")]
+        (tmp_path / "existing").write_text("")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        path = tmp_path / ("rows.csv" if named == "rows" else out)
+        assert str(path) in err and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_uniform_m0_report(self, tmp_path):
+        path = write_cfg(tmp_path, cfg(grid={"n": 16, "nt": 8}, m0={"kind": "uniform"}))
+        out = tmp_path / "o.csv"
+        assert main(["report", "--config", path, "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        assert row["m0_kind"] == "uniform"
 
     def test_integer_damping_factor(self):
         _, params, _ = build_problem(cfg(solver={"damping": 1}))

@@ -85,8 +85,7 @@ class TestPlannerCost:
         # the kernel's rows themselves, since one ulp of a level can round away in the sum
         assert planner.slice_costs(prob, m[:-1], a[:-1], fields).tolist() == levels
         assert planner_cost(m, a, prob) == expect
-        assert obj.objective(a, m) == expect
-        assert obj.objective(a) == expect
+        assert obj.evaluate(a)[1] == expect
 
     def test_shape_check(self, grid32):
         prob = make_problem(grid32, "zero", amplitude=0.0)
@@ -204,7 +203,7 @@ class TestAdjointGradient:
         prob = make_problem(g, label, lam=0.8, amplitude=0.3, terminal=term)
         obj = ControlObjective(prob)
         a = 0.5 + 0.3 * rng.standard_normal((g.nt + 1, g.n))  # stay off the upwind kink
-        grad = obj.gradient(a)
+        grad = obj.evaluate(a)[2]
         h = 1e-6
         for _ in range(25):
             k = int(rng.integers(0, g.nt + 1))
@@ -212,7 +211,7 @@ class TestAdjointGradient:
             ap, am = a.copy(), a.copy()
             ap[k, i] += h
             am[k, i] -= h
-            fd = (obj.objective(ap) - obj.objective(am)) / (2 * h)
+            fd = (obj.evaluate(ap)[1] - obj.evaluate(am)[1]) / (2 * h)
             assert grad[k, i] == pytest.approx(fd, rel=1e-5, abs=1e-12)
 
     def test_terminal_level_is_inert(self, rng):
@@ -220,10 +219,10 @@ class TestAdjointGradient:
         prob = make_problem(g, "convolution", lam=0.5, amplitude=0.3)
         obj = ControlObjective(prob)
         a = rng.standard_normal((g.nt + 1, g.n))
-        assert np.all(obj.gradient(a)[g.nt] == 0.0)
+        assert np.all(obj.evaluate(a)[2][g.nt] == 0.0)
         b = a.copy()
         b[g.nt] += 3.0
-        assert obj.objective(a) == obj.objective(b)
+        assert obj.evaluate(a)[1] == obj.evaluate(b)[1]
 
 
 class TestPlannerSystem:
@@ -317,8 +316,24 @@ class TestPlannerDescent:
         with pytest.raises(ValueError):
             solve_planner_descent(prob, fast_params, init=np.zeros((3, grid64.n)))
 
+    def test_a_returned_point_never_evaluated_raises(self, monkeypatch):
+        grid = Grid(n=16, nt=8)
+        prob = make_problem(grid, "convolution", lam=1.0)
+        minimize = planner.minimize
+
+        def shifted_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            res.x = res.x + 1.0
+            return res
+
+        monkeypatch.setattr(planner, "minimize", shifted_minimize)
+        with pytest.raises(RuntimeError, match="neither its latest evaluation"):
+            solve_planner_descent(prob, init=np.zeros((grid.nt + 1, grid.n)))
+
     # the second case ends in a line-search stagnation, where L-BFGS-B
-    # returns the last accepted iterate rather than the last evaluated point
+    # returns the last accepted iterate rather than the last evaluated point;
+    # each evaluation is one forward sweep and one adjoint sweep, inside
+    # ControlObjective.gradient, and the result sweeps no more
     @pytest.mark.parametrize("n, nt, label, stagnates", [(64, 64, "convolution", False),
                                                          (16, 8, "efficient", True)])
     def test_one_forward_sweep_per_evaluation(self, n, nt, label, stagnates, fast_params,
@@ -327,9 +342,9 @@ class TestPlannerDescent:
         prob = make_problem(grid, label, lam=1.0)
         mfg = solve_mfg(prob, fast_params)
         a0 = mfg.alpha_star.values
-        sweep, gradient, minimize = (planner.fp_forward_sweep, ControlObjective.gradient,
-                                     planner.minimize)
-        counts = {"sweeps": 0, "evals": 0}
+        sweep, gradient, minimize, lu = (planner.fp_forward_sweep, ControlObjective.gradient,
+                                         planner.minimize, planner.PeriodicTridiagLU)
+        counts = {"sweeps": 0, "gradients": 0, "adjoints": 0, "evals": 0}
         accepted = []
 
         def counting_sweep(*args):
@@ -337,22 +352,31 @@ class TestPlannerDescent:
             return sweep(*args)
 
         def counting_gradient(self, *args):
-            counts["evals"] += 1
+            counts["gradients"] += 1
             return gradient(self, *args)
 
+        def counting_lu(*args):  # one factorization per adjoint sweep
+            counts["adjoints"] += 1
+            return lu(*args)
+
         def recording_minimize(fun, x0, callback=None, **kwargs):
+            def counting_fun(vec):
+                counts["evals"] += 1
+                return fun(vec)
+
             def record(vec):
                 accepted.append(vec.copy())
                 callback(vec)
-            return minimize(fun, x0, callback=record, **kwargs)
+            return minimize(counting_fun, x0, callback=record, **kwargs)
 
         monkeypatch.setattr(planner, "fp_forward_sweep", counting_sweep)
         monkeypatch.setattr(ControlObjective, "gradient", counting_gradient)
+        monkeypatch.setattr(planner, "PeriodicTridiagLU", counting_lu)
         monkeypatch.setattr(planner, "minimize", recording_minimize)
         plan = solve_planner_descent(prob, fast_params, init=mfg.alpha_star)
         monkeypatch.undo()
         assert plan.stagnated == stagnates
-        assert counts["sweeps"] == counts["evals"] > 1
+        assert counts["sweeps"] == counts["gradients"] == counts["adjoints"] == counts["evals"] > 1
 
         # the values a fresh sweep and planner_cost give at every point
         def cost_at(a):
@@ -363,3 +387,8 @@ class TestPlannerDescent:
         a_opt = plan.control.values
         assert plan.cost == cost_at(a_opt)
         assert np.array_equal(plan.m_hat.values, sweep(grid, prob.m0, a_opt))
+        # u_hat is the returned point's own adjoint sweep, in value-function units
+        obj = ControlObjective(prob)
+        m_hat = plan.m_hat.values
+        lam_path = obj.gradient(a_opt, m_hat, obj._path_terms(m_hat))[1]
+        assert np.array_equal(plan.u_hat.values, lam_path / grid.dx)

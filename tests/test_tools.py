@@ -68,7 +68,7 @@ def test_step_costs_smoke(label):
     title, header, *rows = done.stdout.splitlines()
     assert "nt=8" in title and "best of 1" in title
     assert title.endswith(f"{label or 'convolution'} coupling")
-    assert header.split() == ["n", "fp_sweep", "hjb_sweep", "adjoint", "factor", "fields",
-                              "path_terms", "descent_terms", "cert_step"]
+    assert header.split() == ["n", "fp_sweep", "hjb_sweep", "adjoint", "descent_eval", "factor",
+                              "fields", "path_terms", "descent_terms", "cert_step"]
     assert [int(row.split()[0]) for row in rows] == [8, 16]
     assert all(float(cost) > 0.0 for row in rows for cost in row.split()[1:])

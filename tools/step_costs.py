@@ -7,10 +7,13 @@
 Each column is the best of ``--repeats`` calls divided by nt, in µs per
 time step: ``fp_sweep`` is ``stepping.fp_forward_sweep``, ``hjb_sweep``
 is ``stepping.hjb_backward_sweep`` (no source term), ``adjoint`` is
-``planner.ControlObjective.adjoint`` (its path terms cached, as in the
-descent) and ``factor`` is one ``PeriodicTridiagLU`` of the nt forward
-step matrices.  The sweeps include their own band building and
-factorization, so ``fp_sweep - factor`` is the forward loop itself.
+``planner.ControlObjective.gradient``, one adjoint sweep on path terms
+formed outside the timed call, ``descent_eval`` is one
+``ControlObjective.evaluate``, the unit the descent repeats (forward
+sweep, path terms, cost and adjoint sweep), and ``factor`` is one
+``PeriodicTridiagLU`` of the nt forward step matrices.  The sweeps
+include their own band building and factorization, so
+``fp_sweep - factor`` is the forward loop itself.
 ``fields`` is the equilibrium's coupling fields of the nt + 1 levels
 (``Coupling.eval(m, exact=True)``: the exact stacked eval, each level's kernel
 products bit for bit its own, one cache-sized row block of the kernel
@@ -21,8 +24,9 @@ kernel's factor) and
 ``descent_terms`` the descent's dense loop
 (``ControlObjective._dense_terms``: the exact fields, then the fills and
 contractions of ``delta(m)`` block by block, every level per block),
-both on the nt levels 0..nt-1.  All three take the ``--label`` coupling
-(default convolution) and are µs per level.  ``cert_step`` is
+both on the nt levels 0..nt-1; these three are µs per level.  They,
+``adjoint`` and ``descent_eval`` take the ``--label`` coupling (default
+convolution).  ``cert_step`` is
 ``efficiency._phi_stack``, the certificate's pricing of its H_SAMPLES
 perturbation sizes as one stack per time step (one forward step and one
 coupling eval through the kernel's factor), on the running perturbation
@@ -45,8 +49,8 @@ from time import perf_counter  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-COLUMNS = ("fp_sweep", "hjb_sweep", "adjoint", "factor", "fields", "path_terms",
-           "descent_terms", "cert_step")
+COLUMNS = ("fp_sweep", "hjb_sweep", "adjoint", "descent_eval", "factor", "fields",
+           "path_terms", "descent_terms", "cert_step")
 
 
 def _best(fn, repeats: int) -> float:
@@ -89,7 +93,7 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
     m = fp_forward_sweep(grid, problem.m0, a)
     fields = np.cos(2.0 * np.pi * (x + t))
     obj = ControlObjective(problem)
-    obj.adjoint(a, m)  # fills the path-term cache the descent also reuses
+    terms = obj._path_terms(m)
     bands = upwind_bands(grid, a[:nt])[3:]
     # the path and its drift as an equilibrium record: _phi_stack reads only m and alpha
     sol = MFGSolution(u=ScalarPath(np.zeros_like(m), grid), m=DensityPath(m, grid),
@@ -100,7 +104,8 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
     calls = {
         "fp_sweep": lambda: fp_forward_sweep(grid, problem.m0, a),
         "hjb_sweep": lambda: hjb_backward_sweep(grid, problem.hamiltonian, fields, fields[-1]),
-        "adjoint": lambda: obj.adjoint(a, m),
+        "adjoint": lambda: obj.gradient(a, m, terms),
+        "descent_eval": lambda: obj.evaluate(a),
         "factor": lambda: PeriodicTridiagLU(*bands),
         "fields": lambda: problem.coupling.eval(m, exact=True),
         "path_terms": lambda: problem.coupling._path_terms(m[:nt]),
@@ -120,8 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--label", default="convolution",
                     choices=("convolution", "efficient", "potential", "xfree"),
-                    help="catalog coupling of fields, path_terms and descent_terms "
-                         "(default: convolution)")
+                    help="catalog coupling of adjoint, descent_eval, fields, path_terms "
+                         "and descent_terms (default: convolution)")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
 
