@@ -7,6 +7,12 @@ written), 4 a solver failed with a MassConservationError,
 LinearSolveError or TimeStepDivergenceError (one stderr line names the
 error and its message; rows of the points that finished before it are
 kept).
+
+Every command opens its output before it solves, so an --out that
+cannot be written exits 2 before any solver runs.  solve-mfg,
+solve-planner and fit open it to append, which changes no existing file,
+and write their row after solving: after exit 4, a result file that
+existed is left as it was, and a new one is left empty.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ def _cmd_solve_mfg(cfg: dict, out: str) -> int:
     from .efficiency import social_cost
 
     problem, params, _ = build_problem(cfg)
+    open(out, "a").close()  # an --out that cannot be written exits 2 before solving
     sol = solve_mfg(problem, params)
     _write_row(out,
                ["converged", "iterations", "fp_residual", "hjb_residual",
@@ -64,6 +71,7 @@ def _cmd_solve_mfg(cfg: dict, out: str) -> int:
 
 def _cmd_solve_planner(cfg: dict, out: str) -> int:
     problem, params, _ = build_problem(cfg)
+    open(out, "a").close()  # an --out that cannot be written exits 2 before solving
     system = solve_planner_system(problem, params)
     descent = solve_planner_descent(problem, params)
     _write_row(out,
@@ -91,7 +99,9 @@ def _cmd_fit(cfg: dict, rows_path: str, out: str) -> int:
             raise ConfigError(f"{key}: missing required field")
     if not v["fit.tolerance"] >= 0:
         raise ConfigError(f"fit.tolerance: need >= 0, got {v['fit.tolerance']}")
-    res = fit_scaling(read_rows(rows_path), v["fit.x_column"], v["fit.y_column"],
+    rows = read_rows(rows_path)
+    open(out, "a").close()  # an --out that cannot be written exits 2 before fitting
+    res = fit_scaling(rows, v["fit.x_column"], v["fit.y_column"],
                       tolerance=v["fit.tolerance"])
     _write_row(out, ["slope", "intercept", "r2", "n_used", "degenerate"],
                [res.slope, res.intercept, res.r2, res.n_used, res.degenerate])

@@ -370,9 +370,12 @@ def fit_scaling(rows: list[dict], x_column: str, y_column: str,
 
 def emit_plotdata(rows: list[dict], series: list[tuple[str, str]],
                   out_dir: str | Path) -> list[Path]:
-    """One whitespace-separated two-column file per (x, y) series."""
+    """One whitespace-separated two-column file per (x, y) series.
+
+    Creates out_dir if needed, but not its parents: a missing parent
+    raises FileNotFoundError, as an output file in it would."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(exist_ok=True)
     written = []
     for x_col, y_col in series:
         path = out_dir / f"{y_col}_vs_{x_col}.dat"

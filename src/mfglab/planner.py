@@ -28,6 +28,8 @@ copy of each kernel block: the n x n matrix is never built, and the
 blocked BLAS sum equals the single product bit for bit.  The two values
 cross-validate each other; for nonconvex couplings the system route is
 only a critical point, so the descent value is the one used for gaps.
+scipy.optimize is imported at the first descent, not with the module, so
+code that never runs one does not pay for it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemv
-from scipy.optimize import minimize
 
 from .grids import DensityPath, ScalarPath, shift_next, shift_prev
 from .mfg import SolverParams, _heat_flow, fixed_point, solve_mfg
@@ -46,6 +47,14 @@ from .stepping import PeriodicTridiagLU, fp_forward_sweep, fp_residual, upwind_b
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
 DESCENT_GTOL = 1e-12     # L-BFGS projected-gradient tolerance
 COST_ROWS = 32           # levels per slice_costs call: keeps its temporaries (32, n)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported at the first descent, so that
+    importing mfglab does not load scipy.optimize, which nothing else uses."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mfglab import cli, harness
 from mfglab.cli import main
 from mfglab.efficiency import EfficiencyReport, check_epsilon, default_epsilon, full_report
-from mfglab.errors import ConfigError
+from mfglab.errors import ConfigError, MassConservationError
 from mfglab.grids import Grid
 from mfglab.harness import (
     NUMBER_COLUMNS,
@@ -381,11 +382,18 @@ class TestCli:
         ("solve-planner", None, "missing/o.csv", "out"),
         ("fit", "# schema=1\n", "missing/f.csv", "out"),
         ("emit", "# schema=1\n", "existing", "out"),
+        ("emit", "# schema=1\n", "missing/plots", "out"),
     ], ids=["fit_rows_missing", "emit_rows_missing", "fit_schema_not_int", "emit_schema_not_int",
             "fit_schema_2", "report_out_dir_missing", "sweep_out_dir_missing",
             "solve_mfg_out_dir_missing", "solve_planner_out_dir_missing",
-            "fit_out_dir_missing", "emit_out_is_a_file"])
-    def test_file_error_exit_code(self, tmp_path, capsys, command, rows, out, named):
+            "fit_out_dir_missing", "emit_out_is_a_file", "emit_out_parent_missing"])
+    def test_file_error_exit_code(self, tmp_path, capsys, monkeypatch, command, rows, out, named):
+        def solver(*args, **kwargs):  # every command checks its files before it solves
+            raise AssertionError(f"{command}: a solver ran before the file error")
+
+        for name in ("solve_mfg", "solve_planner_system", "solve_planner_descent", "fit_scaling"):
+            monkeypatch.setattr(cli, name, solver)
+        monkeypatch.setattr(harness, "full_report", solver)
         c = cfg(grid={"n": 16, "nt": 8},
                 sweep={"parameter": "coupling.lambda", "values": [0.5]},
                 fit={"x_column": "coupling_lambda", "y_column": "gap"},
@@ -400,6 +408,22 @@ class TestCli:
         err = capsys.readouterr().err
         path = tmp_path / ("rows.csv" if named == "rows" else out)
         assert str(path) in err and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,solver", [("solve-mfg", "solve_mfg"),
+                                                ("solve-planner", "solve_planner_system")])
+    def test_solver_error_leaves_the_out_file(self, tmp_path, capsys, monkeypatch, command, solver):
+        def failing(*args, **kwargs):
+            raise MassConservationError("mass 0.5")
+
+        monkeypatch.setattr(cli, solver, failing)
+        path = write_cfg(tmp_path, cfg(grid={"n": 16, "nt": 8}))
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("# schema=1\ncost_mfg\n1.5\n")
+        for out in (old, new):
+            assert main([command, "--config", path, "--out", str(out)]) == 4
+            assert "solver error: MassConservationError: mass 0.5" in capsys.readouterr().err
+        assert old.read_text() == "# schema=1\ncost_mfg\n1.5\n"  # a prior result stays
+        assert new.read_text() == ""
 
     def test_uniform_m0_report(self, tmp_path):
         path = write_cfg(tmp_path, cfg(grid={"n": 16, "nt": 8}, m0={"kind": "uniform"}))

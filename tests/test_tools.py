@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -72,3 +73,85 @@ def test_step_costs_smoke(label):
                               "fields", "path_terms", "descent_terms", "cert_step"]
     assert [int(row.split()[0]) for row in rows] == [8, 16]
     assert all(float(cost) > 0.0 for row in rows for cost in row.split()[1:])
+
+
+def _load_tool(name):
+    """A script of tools/, loaded from its file (tools/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPT.parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load_tool("bench_pairs")
+
+
+def _run(value, correct=True, failed=0, **more):
+    return {"correct": correct, "attempted": 50, "failed": failed, "setup_s": value, **more}
+
+
+def test_bench_pairs_summary():
+    # ten pairs: the change is lower in nine and ties in one
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    change = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 1.9]
+    pairs = [{"seed": i, "parent": _run(a, score=a, wall_s=a), "change": _run(b, score=b)}
+             for i, (a, b) in enumerate(zip(parent, change))]
+    summary = bench_pairs.summarize(pairs, [("setup_s", "lower"), ("score", "higher"),
+                                              ("wall_s", "lower")])
+    assert sorted(summary) == ["score", "setup_s"]  # wall_s: no pair has both sides
+    s = summary["setup_s"]
+    assert s["pairs"] == s["compared"] == 10 and s["change_wins"] == 9
+    assert s["parent_median"] == pytest.approx(1.45)
+    assert s["parent_q1_q3"] == pytest.approx([1.225, 1.675])  # numpy's percentile
+    assert s["change_median"] == pytest.approx(0.725)
+    assert s["change_q1_q3"] == pytest.approx([0.6125, 0.8375])
+    assert s["ratio"] == pytest.approx(0.725 / 1.45)
+    assert s["paired_ratio"] == pytest.approx(0.5)  # nine ratios of exactly 0.5
+    assert s["void"] is None
+    assert s["claim_holds"]  # 9/10 wins and a gap of 0.725 > IQR 0.45
+    higher = summary["score"]
+    assert higher["change_wins"] == 0 and not higher["claim_holds"]
+
+    # 8/10 wins fail the rule, however large the gap
+    pairs[0]["change"]["setup_s"] = 1.0
+    assert not bench_pairs.summarize(pairs, [("setup_s", "lower")])["setup_s"]["claim_holds"]
+    # 10/10 wins with a gap inside the parent's IQR fail it too
+    narrow = [{"parent": _run(a), "change": _run(a - 0.01)} for a in parent]
+    s = bench_pairs.summarize(narrow, [("setup_s", "lower")])["setup_s"]
+    assert s["change_wins"] == 10 and not s["claim_holds"]
+
+
+def _ten_wins():
+    return [{"parent": _run(1.0 + 0.1 * i), "change": _run(0.5)} for i in range(10)]
+
+
+def test_bench_pairs_crashed_change_run_is_a_loss():
+    pairs = _ten_wins()
+    assert bench_pairs.summarize(pairs, [("setup_s", "lower")])["setup_s"]["claim_holds"]
+    pairs[3]["change"] = {"error": "exit 1: Traceback"}
+    s = bench_pairs.summarize(pairs, [("setup_s", "lower")])["setup_s"]
+    assert (s["change_wins"], s["compared"], s["pairs"]) == (9, 9, 10)
+    assert "1 change run(s) errored or not correct" == s["void"] and not s["claim_holds"]
+
+
+def test_bench_pairs_incorrect_or_failing_change_voids_the_claim():
+    pairs = _ten_wins()
+    pairs[3]["change"]["correct"] = False
+    s = bench_pairs.summarize(pairs, [("setup_s", "lower")])["setup_s"]
+    assert s["change_wins"] == 9 and s["void"] and not s["claim_holds"]
+
+    pairs = _ten_wins()
+    pairs[3]["change"]["failed"] = 1  # still correct, but more failed points than the parent
+    s = bench_pairs.summarize(pairs, [("setup_s", "lower")])["setup_s"]
+    assert s["change_wins"] == 10 and "failed" in s["void"] and not s["claim_holds"]
+    pairs[5]["parent"]["failed"] = 1  # the same share on both sides
+    assert bench_pairs.summarize(pairs, [("setup_s", "lower")])["setup_s"]["claim_holds"]
+
+
+def test_bench_pairs_seeds_and_help():
+    assert bench_pairs.parse_seeds("0-9") == list(range(10))
+    assert bench_pairs.parse_seeds("0,3,5-7") == [0, 3, 5, 6, 7]
+    done = subprocess.run([sys.executable, bench_pairs.__file__, "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "PARENT" in done.stdout.upper() and "--workload" in done.stdout
