@@ -156,10 +156,10 @@ def load_config(path: str | Path) -> dict:
 def validate_config(cfg: dict) -> list[_Point]:
     """Schema check with path-to-field diagnostics; raises ConfigError.
 
+    Every value any command reads is checked here, the m0 file too.
     Returns the checked points to run: the config itself, or one per
-    sweep value.  A sweep is checked point by point before any point
-    runs; an error in the point of value i names sweep.values[i] and the
-    field.
+    sweep value.  A sweep is checked whole before any point runs; an
+    error in the point of value i names sweep.values[i] and the field.
     """
     base = _validate_point(cfg)
     if "sweep" not in cfg:
@@ -184,13 +184,12 @@ def validate_config(cfg: dict) -> list[_Point]:
 
 @dataclass(frozen=True)
 class _Point:
-    """A checked config point: its key values and the objects they build.
-    m0 is None for m0.kind file; build_problem reads the file."""
+    """A checked config point: its key values and the objects they build."""
 
     values: dict
     grid: Grid
     params: SolverParams
-    m0: np.ndarray | None
+    m0: np.ndarray
     eps: float
 
 
@@ -204,9 +203,9 @@ def _built(prefix: str, build, *args, **kwargs):
 
 
 def _validate_point(cfg: dict) -> _Point:
-    """validate_config for everything but the sweep values: the point's values
-    and the grid, solver parameters, m0 and epsilon they build.  Each value
-    rule lives in the object the value builds."""
+    """validate_config for everything but the sweep values: the point's values,
+    the grid, solver parameters, m0 and epsilon they build (each value rule
+    lives in the object it builds) and the fit and emit values."""
     v = _config_values(cfg)
     if v["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"schema: unsupported version {v['schema']}")
@@ -218,13 +217,27 @@ def _validate_point(cfg: dict) -> _Point:
     params = _built("solver.", SolverParams,
                     damping=damping if isinstance(damping, str) else float(damping),
                     max_iters=v["solver.max_iters"], tol_fixed_point=v["solver.tol_fixed_point"])
-    kind, m0 = v["m0.kind"], None
+    kind, path = v["m0.kind"], v["m0.path"]
     if kind == "uniform":
         m0 = density_uniform(grid)
     elif kind == "cosine":
         m0 = _built("m0.", density_cosine, grid, v["m0.amplitude"])
-    elif v["m0.path"] is None:
+    elif path is None:
         raise ConfigError("m0.path: missing required field")
+    else:
+        try:
+            m0 = check_density_slice(np.load(path) if path.endswith(".npy")
+                                     else np.loadtxt(path), grid)
+        except (OSError, ValueError) as exc:  # unreadable file, wrong length, not a density
+            raise ConfigError(f"m0.path: {path}: {exc}") from exc
+    if not v["fit.tolerance"] >= 0:
+        raise ConfigError(f"fit.tolerance: need >= 0, got {v['fit.tolerance']}")
+    for i, pair in enumerate(v["emit.series"] or ()):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"emit.series[{i}]: expected a [x_column, y_column] pair")
+        for col in pair:
+            if col not in RESULT_COLUMNS:
+                raise ConfigError(f"emit.series[{i}]: unknown column {col!r}")
     eps = v["epsilon"]
     if eps is None:
         eps = default_epsilon(grid)
@@ -242,24 +255,17 @@ def _apply_sweep_value(cfg: dict, param: str, value) -> dict:
 
 
 def build_problem(cfg: dict | _Point) -> tuple[Problem, SolverParams, float]:
-    """Instantiate the model of one (sweep-free) config point, or of a point
-    that validate_config returned."""
+    """Instantiate the model of one (sweep-free) config point, checked first,
+    or assemble a point that validate_config returned: no ConfigError."""
     point = cfg if isinstance(cfg, _Point) else _validate_point(cfg)
-    v, grid, m0 = point.values, point.grid, point.m0
+    v, grid = point.values, point.grid
 
     def make(section):
         return coupling_from_label(grid, v[f"{section}.label"], lam=v[f"{section}.lambda"],
                                    kernel=v[f"{section}.kernel"], profile=v[f"{section}.profile"])
 
-    if m0 is None:
-        path = v["m0.path"]
-        try:
-            m0 = check_density_slice(np.load(path) if path.endswith(".npy")
-                                     else np.loadtxt(path), grid)
-        except (OSError, ValueError) as exc:  # unreadable file, wrong length, not a density
-            raise ConfigError(f"m0.path: {path}: {exc}") from exc
     problem = Problem(hamiltonian=HAMILTONIANS[v["hamiltonian"]](), coupling=make("coupling"),
-                      terminal=make("terminal"), m0=m0, grid=grid)
+                      terminal=make("terminal"), m0=point.m0, grid=grid)
     return problem, point.params, point.eps
 
 

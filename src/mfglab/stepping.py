@@ -107,18 +107,16 @@ class PeriodicTridiagLU:
         return _sherman_morrison(dgttrs(dl, d, du, du2, ipiv, rhs)[0], z, ratio, denom, out)
 
     def solve(self, rhs: np.ndarray, row: int | None = None) -> np.ndarray:
-        """solve_row, checked; without a row, x for every system and rhs as
-        in solve_periodic_tridiag."""
+        """solve_row, checked; without a row, x for every system, rhs of the
+        bands' shape as in solve_periodic_tridiag."""
         if not np.isfinite(rhs).all():
             raise ValueError("periodic tridiagonal system has non-finite right-hand side")
         if row is not None:
             x = self.solve_row(rhs, row, np.empty(self.n))
-        else:  # the system runs along axis 0 of y: (n, B, k), k right-hand sides each
-            y = dgttrs(*self._stack, rhs.reshape(self._z.size, -1))[0]
-            y = y.reshape(self._z.shape + (-1,)).transpose(1, 0, 2)
-            x = _sherman_morrison(y, self._z.T[..., None], self._ratio[:, None],
-                                  self._denom[:, None], np.empty_like(y))
-            x = x.transpose(1, 0, 2).reshape(rhs.shape)
+        else:  # the system runs along axis 0 of y: (n, B)
+            y = dgttrs(*self._stack, rhs.reshape(-1))[0].reshape(self._z.shape).T
+            x = _sherman_morrison(y, self._z.T, self._ratio, self._denom, np.empty_like(y))
+            x = x.T.reshape(rhs.shape)
         if not np.isfinite(x).all():
             raise LinearSolveError("periodic tridiagonal solve produced non-finite values")
         return x
@@ -137,10 +135,10 @@ def solve_periodic_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarra
 
     Band convention is "rolled": lower[i] = A[i, i-1] with lower[0] the
     corner A[0, n-1], and upper[i] = A[i, i+1] with upper[n-1] = A[n-1, 0].
-    With (n,) bands, rhs may be (n,) or (n, k); with (B, n) bands, rhs is
-    (B, n) and row b solves system b.  Raises ValueError for non-finite
-    bands or right-hand side and LinearSolveError when the system is
-    singular or the solution is not finite.
+    rhs has the bands' shape, (n,) or (B, n), and row b of a stack solves
+    system b.  Raises ValueError for non-finite bands or right-hand side
+    and LinearSolveError when the system is singular or the solution is
+    not finite.
     """
     return PeriodicTridiagLU(lower, diag, upper).solve(rhs)
 

@@ -247,17 +247,12 @@ class TestPeriodicTridiag:
             x = solve_periodic_tridiag(lower, diag, upper, rhs)
             np.testing.assert_allclose(a @ x, rhs, atol=1e-10)
 
-    def test_batched_rhs(self, rng):
+    def test_rhs_of_another_shape_rejected(self, rng):
+        # one right-hand side per system: (n, 3) on (n,) bands is no stack
         n = 32
-        lower = np.full(n, -1.0)
-        upper = np.full(n, -1.0)
-        diag = np.full(n, 4.0)
-        rhs = rng.standard_normal((n, 3))
-        x = solve_periodic_tridiag(lower, diag, upper, rhs)
-        assert x.shape == (n, 3)
-        for j in range(3):
-            xj = solve_periodic_tridiag(lower, diag, upper, rhs[:, j])
-            np.testing.assert_allclose(x[:, j], xj, atol=1e-13)
+        with pytest.raises(ValueError):
+            solve_periodic_tridiag(np.full(n, -1.0), np.full(n, 4.0), np.full(n, -1.0),
+                                   rng.standard_normal((n, 3)))
 
     @staticmethod
     def dense(lower, diag, upper):

@@ -86,11 +86,15 @@ class TestValidation:
         assert 0 < eps < 0.5
 
     def test_m0_from_file(self, tmp_path):
-        m0 = np.ones(32)
-        path = tmp_path / "m0.txt"
-        np.savetxt(path, m0)
-        problem, _, _ = build_problem(cfg(m0={"kind": "file", "path": str(path)}))
-        np.testing.assert_allclose(problem.m0, m0)
+        m0 = density_cosine(Grid(n=32, nt=16), 0.3)
+        np.savetxt(tmp_path / "m0.txt", m0)
+        np.save(tmp_path / "m0.npy", m0)
+        for name in ("m0.txt", "m0.npy"):
+            c = cfg(m0={"kind": "file", "path": str(tmp_path / name)})
+            (point,) = validate_config(c)  # validation reads the file
+            assert np.array_equal(point.m0, m0)
+            problem, _, _ = build_problem(c)
+            assert np.array_equal(problem.m0, m0)
 
 
 class TestRun:
@@ -267,17 +271,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert "MassConservationError" in err and "Traceback" not in err
 
+    # every command, fit and emit too, reads the m0 file before it writes
+    @pytest.mark.parametrize("command", ["report", "sweep", "solve-mfg", "fit", "emit"])
     @pytest.mark.parametrize("values", [np.full(32, 0.5), np.ones(31), None,
                                         np.where(np.arange(32) == 3, np.nan, 1.0)],
                              ids=["half_mass", "wrong_length", "missing", "nan_entry"])
-    def test_m0_file_error_exit_code(self, tmp_path, capsys, values):
+    def test_m0_file_error_exit_code(self, tmp_path, capsys, values, command):
         density = tmp_path / "m0.txt"
         if values is not None:
             np.savetxt(density, values)
-        path = write_cfg(tmp_path, cfg(m0={"kind": "file", "path": str(density)}))
-        assert main(["report", "--config", path, "--out", str(tmp_path / "o.csv")]) == 2
+        path = write_cfg(tmp_path, cfg(m0={"kind": "file", "path": str(density)},
+                                       sweep={"parameter": "coupling.lambda",
+                                              "values": [0.5, 1.0]},
+                                       fit={"x_column": "coupling_lambda", "y_column": "gap"},
+                                       emit={"series": [["coupling_lambda", "gap"]]}))
+        out = tmp_path / "o.csv"
+        rows = tmp_path / "rows.csv"
+        rows.write_text("# schema=1\n" + ",".join(RESULT_COLUMNS) + "\n")
+        inputs = ["--rows", str(rows)] if command in ("fit", "emit") else []
+        assert main([command, "--config", path, *inputs, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error: m0.path" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_sweep_checks_the_m0_file_at_every_point(self, tmp_path, capsys):
+        # the file fits the grid of point 0 only: the sweep is refused before point 0 runs
+        density = tmp_path / "m0.txt"
+        np.savetxt(density, np.ones(16))
+        path = write_cfg(tmp_path, cfg(grid={"n": 16, "nt": 8},
+                                       m0={"kind": "file", "path": str(density)},
+                                       sweep={"parameter": "grid.n", "values": [16, 32]}))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: sweep.values[1]: m0.path" in err and "Traceback" not in err
+        assert not out.exists()
 
     # values the schema used to pass, each then crashing in a solver with a traceback
     @pytest.mark.parametrize("command,over,field", [
@@ -338,11 +366,16 @@ class TestCli:
          "emit.series[0]: expected a [x_column, y_column] pair"),
         ("emit", dict(emit={"series": [["coupling_lambda", "nope"]]}),
          "emit.series[0]: unknown column 'nope'"),
+        # the fit and emit values are checked by every command
+        ("report", dict(fit={"tolerance": -1.0}), "fit.tolerance: need >= 0, got -1.0"),
+        ("solve-planner", dict(emit={"series": [["gap"]]}),
+         "emit.series[0]: expected a [x_column, y_column] pair"),
     ], ids=["solver_not_object", "coupling_not_object", "unknown_key", "unknown_section",
             "infinite_T", "nan_lambda", "huge_int_lambda", "nan_sweep_value",
             "fit_unknown_key", "sweep_unknown_key", "emit_series_not_list", "fit_not_object",
             "fit_unknown_column", "schema_2", "sweep_no_parameter", "m0_file_no_path",
-            "fit_no_x_column", "emit_no_series", "emit_one_column", "emit_unknown_column"])
+            "fit_no_x_column", "emit_no_series", "emit_one_column", "emit_unknown_column",
+            "report_negative_fit_tolerance", "solve_planner_emit_one_column"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, over, message):
         path = write_cfg(tmp_path, cfg(**over))
         out = tmp_path / "o.csv"

@@ -158,9 +158,10 @@ class TestBlockedContraction:
 
 
 class TestExactStackedCallers:
-    """The equilibrium's fields, planner_cost and the Holder diagnostic take
-    the exact stacked eval: equal to their old per-slice loops bit for bit,
-    with DENSE_BLOCK lowered so that the kernel products run several blocks
+    """The equilibrium's fields and planner_cost take the exact stacked eval,
+    and the Holder diagnostic the x-free stacked eval, which forms no kernel
+    product: each equal to its old per-slice loop bit for bit, with
+    DENSE_BLOCK lowered so that the kernel products run several blocks
     (n=64 in 8-row blocks, n=100 in 32-row blocks with a 4-row tail)."""
 
     @pytest.mark.parametrize("n,entries", [(64, 512), (100, 3200)])
