@@ -160,10 +160,12 @@ def validate_config(cfg: dict) -> list[_Point]:
     Returns the checked points to run: the config itself, or one per
     sweep value.  A sweep is checked whole before any point runs; an
     error in the point of value i names sweep.values[i] and the field.
+    A sweep's base point, which only other commands run (build_problem
+    checks it whole), skips the value rules that read the swept key.
     """
-    base = _validate_point(cfg)
     if "sweep" not in cfg:
-        return [base]
+        return [_validate_point(cfg)]
+    base = _validate_point(cfg, sweep_base=True)
     param, values = base.values["sweep.parameter"], base.values["sweep.values"]
     if param is None:
         raise ConfigError("sweep.parameter: missing required field")
@@ -187,10 +189,10 @@ class _Point:
     """A checked config point: its key values and the objects they build."""
 
     values: dict
-    grid: Grid
+    grid: Grid | None  # None, like m0 and eps, where a sweep's base point skips its rule
     params: SolverParams
-    m0: np.ndarray
-    eps: float
+    m0: np.ndarray | None
+    eps: float | None
 
 
 def _built(prefix: str, build, *args, **kwargs):
@@ -202,23 +204,38 @@ def _built(prefix: str, build, *args, **kwargs):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _validate_point(cfg: dict) -> _Point:
+def _validate_point(cfg: dict, sweep_base: bool = False) -> _Point:
     """validate_config for everything but the sweep values: the point's values,
-    the grid, solver parameters, m0 and epsilon they build (each value rule
-    lives in the object it builds) and the fit and emit values."""
+    the solver parameters, grid, m0 and epsilon they build (each value rule
+    lives in the object it builds) and the fit and emit values.  A sweep's
+    base point skips the rules that read the swept key: the grid, m0 and
+    epsilon for a grid key, m0 for m0.amplitude, epsilon for epsilon."""
     v = _config_values(cfg)
+    swept = v["sweep.parameter"] if sweep_base else None
     if v["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"schema: unsupported version {v['schema']}")
     for key, choices in _CHOICES.items():
         if v[key] is not None and v[key] not in choices:
             raise ConfigError(f"{key}: unknown name {v[key]!r}; choose from {choices}")
-    grid = _built("grid.", Grid, n=v["grid.n"], nt=v["grid.nt"], t0=v["grid.t0"], T=v["grid.T"])
     damping = v["solver.damping"]
     params = _built("solver.", SolverParams,
                     damping=damping if isinstance(damping, str) else float(damping),
                     max_iters=v["solver.max_iters"], tol_fixed_point=v["solver.tol_fixed_point"])
+    if not v["fit.tolerance"] >= 0:
+        raise ConfigError(f"fit.tolerance: need >= 0, got {v['fit.tolerance']}")
+    for i, pair in enumerate(v["emit.series"] or ()):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"emit.series[{i}]: expected a [x_column, y_column] pair")
+        for col in pair:
+            if col not in RESULT_COLUMNS:
+                raise ConfigError(f"emit.series[{i}]: unknown column {col!r}")
+    if swept in ("grid.n", "grid.nt"):  # m0 and epsilon are checked against the grid
+        return _Point(v, None, params, None, None)
+    grid = _built("grid.", Grid, n=v["grid.n"], nt=v["grid.nt"], t0=v["grid.t0"], T=v["grid.T"])
     kind, path = v["m0.kind"], v["m0.path"]
-    if kind == "uniform":
+    if swept == "m0.amplitude":
+        m0 = None
+    elif kind == "uniform":
         m0 = density_uniform(grid)
     elif kind == "cosine":
         m0 = _built("m0.", density_cosine, grid, v["m0.amplitude"])
@@ -230,18 +247,10 @@ def _validate_point(cfg: dict) -> _Point:
                                      else np.loadtxt(path), grid)
         except (OSError, ValueError) as exc:  # unreadable file, wrong length, not a density
             raise ConfigError(f"m0.path: {path}: {exc}") from exc
-    if not v["fit.tolerance"] >= 0:
-        raise ConfigError(f"fit.tolerance: need >= 0, got {v['fit.tolerance']}")
-    for i, pair in enumerate(v["emit.series"] or ()):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"emit.series[{i}]: expected a [x_column, y_column] pair")
-        for col in pair:
-            if col not in RESULT_COLUMNS:
-                raise ConfigError(f"emit.series[{i}]: unknown column {col!r}")
     eps = v["epsilon"]
     if eps is None:
         eps = default_epsilon(grid)
-    else:
+    elif swept != "epsilon":
         _built("", check_epsilon, grid, eps)
     return _Point(v, grid, params, m0, eps)
 

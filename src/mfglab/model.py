@@ -12,28 +12,31 @@ measure).  The argument order is fixed once and for all: first index is
 the base point of F, second the direction of differentiation.
 
 Each catalog coupling forms the kernel products of m once per call and
-derives from them the field F(., m), the residual field
-(m @ delta(m)) dx in closed form, and an in-place fill of any row block
-of delta(m).  One rule prices every product (kernel_products): an exact
-product of a (K, n) stack, each row bit for bit its one-slice gemv, and
-any 1-D slice take the dense kernel; every other stack takes the
-kernel's factor, phi = u u^T with u of rank 2 for cos_diff and 1 for
-cos_prod (KERNEL_FACTORS), in O(K n r) rather than O(K n^2), within
-round-off of the dense product.  A callable kernel outside the catalog
-has the factor pair (phi, identity): one dense gemm.  The equilibrium's
-fields, planner_cost and the planner descent take the exact product, so
-they keep the rounding of one product per slice: the iteration counts
-follow it, and the benchmark pins them.  The planner system, the
-terminal-condition and residual helpers, the report's residual path and
-the certificate take the factor: fields and residual fields of a whole
-path from Coupling._path_terms, with no n x n matrix.  delta(m) fills
-every row into a fresh matrix and is the dense reference of the
-convention and finite-difference checks.  A fill copies the kernel's
-row block and adds its row term, column term and constant by exact
-BLAS rank-one updates (_add_outer), bit for bit the reference's
-subtractions and addition.  The descent contracts delta(m) one
-cache-sized row block at a time, each block for every slice of the
-path in turn (ControlObjective._dense_terms).
+derives from them the field F(., m), the residual field (m @ delta(m))
+dx in closed form (the convolution's exact one excepted, see below), and
+an in-place fill of any row block of delta(m).  One rule prices every
+product (kernel_products): an exact product of a (K, n) stack, each row
+bit for bit its one-slice gemv, and any 1-D slice take the dense kernel;
+every other stack takes the kernel's factor, phi = u u^T with u of rank
+2 for cos_diff and 1 for cos_prod (KERNEL_FACTORS), in O(K n r) rather
+than O(K n^2), within round-off of the dense product.  A callable kernel
+outside the catalog has the factor pair (phi, identity): one dense gemm.
+The equilibrium's fields, planner_cost and the planner descent take the
+exact product, so they keep the rounding of one product per slice: the
+iteration counts follow it, and the benchmark pins them.  The descent's
+residual fields are the closed forms on those exact products, but for
+the convolution: its closed form needs a second product, m @ phi, and
+every rounding of it tried moved the descent's pinned iteration counts,
+so its exact residual contracts the dense delta(m), one cache-sized row
+block at a time for every slice in turn (_dense_residual).  The planner
+system, the terminal-condition and residual helpers, the report's
+residual path and the certificate take the factor: fields and residual
+fields of a whole path from Coupling._path_terms, with no n x n matrix.
+delta(m) fills every row into a fresh matrix and is the dense reference
+of the convention and finite-difference checks.  A fill copies the
+kernel's row block and adds its row term, column term and constant by
+exact BLAS rank-one updates (_add_outer), bit for bit the reference's
+subtractions and addition.
 
 The catalog covers the structurally distinct cases: a convolution
 coupling (never efficient unless m-independent), the efficient-by-
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgemv, dger
 
 from .errors import MassConservationError
 from .grids import Grid, check_density_slice
@@ -101,15 +104,16 @@ class Coupling:
     slice or a (K, n) stack m costs one call of _slice(m, exact): it forms
     the kernel products of m once (kernel_products) and returns
     (F(., m), fill, residual).  residual() gives the residual field
-    (m @ delta(m)) dx of every row in closed form from those products.
+    (m @ delta(m)) dx of every row in closed form from those products;
+    the convolution's with exact is the dense contraction, bit for bit.
     fill(out, rows, k) writes the rows delta(m[k])[rows] [base point,
     direction] of level k of the stack into the C-contiguous
     (len(rows), n) array out, in place, and returns out, rows a slice of
     the base points.  Each entry is the same elementwise expression
     whatever the rows, so a block is bit for bit that block of the full
     matrix; with exact, the level's products are its one-slice products,
-    so the block is that of delta(m[k]).  The fill's vectors are formed
-    once per _slice call, so the fills of all levels can take turns on
+    so the block is that of delta(m[k]).  A fill reads only vectors the
+    _slice call formed, so the fills of all levels can take turns on
     one workspace.  Both are None when the derivative vanishes.  eval(m)
     returns the field; for a stack the (K, n) fields, through the
     kernel's factor, each row within round-off of the row's own eval,
@@ -133,16 +137,18 @@ class Coupling:
             return np.zeros((n, n))
         return fill(np.empty((n, n)), slice(0, n), 0)
 
-    def _path_terms(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _path_terms(self, m: np.ndarray,
+                    exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Fields and residual fields of every row of the (K, n) stack m.
 
         The kernel products of the whole stack at once, through the
         kernel's factor, and no n x n matrix: row k is eval(m[k]) and
         (m[k] @ delta(m[k])) dx up to round-off, and a vanishing
-        derivative gives an exact zero residual.
+        derivative gives an exact zero residual.  With exact, each field
+        is bit for bit eval(m[k]), and the convolution's residual too.
         """
         m = np.asarray(m, dtype=float)
-        fields, _, residual = self._slice(m)
+        fields, _, residual = self._slice(m, exact)
         return fields, np.zeros_like(m) if residual is None else residual()
 
 
@@ -220,6 +226,33 @@ def _add_outer(out: np.ndarray, alpha: float, col: np.ndarray, row: np.ndarray) 
     dger(alpha, row, col, 1, 1, out.T, 1, 1, 1)  # incx, incy, a, overwrite_x, _y, _a
 
 
+def _dense_residual(fill: Callable, m: np.ndarray, dx: float) -> np.ndarray:
+    """(m[k] @ delta(m[k])) dx, bit for bit, for every row k of the (K, n)
+    stack m, fill its exact _slice's fill; no n x n matrix is built.
+
+    Block by block, every level's fill writes a (b, n) row block into one
+    workspace, b = dense_block_rows(n), and contracts it at once: numpy's
+    m @ W for the first block, BLAS dgemv with beta = 1 adding each later
+    one.  OpenBLAS's dgemv adds 4-row groups of W in turn, so the blocked
+    sum is the single product bit for bit (TestBlockedContraction).
+    """
+    n = m.shape[-1]
+    b = dense_block_rows(n)
+    work = np.empty((b, n))
+    residuals = np.zeros_like(m)
+    for r in range(0, n, b):
+        out = work[:min(b, n - r)]
+        rows = slice(r, r + b)
+        for k, (m_k, y) in enumerate(zip(m, residuals)):
+            w = fill(out, rows, k)
+            if r == 0:
+                np.matmul(m_k[:b], w, out=y)
+            else:  # in place: y is a contiguous row of residuals
+                dgemv(1.0, w.T, m_k[rows], 1.0, y, overwrite_y=1)
+    residuals *= dx
+    return residuals
+
+
 def coupling_zero(grid: Grid) -> Coupling:
     return Coupling("zero", lambda m, exact=False: (np.zeros(m.shape), None, None), grid)
 
@@ -257,6 +290,8 @@ def coupling_convolution(grid: Grid, kernel: Callable | None = None,
             return _scaled(out, lam)
 
         def residual():  # lam * (a2 - int int phi m m), a2 = int phi(z, .) m(dz)
+            if exact:  # the descent's stop follows this rounding (_dense_residual)
+                return _dense_residual(fill, m, dx)
             a2 = kernel_products(phi.T, m, factor=u) * dx
             return lam * (a2 - row_dot(a1, m)[..., None] * dx)
 
@@ -348,11 +383,9 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
 
     def terms(m, exact=False):
         s = row_dot(c, m) * dx
-        # every base point of level k has the row lam g'(s[k]) (c - s[k]); only the fill reads it
-        row = lam * gp(s[..., None]) * (c - s[..., None]) if exact else None
 
-        def fill(out, rows, k):
-            out[:] = row[k]
+        def fill(out, rows, k):  # every base point has the row lam g'(s[k]) (c - s[k])
+            out[:] = lam * gp(s[k]) * (c - s[k])
             return out
 
         def residual():  # M lam g'(s) (c - s), M the mass of m

@@ -18,14 +18,15 @@ feedback so its first objective value is the equilibrium social cost.
 Each evaluation (ControlObjective.evaluate) is one forward sweep, one
 set of path terms and one adjoint sweep, and the point L-BFGS returns
 keeps its evaluation's path, cost and multipliers.  Its stop is at
-round-off level, so every product it reads keeps the dense rounding of
-one product per slice: the fields of all levels come from one exact
-stacked product, each level bit for bit its own, and F(m[0]) from a 1-D
-eval, the dense gemv.  Its adjoint source contracts the dense delta(m)
-of each slice (ControlObjective._dense_terms) one cache-sized row block
-at a time, block-outer and level-inner, by exact rank-one updates on a
-copy of each kernel block: the n x n matrix is never built, and the
-blocked BLAS sum equals the single product bit for bit.  The two values
+round-off level, so its iteration counts follow the rounding of its
+terms.  They come from one exact stacked call (Coupling._path_terms
+with exact): the fields of all levels, each bit for bit its own eval's
+one product per slice, and the residual fields of the adjoint source in
+closed form on those products, O(n) per level; F(m[0]) is a 1-D eval.
+The convolution's residual alone is the dense contraction of delta(m)
+per slice (model._dense_residual): its closed form needs a second
+product, m @ phi, and every rounding of it tried moved the iteration
+counts the benchmark pins.  The two values
 cross-validate each other; for nonconvex couplings the system route is
 only a critical point, so the descent value is the one used for gaps.
 scipy.optimize is imported at the first descent, not with the module, so
@@ -37,11 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv
 
 from .grids import DensityPath, ScalarPath, shift_next, shift_prev
 from .mfg import SolverParams, _heat_flow, fixed_point, solve_mfg
-from .model import Problem, delta_ghat, dense_block_rows, row_dot
+from .model import Problem, delta_ghat, row_dot
 from .stepping import PeriodicTridiagLU, fp_forward_sweep, fp_residual, upwind_bands
 
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
@@ -163,10 +163,7 @@ class ControlObjective:
     0..nt-1 drive the dynamics; level nt only enters the trapezoid tail of
     the cost).  The gradient is the discretize-then-optimize adjoint of
     exactly this computation, so descent stationarity is measured against
-    the discrete objective, independent of truncation error.  The
-    objective owns one (block, n) workspace for the delta(m) row blocks
-    of _dense_terms, block = dense_block_rows(n) (32 rows at n = 1024),
-    allocated on first use; no n x n matrix is built.
+    the discrete objective, independent of truncation error.
     """
 
     def __init__(self, problem: Problem):
@@ -177,8 +174,6 @@ class ControlObjective:
         # left-endpoint running-cost weights; the terminal level pays nothing
         self.w = np.full(g.nt + 1, g.dt)
         self.w[g.nt] = 0.0
-        self.block = dense_block_rows(g.n)
-        self._work = None   # the (block, n) row block of _dense_terms
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         return fp_forward_sweep(self.grid, self.problem.m0, a)
@@ -197,53 +192,13 @@ class ControlObjective:
         f_0 is F(., m[0]); fields and residuals hold F and the residual
         field of levels 1..nt-1 (level 0 drives no adjoint step and level
         nt has running weight 0); g_field and g_residual are G's at m[nt].
+        Each comes from one exact stacked call (Coupling._path_terms with
+        exact), so every field is bit for bit its level's eval.
         """
         p, nt = self.problem, self.grid.nt
-        fields, residuals = self._dense_terms(p.coupling, m[1:nt])
-        (g_field,), (g_residual,) = self._dense_terms(p.terminal, m[nt:])
+        fields, residuals = p.coupling._path_terms(m[1:nt], exact=True)
+        (g_field,), (g_residual,) = p.terminal._path_terms(m[nt:], exact=True)
         return p.coupling.eval(m[0]), fields, residuals, g_field, g_residual
-
-    def _dense_terms(self, coupling, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """eval(m[k]) and (m[k] @ delta(m[k])) dx for every row k of m.
-
-        One exact stacked call, coupling._slice(m, True), forms the fields
-        and the fill vectors of every level, each level's kernel products
-        bit for bit its own eval's: an exact product, never the kernel's
-        factor (model.kernel_products).  Each residual contracts the dense
-        delta(m[k]) without building it: block by block, every level's
-        fill writes one (b, n) row block into the objective's workspace,
-        b = self.block, with exact rank-one updates on a copy of the
-        kernel's block, and it is contracted at once, so each block of
-        the kernel stays in cache for all levels.  Each level's first
-        block product is numpy's m @ W, exactly the single product when
-        b = n; each later block is added into the same vector by BLAS
-        dgemv with beta = 1.
-        OpenBLAS's non-transposed dgemv adds every group of 4 rows of W
-        into y in turn, so with n and b multiples of 4 the blocked sum is
-        m[k] @ delta(m[k]) bit for bit (dense_block_rows keeps b = n
-        otherwise); TestBlockedContraction in tests/test_planner.py guards
-        this on several blocks and levels.  The residuals stay dense rather
-        than take the closed form of Coupling._path_terms: L-BFGS stops at
-        round-off level, so its iteration counts follow the rounding of
-        these terms, and the benchmark's reference rows pin those counts.
-        """
-        n, b = self.grid.n, self.block
-        fields, fill, _ = coupling._slice(m, True)
-        residuals = np.zeros_like(m)
-        if fill is not None:
-            if self._work is None:
-                self._work = np.empty((b, n))
-            for r in range(0, n, b):
-                out = self._work[:min(b, n - r)]
-                rows = slice(r, r + b)
-                for k, (m_k, y) in enumerate(zip(m, residuals)):
-                    w = fill(out, rows, k)
-                    if r == 0:
-                        np.matmul(m_k[:b], w, out=y)
-                    else:  # in place: y is a contiguous row of residuals
-                        dgemv(1.0, w.T, m_k[rows], 1.0, y, overwrite_y=1)
-        residuals *= self.grid.dx
-        return fields, residuals
 
     def gradient(self, a: np.ndarray, m: np.ndarray,
                  terms: tuple) -> tuple[np.ndarray, np.ndarray]:

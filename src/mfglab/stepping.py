@@ -77,7 +77,7 @@ class PeriodicTridiagLU:
         u[..., 0], u[..., -1] = gamma, betan
         if not np.isfinite(work).all():
             raise ValueError("periodic tridiagonal system has non-finite bands")
-        size, self.n = diag.size, diag.shape[-1]
+        self.shape, size, self.n = diag.shape, diag.size, diag.shape[-1]
         dl, d, du, u = work.reshape(4, size)
         # dgttrf writes the factors over dl, d and du
         *_, du2, ipiv, info = dgttrf(dl[:-1], d, du[:-1], 1, 1, 1)
@@ -109,6 +109,9 @@ class PeriodicTridiagLU:
     def solve(self, rhs: np.ndarray, row: int | None = None) -> np.ndarray:
         """solve_row, checked; without a row, x for every system, rhs of the
         bands' shape as in solve_periodic_tridiag."""
+        shape = self.shape if row is None else (self.n,)
+        if rhs.shape != shape:
+            raise ValueError(f"right-hand side has shape {rhs.shape}, expected {shape}")
         if not np.isfinite(rhs).all():
             raise ValueError("periodic tridiagonal system has non-finite right-hand side")
         if row is not None:

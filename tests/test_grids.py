@@ -254,6 +254,20 @@ class TestPeriodicTridiag:
             solve_periodic_tridiag(np.full(n, -1.0), np.full(n, 4.0), np.full(n, -1.0),
                                    rng.standard_normal((n, 3)))
 
+    def test_rhs_of_the_stack_size_but_another_shape_rejected(self, rng):
+        # (n, 3) on (3, n) bands has the stack's size: it would solve scrambled systems
+        n = 32
+        lower, diag, upper = np.full((3, n), -1.0), np.full((3, n), 4.0), np.full((3, n), -1.0)
+        rhs = rng.standard_normal((3, n))
+        with pytest.raises(ValueError, match=r"shape \(32, 3\), expected \(3, 32\)"):
+            solve_periodic_tridiag(lower, diag, upper, rhs.T.copy())
+        lu = PeriodicTridiagLU(lower, diag, upper)
+        with pytest.raises(ValueError, match="expected"):
+            lu.solve(rhs.reshape(-1))
+        with pytest.raises(ValueError, match=r"expected \(32,\)"):  # one system's rhs
+            lu.solve(rhs, 1)
+        np.testing.assert_array_equal(lu.solve(rhs[1], 1), lu.solve(rhs)[1])
+
     @staticmethod
     def dense(lower, diag, upper):
         n = diag.shape[0]

@@ -307,6 +307,32 @@ class TestCli:
         assert "config error: sweep.values[1]: m0.path" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_sweep_base_point_is_checked_only_where_the_sweep_leaves_it(self, tmp_path, capsys):
+        # the base grid does not fit the file, the only swept point does: the sweep runs it
+        density = tmp_path / "m16.txt"
+        np.savetxt(density, np.ones(16))
+        sweep_cfg = {"grid": {"n": 32, "nt": 8}, "m0": {"kind": "file", "path": str(density)},
+                 "sweep": {"parameter": "grid.n", "values": [16]}}
+        path = write_cfg(tmp_path, sweep_cfg)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        assert [row["n"] for row in read_rows(out)] == [16]
+        # solve-mfg runs the base point itself, so the file is checked against its grid
+        assert main(["solve-mfg", "--config", path, "--out", str(tmp_path / "m.csv")]) == 2
+        assert "config error: m0.path" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+        # the epsilon window and the grid rules of a base point that no sweep value keeps
+        (point,) = validate_config(cfg(epsilon=0.6,
+                                       sweep={"parameter": "epsilon", "values": [0.2]}))
+        assert point.eps == 0.2
+        (point,) = validate_config(cfg(grid={"n": 16, "nt": 3}, epsilon=0.45,
+                                       sweep={"parameter": "grid.nt", "values": [8]}))
+        assert (point.grid.nt, point.eps) == (8, 0.45)
+        # a rule that reads no swept key is still checked at the base, unprefixed
+        with pytest.raises(ConfigError, match="^epsilon: "):
+            validate_config(cfg(epsilon=0.6, sweep={"parameter": "coupling.lambda",
+                                                    "values": [0.5]}))
+
     # values the schema used to pass, each then crashing in a solver with a traceback
     @pytest.mark.parametrize("command,over,field", [
         ("report", dict(solver={"max_iters": 0}), "solver.max_iters"),

@@ -34,7 +34,7 @@ from mfglab.model import (
     kernel_products,
 )
 
-from conftest import random_density
+from conftest import assert_descent_residuals, random_density
 
 TWO_PI = 2.0 * np.pi
 
@@ -220,21 +220,17 @@ class TestFusedTerms:
     """The fused per-slice terms against the dense reference.
 
     eval and delta keep the operation order of the catalog's one-expression
-    forms, and the descent's per-slice loop (ControlObjective._dense_terms)
-    reproduces eval(m) and (m @ delta(m)) dx bit for bit: the benchmark's
-    reference rows pin the descent's iteration counts, which move with any
-    change of rounding.
+    forms.  The descent's terms, the exact stacked call
+    Coupling._path_terms(m, exact=True), reproduce eval(m) bit for bit,
+    and (m @ delta(m)) dx bit for bit for the convolution, whose dense
+    contraction keeps the rounding the benchmark's pinned iteration counts
+    follow, and within 1e-12 for the closed-form labels.
     """
 
     @staticmethod
     def densities(grid, seed, count=3):
         r = np.random.default_rng(seed)
         return np.stack([random_density(grid, r, roughness=1.0) for _ in range(count)])
-
-    @staticmethod
-    def dense_terms(coupling):
-        """The descent's per-slice loop, on an objective of a problem with this coupling."""
-        return ControlObjective(default_problem(coupling.grid, coupling))._dense_terms
 
     @staticmethod
     def reference_terms(label, grid, kernel, lam, m):
@@ -278,11 +274,25 @@ class TestFusedTerms:
     def test_slice_terms_equal_eval_and_dense_residual(self, label, kernel, n):
         g = Grid(n=n, nt=8)
         c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
-        dense_terms = self.dense_terms(c)
         for m in self.densities(g, n):
-            (field,), (res,) = dense_terms(c, m[None])
+            (field,), (res,) = c._path_terms(m[None], exact=True)
             assert np.array_equal(field, c.eval(m))
-            assert np.array_equal(res, (m @ c.delta(m)) * g.dx)
+            assert_descent_residuals(label, res, (m @ c.delta(m)) * g.dx)
+
+    @pytest.mark.parametrize("label,kernel,n", FUSED_CASES)
+    def test_descent_residuals_agree_with_dense_residual(self, label, kernel, n):
+        # the objective's terms of a path, the coupling's and the terminal's,
+        # within 1e-13 of their scale lam (1 + max m)^2
+        g = Grid(n=n, nt=4)
+        c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
+        obj = ControlObjective(default_problem(g, c, c))
+        r = np.random.default_rng(n + 13)
+        path = np.stack([random_density(g, r, roughness=1.0) * r.uniform(0.5, 1.5)
+                         for _ in range(g.nt + 1)])
+        _, _, residuals, _, g_residual = obj._path_terms(path)
+        for m, res in zip(path[1:], (*residuals, g_residual)):
+            dense = (m @ c.delta(m)) * g.dx
+            assert np.all(np.abs(res - dense) <= 1e-13 * 0.7 * (1.0 + m.max()) ** 2)
 
     @pytest.mark.parametrize("label,kernel,n", FUSED_CASES)
     def test_residual_never_overwrites_a_delta(self, label, kernel, n):
@@ -291,7 +301,7 @@ class TestFusedTerms:
         m1, m2 = self.densities(g, n + 1, count=2)
         d1 = c.delta(m1)
         kept = d1.copy()
-        self.dense_terms(c)(c, m2[None])
+        c._path_terms(m2[None], exact=True)
         c._path_terms(m2[None])
         residual_field(c, m2)
         assert np.array_equal(d1, kept)
@@ -302,10 +312,11 @@ class TestFusedTerms:
         g = Grid(n=n, nt=8)
         c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
         path = self.densities(g, n + 2, count=4)
-        fields, residuals = self.dense_terms(c)(c, path)
+        fields, residuals = c._path_terms(path, exact=True)
         assert fields.shape == residuals.shape == path.shape
         assert np.array_equal(fields, np.stack([c.eval(m) for m in path]))
-        assert np.array_equal(residuals, np.stack([(m @ c.delta(m)) * g.dx for m in path]))
+        assert_descent_residuals(label, residuals,
+                                 np.stack([(m @ c.delta(m)) * g.dx for m in path]))
 
     @pytest.mark.parametrize("count", (1, 5))
     @pytest.mark.parametrize("label,kernel,n", FUSED_CASES)

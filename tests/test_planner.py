@@ -21,12 +21,11 @@ from mfglab.model import (
     COUPLING_LABELS,
     KERNELS,
     coupling_spatial,
-    default_problem,
     dense_block_rows,
 )
 from mfglab.planner import ControlObjective
 
-from conftest import make_problem, random_density
+from conftest import assert_descent_residuals, make_problem, random_density
 
 TWO_PI = 2.0 * np.pi
 
@@ -94,14 +93,15 @@ class TestPlannerCost:
 
 
 class TestBlockedContraction:
-    """The descent's dense residuals, contracted one delta(m) row block at a time.
+    """The descent's residuals, the convolution's contracted one delta(m) row block at a time.
 
     DENSE_BLOCK is lowered so that small grids run several blocks: n=64
     in 8-row blocks, n=100 in 32-row blocks with a 4-row tail, and n=66,
-    not a multiple of 4, in one block.  Every residual must equal the
-    single product (m @ delta(m)) dx bit for bit, which rests on the BLAS
-    dgemv adding 4-row groups in turn (see ControlObjective._dense_terms),
-    and every level of a path must equal that level contracted alone.
+    not a multiple of 4, in one block.  The convolution's residual must
+    equal the single product (m @ delta(m)) dx bit for bit, which rests on
+    the BLAS dgemv adding 4-row groups in turn (see model._dense_residual);
+    the closed-form labels' must agree with it within 1e-12.  Every level
+    of a path must equal that level alone bit for bit.
     """
 
     @pytest.mark.parametrize("n,entries,rows", [(64, 512, 8), (100, 3200, 32), (66, 512, 66)])
@@ -109,20 +109,16 @@ class TestBlockedContraction:
     @pytest.mark.parametrize("label", COUPLING_LABELS)
     def test_blocks_equal_the_single_product(self, monkeypatch, label, kernel, n, entries, rows):
         monkeypatch.setattr(model, "DENSE_BLOCK", entries)
+        assert dense_block_rows(n) == rows
         g = Grid(n=n, nt=8)
         c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
-        obj = ControlObjective(default_problem(g, c))
-        assert obj.block == rows
         r = np.random.default_rng(n)
         m = np.stack([random_density(g, r, roughness=1.0) * r.uniform(0.5, 1.5)
                       for _ in range(3)])
-        fields, residuals = obj._dense_terms(c, m)
+        fields, residuals = c._path_terms(m, exact=True)
         assert np.array_equal(fields, np.stack([c.eval(m_k) for m_k in m]))
-        assert np.array_equal(residuals, np.stack([(m_k @ c.delta(m_k)) * g.dx for m_k in m]))
-        if c._slice(m[0])[1] is None:
-            assert obj._work is None
-        else:
-            assert obj._work.shape == (rows, n)
+        assert_descent_residuals(label, residuals,
+                                 np.stack([(m_k @ c.delta(m_k)) * g.dx for m_k in m]))
 
     @pytest.mark.parametrize("n,entries", [(64, 512), (100, 3200)])  # 8-row blocks; a 4-row tail
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -131,16 +127,15 @@ class TestBlockedContraction:
         # every level is filled and contracted per block in turn, sharing one workspace:
         # no level may read another level's block, vector or fill
         monkeypatch.setattr(model, "DENSE_BLOCK", entries)
+        assert n % dense_block_rows(n) in (0, 4) and dense_block_rows(n) < n
         g = Grid(n=n, nt=8)
         c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
-        obj = ControlObjective(default_problem(g, c))
-        assert n % obj.block in (0, 4) and obj.block < n
         r = np.random.default_rng(n + 1)
         m = np.stack([random_density(g, r, roughness=1.0) * r.uniform(0.5, 1.5)
                       for _ in range(6)])
-        fields, residuals = obj._dense_terms(c, m)
+        fields, residuals = c._path_terms(m, exact=True)
         for k in range(len(m)):
-            field_k, residual_k = obj._dense_terms(c, m[k:k + 1])
+            field_k, residual_k = c._path_terms(m[k:k + 1], exact=True)
             assert np.array_equal(fields[k], field_k[0])
             assert np.array_equal(residuals[k], residual_k[0])
 
