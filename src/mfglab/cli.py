@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, an input file that cannot
-be read or an output path that cannot be written (one stderr line names
-the path), 3 at least one solver did not converge (results are still
-written), 4 a solver failed with a MassConservationError,
-LinearSolveError or TimeStepDivergenceError (one stderr line names the
-error and its message; rows of the points that finished before it are
-kept).
+be read or lacks a column the command reads, or an output path that
+cannot be written (one stderr line names the path), 3 at least one
+solver did not converge (results are still written), 4 a solver failed
+with a MassConservationError, LinearSolveError or
+TimeStepDivergenceError (one stderr line names the error and its
+message; rows of the points that finished before it are kept).
 
 load_config checks every value any command reads, the m0 file and a
 whole sweep too, so a config error exits 2 before any output exists.
@@ -98,7 +98,7 @@ def _cmd_fit(cfg: dict, rows_path: str, out: str) -> int:
     for key in ("fit.x_column", "fit.y_column"):
         if v[key] is None:
             raise ConfigError(f"{key}: missing required field")
-    rows = read_rows(rows_path)
+    rows = read_rows(rows_path, (v["fit.x_column"], v["fit.y_column"]))
     open(out, "a").close()  # an --out that cannot be written exits 2 before fitting
     res = fit_scaling(rows, v["fit.x_column"], v["fit.y_column"],
                       tolerance=v["fit.tolerance"])
@@ -111,7 +111,8 @@ def _cmd_emit(cfg: dict, rows_path: str, out: str) -> int:
     series = _config_values(cfg)["emit.series"]
     if series is None:
         raise ConfigError("emit.series: missing required field")
-    emit_plotdata(read_rows(rows_path), [tuple(pair) for pair in series], out)
+    rows = read_rows(rows_path, tuple(column for pair in series for column in pair))
+    emit_plotdata(rows, [tuple(pair) for pair in series], out)
     return EXIT_OK
 
 

@@ -314,9 +314,10 @@ def run(cfg: dict, out_path: str | Path) -> list[dict]:
     return rows
 
 
-def read_rows(path: str | Path) -> list[dict]:
+def read_rows(path: str | Path, columns: tuple[str, ...] = ()) -> list[dict]:
     """Parse a result file back into typed row dicts (schema-checked); a file
-    that cannot be read or has no integer schema line is a ConfigError."""
+    that cannot be read, has no integer schema line or whose header lacks
+    one of columns is a ConfigError.  A file with no header holds no rows."""
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, ValueError) as exc:  # missing, a directory, not text
@@ -332,6 +333,9 @@ def read_rows(path: str | Path) -> list[dict]:
     if len(lines) < 2:
         return []
     header = lines[1].split(",")
+    for column in columns:
+        if column not in header:
+            raise ConfigError(f"{path}: result file has no column {column!r}")
     rows = []
     for line in lines[2:]:
         if not line.strip():

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ShapeMismatchError
 from .grids import DensityPath, ScalarPath, gradient
 from .model import Problem
 from .stepping import fp_forward_sweep, fp_residual, hjb_backward_sweep, hjb_residual
@@ -160,8 +161,10 @@ def solve_mfg(problem: Problem, params: SolverParams | None = None,
     """Equilibrium by the damped fixed point.
 
     The iteration starts from the drift-free heat flow unless a warm
-    start is given.
+    start is given; a warm start on another grid is a ShapeMismatchError.
     """
+    if init_m is not None and init_m.grid != problem.grid:
+        raise ShapeMismatchError("init_m lives on a different grid")
     m_bar = _heat_flow(problem) if init_m is None else init_m.values
     return fixed_point(problem, params or SolverParams(),
                        lambda m: _equilibrium_data(problem, m), m_bar)

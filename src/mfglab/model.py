@@ -14,7 +14,7 @@ the base point of F, second the direction of differentiation.
 Each catalog coupling forms the kernel products of m once per call and
 derives from them the field F(., m), the residual field (m @ delta(m))
 dx in closed form (the convolution's exact one excepted, see below), and
-an in-place fill of any row block of delta(m).  One rule prices every
+for one slice the dense delta(m), one expression.  One rule prices every
 product (kernel_products): an exact product of a (K, n) stack, each row
 bit for bit its one-slice gemv, and any 1-D slice take the dense kernel;
 every other stack takes the kernel's factor, phi = u u^T with u of rank
@@ -27,16 +27,11 @@ iteration counts follow it, and the benchmark pins them.  The descent's
 residual fields are the closed forms on those exact products, but for
 the convolution: its closed form needs a second product, m @ phi, and
 every rounding of it tried moved the descent's pinned iteration counts,
-so its exact residual contracts the dense delta(m), one cache-sized row
-block at a time for every slice in turn (_dense_residual).  The planner
-system, the terminal-condition and residual helpers, the report's
-residual path and the certificate take the factor: fields and residual
-fields of a whole path from Coupling._path_terms, with no n x n matrix.
-delta(m) fills every row into a fresh matrix and is the dense reference
-of the convention and finite-difference checks.  A fill copies the
-kernel's row block and adds its row term, column term and constant by
-exact BLAS rank-one updates (_add_outer), bit for bit the reference's
-subtractions and addition.
+so its exact residual contracts delta(m), one cache-sized row block at a
+time for every slice in turn (_dense_residual).  The planner system, the
+residual helpers, the report and the certificate take the factor
+(Coupling._path_terms), with no n x n matrix.  delta(m) is the dense
+reference of the convention and finite-difference checks.
 
 The catalog covers the structurally distinct cases: a convolution
 coupling (never efficient unless m-independent), the efficient-by-
@@ -103,24 +98,18 @@ class Coupling:
     Serves both as running coupling F and as terminal cost G.  A density
     slice or a (K, n) stack m costs one call of _slice(m, exact): it forms
     the kernel products of m once (kernel_products) and returns
-    (F(., m), fill, residual).  residual() gives the residual field
+    (F(., m), delta, residual).  residual() gives the residual field
     (m @ delta(m)) dx of every row in closed form from those products;
     the convolution's with exact is the dense contraction, bit for bit.
-    fill(out, rows, k) writes the rows delta(m[k])[rows] [base point,
-    direction] of level k of the stack into the C-contiguous
-    (len(rows), n) array out, in place, and returns out, rows a slice of
-    the base points.  Each entry is the same elementwise expression
-    whatever the rows, so a block is bit for bit that block of the full
-    matrix; with exact, the level's products are its one-slice products,
-    so the block is that of delta(m[k]).  A fill reads only vectors the
-    _slice call formed, so the fills of all levels can take turns on
-    one workspace.  Both are None when the derivative vanishes.  eval(m)
-    returns the field; for a stack the (K, n) fields, through the
-    kernel's factor, each row within round-off of the row's own eval,
-    or with exact each row bit for bit eval(m[k]); a 1-D m takes the
-    dense gemv either way.  delta(m) fills every row into a fresh
-    matrix, the dense reference of the convention and finite-difference
-    checks.  A Coupling holds no state between calls.
+    For a 1-D m, delta() is the n x n matrix delta(m) [base point,
+    direction], one expression on those products.  Both are None when the
+    derivative vanishes.  eval(m) returns the field; for a stack the
+    (K, n) fields, through the kernel's factor, each row within round-off
+    of the row's own eval, or with exact each row bit for bit eval(m[k]);
+    a 1-D m takes the dense gemv either way.  delta(m) takes one slice
+    (a stack or a wrong length is a ShapeMismatchError) and is the dense
+    reference of the convention and finite-difference checks.  A Coupling
+    holds no state between calls.
     """
 
     label: str
@@ -131,11 +120,8 @@ class Coupling:
         return self._slice(np.asarray(m, dtype=float), exact)[0]
 
     def delta(self, m: np.ndarray) -> np.ndarray:
-        fill = self._slice(np.asarray(m, dtype=float)[None], True)[1]
-        n = self.grid.n
-        if fill is None:
-            return np.zeros((n, n))
-        return fill(np.empty((n, n)), slice(0, n), 0)
+        dense = self._slice(self.grid.check_field(m), False)[1]
+        return np.zeros((self.grid.n, self.grid.n)) if dense is None else dense()
 
     def _path_terms(self, m: np.ndarray,
                     exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +142,7 @@ DENSE_BLOCK = 32768  # entries of one kernel row block (256 KiB of float64)
 
 
 def dense_block_rows(n: int) -> int:
-    """Row height b of the kernel blocks of the exact products and of delta(m)'s fills.
+    """Row height b of the kernel blocks: the exact products, the dense residual, the build.
 
     A multiple of 4 whose (b, n) block holds about DENSE_BLOCK entries,
     so the block stays in cache; b = n, a single block, when n is not a
@@ -215,36 +201,42 @@ def _kernel(grid: Grid, kernel: Callable | None) -> tuple[np.ndarray, np.ndarray
 def _add_outer(out: np.ndarray, alpha: float, col: np.ndarray, row: np.ndarray) -> None:
     """out += alpha * col[:, None] * row[None, :] in place, one BLAS dger on out.T.
 
-    The fills pass alpha = -1 or -2 with one vector of ones, or a
-    constant alpha with two, so every product is exact and each entry
-    gets one rounded addition, on any BLAS, with or without FMA.  out
-    must be C-contiguous: f2py silently copies an out.T that is not
-    F-contiguous, and the update would be lost.
+    _dense_residual passes alpha = -1 and a row of ones, so every product
+    is exact and each entry gets one rounded subtraction, on any BLAS,
+    with or without FMA.  out must be C-contiguous: f2py silently copies
+    an out.T that is not F-contiguous, and the update would be lost.
     """
     if not out.flags.c_contiguous:
         raise ValueError("rank-one update: out must be C-contiguous to be written in place")
     dger(alpha, row, col, 1, 1, out.T, 1, 1, 1)  # incx, incy, a, overwrite_x, _y, _a
 
 
-def _dense_residual(fill: Callable, m: np.ndarray, dx: float) -> np.ndarray:
-    """(m[k] @ delta(m[k])) dx, bit for bit, for every row k of the (K, n)
-    stack m, fill its exact _slice's fill; no n x n matrix is built.
+def _dense_residual(phi: np.ndarray, a1: np.ndarray, lam: float, m: np.ndarray,
+                    dx: float) -> np.ndarray:
+    """The convolution's (m[k] @ delta(m[k])) dx, bit for bit, for every row k of
+    the (K, n) stack m, a1 its exact products times dx; no n x n matrix.
 
-    Block by block, every level's fill writes a (b, n) row block into one
-    workspace, b = dense_block_rows(n), and contracts it at once: numpy's
-    m @ W for the first block, BLAS dgemv with beta = 1 adding each later
-    one.  OpenBLAS's dgemv adds 4-row groups of W in turn, so the blocked
-    sum is the single product bit for bit (TestBlockedContraction).
+    Block by block, every level writes its rows of delta(m[k]) into one
+    (b, n) workspace, b = dense_block_rows(n), bit for bit the expression
+    lam * (phi - a1[k][:, None]): an exact rank-one update (_add_outer),
+    then lam, skipped at 1 (x * 1.0 == x).  It is contracted at once:
+    numpy's m @ W for the first block, BLAS dgemv with beta = 1 adding
+    each later one.  OpenBLAS's dgemv adds 4-row groups of W in turn, so
+    the blocked sum is the single product bit for bit (TestBlockedContraction).
     """
     n = m.shape[-1]
     b = dense_block_rows(n)
     work = np.empty((b, n))
+    ones = np.ones(n)
     residuals = np.zeros_like(m)
     for r in range(0, n, b):
-        out = work[:min(b, n - r)]
+        w = work[:min(b, n - r)]
         rows = slice(r, r + b)
-        for k, (m_k, y) in enumerate(zip(m, residuals)):
-            w = fill(out, rows, k)
+        for m_k, a1_k, y in zip(m, a1, residuals):
+            np.copyto(w, phi[rows])
+            _add_outer(w, -1.0, a1_k[rows], ones)
+            if lam != 1.0:
+                w *= lam
             if r == 0:
                 np.matmul(m_k[:b], w, out=y)
             else:  # in place: y is a contiguous row of residuals
@@ -266,36 +258,23 @@ def coupling_spatial(grid: Grid, f: Callable[[np.ndarray], np.ndarray],
                     grid)
 
 
-def _scaled(out: np.ndarray, lam: float) -> np.ndarray:
-    """out *= lam in place, skipped at lam = 1: x * 1.0 == x for every double."""
-    if lam != 1.0:
-        out *= lam
-    return out
-
-
 def coupling_convolution(grid: Grid, kernel: Callable | None = None,
                          lam: float = 1.0) -> Coupling:
     """F(x, m) = lam * int phi(x, y) m(dy)."""
     phi, u = _kernel(grid, kernel)
     dx = grid.dx
-    ones = np.ones(grid.n)
 
     def terms(m, exact=False):
         pm = kernel_products(phi, m, exact, u)
         a1 = pm * dx  # int phi(x, y) m(dy)
 
-        def fill(out, rows, k):  # lam * (phi - a1[k][:, None])
-            np.copyto(out, phi[rows])
-            _add_outer(out, -1.0, a1[k, rows], ones)
-            return _scaled(out, lam)
-
         def residual():  # lam * (a2 - int int phi m m), a2 = int phi(z, .) m(dz)
             if exact:  # the descent's stop follows this rounding (_dense_residual)
-                return _dense_residual(fill, m, dx)
+                return _dense_residual(phi, a1, lam, m, dx)
             a2 = kernel_products(phi.T, m, factor=u) * dx
             return lam * (a2 - row_dot(a1, m)[..., None] * dx)
 
-        return lam * pm * dx, fill, residual
+        return lam * pm * dx, lambda: lam * (phi - a1[:, None]), residual
 
     return Coupling("convolution", terms, grid)
 
@@ -310,9 +289,7 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
     gap from every start.
     """
     phi, u = _kernel(grid, kernel)
-    phi_sym = phi + phi.T  # the m-independent part of delta(m)
     dx = grid.dx
-    ones = np.ones(grid.n)
 
     def terms(m, exact=False):
         a1 = kernel_products(phi, m, exact, u) * dx    # int phi(x, y) m(dy)
@@ -320,19 +297,12 @@ def coupling_efficient(grid: Grid, kernel: Callable | None = None,
         q = row_dot(m, a1) * dx                        # int int phi m m
         s = a1 + a2
 
-        def fill(out, rows, k):  # lam * (phi + phi.T - s[k][None, :] - s[k][:, None] + 2q[k])
-            np.copyto(out, phi_sym[rows])
-            b = len(out)
-            _add_outer(out, -1.0, ones[:b], s[k])
-            _add_outer(out, -1.0, s[k, rows], ones)
-            _add_outer(out, 2.0 * q[k], ones[:b], ones)
-            return _scaled(out, lam)
-
         def residual():  # lam (1 - M) (s - 2 q), M the mass of m
             mass = m.sum(axis=-1) * dx
             return (lam * (1.0 - mass))[..., None] * (s - 2.0 * q[..., None])
 
-        return lam * (s - q[..., None]), fill, residual
+        return (lam * (s - q[..., None]),
+                lambda: lam * (phi + phi.T - s[None, :] - s[:, None] + 2.0 * q), residual)
 
     return Coupling("efficient", terms, grid)
 
@@ -345,27 +315,21 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
     residual field equals -F(., m) identically.
     """
     k, u = _kernel(grid, kernel)  # a catalog factor's u u^T is symmetric already
-    k = 0.5 * (k + k.T)  # potential structure needs a symmetric kernel
+    # potential structure needs a symmetric kernel; on a symmetric k,
+    # 0.5 * (k + k.T) is k bit for bit, so the catalog kernels skip the copies
+    if not np.array_equal(k, k.T):
+        k = 0.5 * (k + k.T)
     dx = grid.dx
-    ones = np.ones(grid.n)
 
     def terms(m, exact=False):
         km = kernel_products(k, m, exact, u) * dx
         q = row_dot(m, km) * dx
         field = lam * (km - q[..., None])
 
-        def fill(out, rows, i):  # lam * (k - 2 km[i][None, :] - km[i][:, None] + 2 q[i])
-            np.copyto(out, k[rows])
-            b = len(out)
-            _add_outer(out, -2.0, ones[:b], km[i])
-            _add_outer(out, -1.0, km[i, rows], ones)
-            _add_outer(out, 2.0 * q[i], ones[:b], ones)
-            return _scaled(out, lam)
-
         def residual():  # (1 - 2 M) F, M the mass of m
             return (1.0 - 2.0 * m.sum(axis=-1) * dx)[..., None] * field
 
-        return field, fill, residual
+        return field, lambda: lam * (k - 2.0 * km[None, :] - km[:, None] + 2.0 * q), residual
 
     return Coupling("potential", terms, grid)
 
@@ -384,15 +348,12 @@ def coupling_xfree(grid: Grid, profile: Callable | None = None,
     def terms(m, exact=False):
         s = row_dot(c, m) * dx
 
-        def fill(out, rows, k):  # every base point has the row lam g'(s[k]) (c - s[k])
-            out[:] = lam * gp(s[k]) * (c - s[k])
-            return out
-
         def residual():  # M lam g'(s) (c - s), M the mass of m
             mass = m.sum(axis=-1) * dx
             return (mass * lam * gp(s))[..., None] * (c - s[..., None])
 
-        return np.multiply.outer(lam * g(s), ones), fill, residual
+        return (np.multiply.outer(lam * g(s), ones),
+                lambda: np.tile(lam * gp(s) * (c - s), (grid.n, 1)), residual)
 
     return Coupling("xfree", terms, grid)
 

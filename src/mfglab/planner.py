@@ -24,11 +24,12 @@ with exact): the fields of all levels, each bit for bit its own eval's
 one product per slice, and the residual fields of the adjoint source in
 closed form on those products, O(n) per level; F(m[0]) is a 1-D eval.
 The convolution's residual alone is the dense contraction of delta(m)
-per slice (model._dense_residual): its closed form needs a second
-product, m @ phi, and every rounding of it tried moved the iteration
-counts the benchmark pins.  The two values
-cross-validate each other; for nonconvex couplings the system route is
-only a critical point, so the descent value is the one used for gaps.
+per slice, one row block of its one expression at a time
+(model._dense_residual): its closed form needs a second product,
+m @ phi, and every rounding of it tried moved the iteration counts the
+benchmark pins.  The two values cross-validate each other; for
+nonconvex couplings the system route is only a critical point, so the
+descent value is the one used for gaps.
 scipy.optimize is imported at the first descent, not with the module, so
 code that never runs one does not pay for it.
 """

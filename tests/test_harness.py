@@ -545,6 +545,21 @@ class TestFitColumns:
         assert f"config error: fit.{key}" in err and "Traceback" not in err
         assert not (tmp_path / "f.csv").exists()
 
+    # a solve-mfg output has no n or gap column: one stderr line names the
+    # column and the rows file, and no --out is written, not even in part
+    @pytest.mark.parametrize("command,out", [("fit", "fit.csv"), ("emit", "plots")])
+    def test_rows_file_lacking_a_column(self, tmp_path, capsys, command, out):
+        path = write_cfg(tmp_path, {"grid": {"n": 16, "nt": 8},
+                                    "fit": {"x_column": "n", "y_column": "gap"},
+                                    "emit": {"series": [["n", "gap"]]}})
+        rows = tmp_path / "mfg.csv"
+        assert main(["solve-mfg", "--config", path, "--out", str(rows)]) == 0
+        assert main([command, "--config", path, "--rows", str(rows),
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {rows}: result file has no column 'n'\n"
+        assert not (tmp_path / out).exists()
+
     def test_number_columns(self):
         assert set(RESULT_COLUMNS) - set(NUMBER_COLUMNS) == {
             "hamiltonian", "coupling", "kernel", "terminal", "m0_kind", "damping",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfglab import Grid, SolverParams, density_cosine, solve_mfg, solve_planner_system
-from mfglab.errors import TimeStepDivergenceError
+from mfglab.errors import ShapeMismatchError, TimeStepDivergenceError
 from mfglab.grids import DensityPath, ScalarPath
 from mfglab.mfg import _equilibrium_data, feedback_drift
 from mfglab.model import coupling_spatial
@@ -215,6 +215,13 @@ class TestSolveMFG:
         again = solve_mfg(prob, params, init_m=sol.m)
         assert again.converged and again.iterations == 1
         assert np.abs(again.m.values - sol.m.values).sum(axis=1).max() * grid64.dx <= 1e-9
+
+    def test_warm_start_on_another_grid_is_refused(self, grid64):
+        prob = make_problem(grid64, "convolution", lam=1.0)
+        for grid in (Grid(n=32, nt=grid64.nt), Grid(n=64, nt=2 * grid64.nt),
+                     Grid(n=64, nt=grid64.nt, T=2.0)):
+            with pytest.raises(ShapeMismatchError, match="different grid"):
+                solve_mfg(prob, init_m=uniform_path(grid))
 
     def test_non_convergence_is_flagged_not_raised(self, grid64):
         # both solvers run the one fixed-point driver

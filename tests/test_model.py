@@ -22,7 +22,7 @@ from mfglab import (
     residual_field,
 )
 from mfglab import model
-from mfglab.errors import MassConservationError
+from mfglab.errors import MassConservationError, ShapeMismatchError
 from mfglab.model import (
     COUPLING_LABELS,
     KERNEL_FACTORS,
@@ -39,6 +39,11 @@ from conftest import assert_descent_residuals, random_density
 TWO_PI = 2.0 * np.pi
 
 ALL_LABELS = ("convolution", "efficient", "potential", "xfree")
+
+
+def lopsided(x, y):
+    """A kernel outside the catalog and not symmetric: phi and phi.T differ."""
+    return np.cos(TWO_PI * (x - y)) + 0.3 * np.sin(TWO_PI * (x + 2.0 * y))
 
 
 @pytest.fixture
@@ -127,6 +132,28 @@ class TestPotential:
         c = coupling_potential(g, lam=0.0)
         assert np.abs(c.eval(random_density(g, rng))).max() == 0.0
 
+    # the potential symmetrizes its kernel only when k differs from k.T:
+    # on a symmetric k, 0.5 * (k + k.T) is k bit for bit
+    @pytest.mark.parametrize("n", (16, 64, 100, 128, 1024))
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_catalog_kernels_are_bitwise_symmetric(self, kernel, n):
+        k = model._kernel(Grid(n=n, nt=8), KERNELS[kernel])[0]
+        assert np.array_equal(k, k.T)
+
+    def test_nonsymmetric_callable_kernel_is_symmetrized(self):
+        g = Grid(n=32, nt=8)
+        x = g.xs()
+        phi = lopsided(x[:, None], x[None, :])
+        assert not np.array_equal(phi, phi.T)
+        k = 0.5 * (phi + phi.T)
+        c = coupling_potential(g, lopsided, lam=0.7)
+        for m in TestFusedTerms.densities(g, 6):
+            km = (k @ m) * g.dx
+            q = float(m @ km) * g.dx
+            assert np.array_equal(c.eval(m), 0.7 * (km - q))
+            assert np.array_equal(c.delta(m),
+                                  0.7 * (k - 2.0 * km[None, :] - km[:, None] + 2.0 * q))
+
 
 class TestXfree:
     def test_residual_independent_of_base_point(self, g, rng):
@@ -151,6 +178,15 @@ class TestXfree:
 
 
 class TestConvention:
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_delta_takes_one_slice(self, g, rng, label):
+        c = coupling_from_label(g, label)
+        m = random_density(g, rng)
+        assert c.delta(m).shape == (g.n, g.n)
+        for bad in (np.stack([m, m]), m[:-1]):  # a stack; a wrong length
+            with pytest.raises(ShapeMismatchError, match="does not match grid"):
+                c.delta(bad)
+
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_zero_mean_derivative(self, g, rng, label):
         c = coupling_from_label(g, label, lam=1.1)
@@ -219,8 +255,8 @@ FUSED_CASES = [(label, kernel, n) for label in COUPLING_LABELS for kernel in KER
 class TestFusedTerms:
     """The fused per-slice terms against the dense reference.
 
-    eval and delta keep the operation order of the catalog's one-expression
-    forms.  The descent's terms, the exact stacked call
+    eval and delta are the catalog's one-expression forms, bit for bit.
+    The descent's terms, the exact stacked call
     Coupling._path_terms(m, exact=True), reproduce eval(m) bit for bit,
     and (m @ delta(m)) dx bit for bit for the convolution, whose dense
     contraction keeps the rounding the benchmark's pinned iteration counts
@@ -234,10 +270,11 @@ class TestFusedTerms:
 
     @staticmethod
     def reference_terms(label, grid, kernel, lam, m):
-        """(F, delta(m)) in the catalog's one-expression form, before the in-place fill.
+        """(F, delta(m)) in the catalog's one-expression form.
 
-        The fill must keep this operation order: bench/reference.json pins
-        L-BFGS iteration counts that move with any change of rounding.
+        The convolution's dense residual writes its delta(m) rows in this
+        operation order: bench/reference.json pins L-BFGS iteration counts
+        that move with any change of rounding.
         """
         x, dx, n = grid.xs(), grid.dx, grid.n
         phi = np.asarray(KERNELS[kernel](x[:, None], x[None, :]), dtype=float)
@@ -269,6 +306,15 @@ class TestFusedTerms:
             field, dmat = self.reference_terms(label, g, kernel, 0.7, m)
             assert np.array_equal(c.eval(m), field)
             assert np.array_equal(c.delta(m), dmat)
+
+    @pytest.mark.parametrize("lam", (1.0, 2.5))
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_delta_at_unit_and_other_strengths(self, label, kernel, lam):
+        g = Grid(n=64, nt=8)
+        c = coupling_from_label(g, label, lam=lam, kernel=kernel)
+        for m in self.densities(g, 11):
+            assert np.array_equal(c.delta(m), self.reference_terms(label, g, kernel, lam, m)[1])
 
     @pytest.mark.parametrize("label,kernel,n", FUSED_CASES)
     def test_slice_terms_equal_eval_and_dense_residual(self, label, kernel, n):
@@ -339,7 +385,7 @@ BLOCK_CASES = [(64, 512, 8), (100, 3200, 32), (66, 512, 66)]
 
 
 class TestExactStackedProduct:
-    """The exact stacked product and the fills of an exact stack.
+    """The exact stacked product and the fields of an exact stack.
 
     Every row of kernel_products(K, m, exact=True) must be the one-slice
     gemv K @ m[k] bit for bit, whatever the row blocks; this rests on the
@@ -373,30 +419,6 @@ class TestExactStackedProduct:
         assert fields.shape == stack.shape
         for m, field in zip(stack, fields):
             assert np.array_equal(field, c.eval(m))
-
-    @pytest.mark.parametrize("lam", (1.0, 2.5))  # the skipped and the applied strength pass
-    @pytest.mark.parametrize("n,entries,rows", BLOCK_CASES)
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("label", COUPLING_LABELS)
-    def test_fill_blocks_equal_delta_rows(self, monkeypatch, label, kernel, n, entries, rows,
-                                          lam):
-        # every level of an exact stack, filled block by block in one shared
-        # workspace, gives the rows of its own delta(m) and of the reference form
-        monkeypatch.setattr(model, "DENSE_BLOCK", entries)
-        g = Grid(n=n, nt=8)
-        c = coupling_from_label(g, label, lam=lam, kernel=kernel)
-        stack = TestFusedTerms.densities(g, n + 11, count=3)
-        fill = c._slice(stack, True)[1]
-        if fill is None:
-            assert label in ("zero", "spatial_cos")
-            return
-        out = np.empty((rows, n))
-        for k, m in enumerate(stack):
-            dmat = TestFusedTerms.reference_terms(label, g, kernel, lam, m)[1]
-            assert np.array_equal(c.delta(m), dmat)
-            for r in range(0, n, rows):
-                b = min(rows, n - r)
-                assert np.array_equal(fill(out[:b], slice(r, r + b), k), dmat[r:r + b])
 
 
 # the kernel-based constructors, to rebuild a catalog coupling on a callable kernel
@@ -445,10 +467,7 @@ class TestKernelFactors:
 
     @pytest.mark.parametrize("label", KERNEL_COUPLINGS)
     def test_callable_kernel_takes_the_dense_gemm(self, label):
-        # not symmetric, so phi and phi.T differ: no symmetric factor could stand in for it
-        def lopsided(x, y):
-            return np.cos(TWO_PI * (x - y)) + 0.3 * np.sin(TWO_PI * (x + 2.0 * y))
-
+        # not symmetric, so no symmetric factor could stand in for it
         g = Grid(n=32, nt=8)
         c = KERNEL_COUPLINGS[label](g, lopsided, lam=0.7)
         stack = TestFusedTerms.densities(g, 5, count=4)
@@ -481,21 +500,6 @@ class TestKernelFactors:
                 c = coupling_from_label(g, label, lam=0.7, kernel=kernel)
                 field = TestFusedTerms.reference_terms(label, g, kernel, 0.7, m)[0]
                 assert np.array_equal(c.eval(m), field)
-
-    @pytest.mark.parametrize("label", ("convolution", "efficient", "potential", "xfree"))
-    def test_fill_writes_a_row_block_of_a_workspace_in_place(self, label):
-        # f2py hands BLAS a copy of an out.T that is not F-contiguous; a row
-        # block of a larger C-contiguous workspace is written where it lies
-        g = Grid(n=64, nt=8)
-        c = coupling_from_label(g, label, lam=0.7)
-        stack = TestFusedTerms.densities(g, 3, count=2)
-        fill = c._slice(stack, True)[1]
-        work = np.full((3, 16, g.n), np.nan)
-        block = work[1, :12]
-        assert fill(block, slice(20, 32), 1) is block
-        assert np.array_equal(work[1, :12], c.delta(stack[1])[20:32])
-        assert np.isnan(work[0]).all() and np.isnan(work[2]).all()
-        assert np.isnan(work[1, 12:]).all()
 
     def test_rank_one_update_is_in_place_and_exact(self):
         r = np.random.default_rng(4)

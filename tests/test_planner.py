@@ -120,12 +120,24 @@ class TestBlockedContraction:
         assert_descent_residuals(label, residuals,
                                  np.stack([(m_k @ c.delta(m_k)) * g.dx for m_k in m]))
 
+    @pytest.mark.parametrize("lam", (1.0, 2.5))  # the skipped and the applied strength pass
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_convolution_blocks_at_any_strength(self, monkeypatch, kernel, lam):
+        monkeypatch.setattr(model, "DENSE_BLOCK", 3200)  # n=100: 32-row blocks, a 4-row tail
+        g = Grid(n=100, nt=8)
+        c = coupling_from_label(g, "convolution", lam=lam, kernel=kernel)
+        r = np.random.default_rng(7)
+        m = np.stack([random_density(g, r, roughness=1.0) * r.uniform(0.5, 1.5)
+                      for _ in range(3)])
+        residuals = c._path_terms(m, exact=True)[1]
+        assert np.array_equal(residuals, np.stack([(m_k @ c.delta(m_k)) * g.dx for m_k in m]))
+
     @pytest.mark.parametrize("n,entries", [(64, 512), (100, 3200)])  # 8-row blocks; a 4-row tail
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("label", COUPLING_LABELS)
     def test_levels_are_contracted_independently(self, monkeypatch, label, kernel, n, entries):
-        # every level is filled and contracted per block in turn, sharing one workspace:
-        # no level may read another level's block, vector or fill
+        # every level is written and contracted per block in turn, sharing one workspace:
+        # no level may read another level's block or vector
         monkeypatch.setattr(model, "DENSE_BLOCK", entries)
         assert n % dense_block_rows(n) in (0, 4) and dense_block_rows(n) < n
         g = Grid(n=n, nt=8)
