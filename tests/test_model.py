@@ -420,6 +420,26 @@ class TestExactStackedProduct:
         for m, field in zip(stack, fields):
             assert np.array_equal(field, c.eval(m))
 
+    @pytest.mark.parametrize("lam", (1.0, 2.5))  # the skipped and the applied strength pass
+    @pytest.mark.parametrize("n,entries,rows", BLOCK_CASES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_level_terms_equal_reference_forms(self, monkeypatch, label, kernel, n, entries,
+                                               rows, lam):
+        # every level of an exact stack, its kernel built and its residual contracted
+        # block by block, gives the reference field, delta(m) and (m @ delta(m)) dx
+        monkeypatch.setattr(model, "DENSE_BLOCK", entries)
+        assert dense_block_rows(n) == rows
+        g = Grid(n=n, nt=8)
+        c = coupling_from_label(g, label, lam=lam, kernel=kernel)
+        stack = TestFusedTerms.densities(g, n + 11, count=3)
+        fields, residuals = c._path_terms(stack, exact=True)
+        for m, field, residual in zip(stack, fields, residuals):
+            ref_field, dmat = TestFusedTerms.reference_terms(label, g, kernel, lam, m)
+            assert np.array_equal(field, ref_field)
+            assert np.array_equal(c.delta(m), dmat)
+            assert_descent_residuals(label, residual, (m @ dmat) * g.dx)
+
 
 # the kernel-based constructors, to rebuild a catalog coupling on a callable kernel
 KERNEL_COUPLINGS = {"convolution": coupling_convolution, "efficient": coupling_efficient,
