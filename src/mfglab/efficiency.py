@@ -29,7 +29,7 @@ import numpy as np
 from .errors import MassConservationError
 from .grids import ScalarPath, gradient, reconstruct_flux_1d
 from .mfg import MFGSolution, SolverParams, solve_mfg
-from .model import Problem, delta_ghat, residual_field, row_dot
+from .model import Problem, delta_ghat, row_dot
 from .planner import (
     PlannerSolution,
     planner_cost,
@@ -40,6 +40,7 @@ from .planner import (
 from .stepping import check_mass_drift, fp_forward_sweep, fp_step
 
 H_SAMPLES = 32  # log-spaced perturbation sizes the certificate tries per variant
+ROUNDOFF = float(np.sqrt(np.finfo(float).eps))  # residual sup / field sup of a round-off residual
 
 
 def social_cost(sol: MFGSolution, problem: Problem) -> float:
@@ -79,21 +80,24 @@ def _window_weights(grid, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """An equilibrium with the data of its bounds and certificate: the residual
-    fields of F on every level of m (r_path) and of G at m(T) (r_g), and its social cost."""
+    """An equilibrium with the data of its bounds and certificate: F and its residual field
+    on every level of m (f_path, r_path), G and its residual field at m(T) (g, r_g), the cost."""
 
     sol: MFGSolution
     problem: Problem
+    f_path: np.ndarray
     r_path: np.ndarray
+    g: np.ndarray
     r_g: np.ndarray
     cost: float
 
 
 def equilibrium(sol: MFGSolution, problem: Problem) -> Equilibrium:
-    """The Equilibrium of sol: its residual fields in closed form (Coupling._path_terms)."""
+    """The Equilibrium of sol: fields and residual fields in closed form (Coupling._path_terms)."""
     m = sol.m.values
-    return Equilibrium(sol, problem, problem.coupling._path_terms(m)[1],
-                       residual_field(problem.terminal, m[-1]), social_cost(sol, problem))
+    f_path, r_path = problem.coupling._path_terms(m)
+    (g,), (r_g,) = problem.terminal._path_terms(m[-1:])
+    return Equilibrium(sol, problem, f_path, r_path, g, r_g, social_cost(sol, problem))
 
 
 def lb_integrands(eq: Equilibrium, eps: float) -> tuple[float, float]:
@@ -268,19 +272,23 @@ def certificate(eq: Equilibrium, eps: float) -> float:
     """Constant-free lower bound on the inefficiency gap.
 
     Builds both perturbation variants, samples H_SAMPLES values of h
-    log-spaced over [1e-4 tau, tau] and returns
-    max(0, max_h (cost(u,m) - phi(h))).  Valid
-    because every phi(h) is the cost of a feasible pair, hence at least
-    the planner optimum.  The samples of a variant are evaluated together
+    log-spaced over [1e-4 tau, tau] and returns max(0, max_h (cost(u,m) -
+    phi(h))).  Valid because every phi(h) is the cost of a feasible pair,
+    hence at least the planner optimum.  A variant is skipped when its mu
+    vanishes or its residual sup is at most ROUNDOFF times its field's (F
+    on the path, G at m(T)): its certificate, O(|r|^2), is below the
+    rounding of the cost.  The samples of a variant are evaluated together
     (see _phi_stack), within round-off of phi_eval one h at a time.  A
     difference of cost-sized numbers, the result agrees with the per-h
     maximum on the cost scale: within 1e-12 (1 + |cost(u,m)|).
     """
     best = 0.0
-    for build in (build_perturbation_running, build_perturbation_terminal):
+    for build, r, field in ((build_perturbation_running, eq.r_path, eq.f_path),
+                            (build_perturbation_terminal, eq.r_g, eq.g)):
         pert = build(eq, eps)
-        if float(np.abs(pert.mu.values).max()) == 0.0:
-            continue  # residual vanishes; this variant certifies nothing
+        if (float(np.abs(pert.mu.values).max()) == 0.0
+                or np.abs(r).max() <= ROUNDOFF * np.abs(field).max()):
+            continue  # this variant certifies nothing
         tau = pert.tau if np.isfinite(pert.tau) else 1.0
         hs = np.geomspace(1e-4 * tau, tau, H_SAMPLES)
         for phi in _phi_stack(eq.sol, pert, hs, eq.problem):

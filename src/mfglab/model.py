@@ -24,14 +24,12 @@ outside the catalog has the factor pair (phi, identity): one dense gemm.
 The equilibrium's fields, planner_cost and the planner descent take the
 exact product, so they keep the rounding of one product per slice: the
 iteration counts follow it, and the benchmark pins them.  The descent's
-residual fields are the closed forms on those exact products, but for
-the convolution: its closed form needs a second product, m @ phi, and
-every rounding of it tried moved the descent's pinned iteration counts,
-so its exact residual contracts delta(m), one cache-sized row block at a
-time for every slice in turn (_dense_residual).  The planner system, the
-residual helpers, the report and the certificate take the factor
-(Coupling._path_terms), with no n x n matrix.  delta(m) is the dense
-reference of the convention and finite-difference checks.
+residual fields are the closed forms on those exact products, but the
+convolution's: every rounding of its closed form (a second product,
+m @ phi) moved the pinned counts, so it contracts delta(m) row block by
+row block (_dense_residual).  The planner system, the residual helpers,
+the report and the certificate take the factor (Coupling._path_terms),
+with no n x n matrix.
 
 The catalog covers the structurally distinct cases: a convolution
 coupling (never efficient unless m-independent), the efficient-by-
@@ -50,7 +48,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv, dger
 
 from .errors import MassConservationError
-from .grids import Grid, check_density_slice
+from .grids import Grid, _check_last_axis, check_density_slice
 
 TWO_PI = 2.0 * np.pi
 
@@ -106,10 +104,10 @@ class Coupling:
     derivative vanishes.  eval(m) returns the field; for a stack the
     (K, n) fields, through the kernel's factor, each row within round-off
     of the row's own eval, or with exact each row bit for bit eval(m[k]);
-    a 1-D m takes the dense gemv either way.  delta(m) takes one slice
-    (a stack or a wrong length is a ShapeMismatchError) and is the dense
-    reference of the convention and finite-difference checks.  A Coupling
-    holds no state between calls.
+    a 1-D m takes the dense gemv either way.  eval and _path_terms take m
+    with the grid's last axis, delta(m) one slice, else ShapeMismatchError;
+    delta(m) is the dense reference of the convention and finite-difference
+    checks.  A Coupling holds no state between calls.
     """
 
     label: str
@@ -117,7 +115,7 @@ class Coupling:
     grid: Grid
 
     def eval(self, m: np.ndarray, exact: bool = False) -> np.ndarray:
-        return self._slice(np.asarray(m, dtype=float), exact)[0]
+        return self._slice(_check_last_axis(m, self.grid), exact)[0]
 
     def delta(self, m: np.ndarray) -> np.ndarray:
         dense = self._slice(self.grid.check_field(m), False)[1]
@@ -133,7 +131,7 @@ class Coupling:
         derivative gives an exact zero residual.  With exact, each field
         is bit for bit eval(m[k]), and the convolution's residual too.
         """
-        m = np.asarray(m, dtype=float)
+        m = _check_last_axis(m, self.grid)
         fields, _, residual = self._slice(m, exact)
         return fields, np.zeros_like(m) if residual is None else residual()
 
@@ -219,10 +217,10 @@ def _dense_residual(phi: np.ndarray, a1: np.ndarray, lam: float, m: np.ndarray,
     Block by block, every level writes its rows of delta(m[k]) into one
     (b, n) workspace, b = dense_block_rows(n), bit for bit the expression
     lam * (phi - a1[k][:, None]): an exact rank-one update (_add_outer),
-    then lam, skipped at 1 (x * 1.0 == x).  It is contracted at once:
-    numpy's m @ W for the first block, BLAS dgemv with beta = 1 adding
-    each later one.  OpenBLAS's dgemv adds 4-row groups of W in turn, so
-    the blocked sum is the single product bit for bit (TestBlockedContraction).
+    then lam, skipped at 1 (x * 1.0 == x).  It is contracted at once: one
+    BLAS dgemv with beta = 1 adds each block into the zeroed residual row.
+    OpenBLAS's dgemv adds 4-row groups of W in turn, so the blocked sum is
+    the single product bit for bit (TestBlockedContraction).
     """
     n = m.shape[-1]
     b = dense_block_rows(n)
@@ -237,10 +235,7 @@ def _dense_residual(phi: np.ndarray, a1: np.ndarray, lam: float, m: np.ndarray,
             _add_outer(w, -1.0, a1_k[rows], ones)
             if lam != 1.0:
                 w *= lam
-            if r == 0:
-                np.matmul(m_k[:b], w, out=y)
-            else:  # in place: y is a contiguous row of residuals
-                dgemv(1.0, w.T, m_k[rows], 1.0, y, overwrite_y=1)
+            dgemv(1.0, w.T, m_k[rows], 1.0, y, overwrite_y=1)  # in place: y is a row
     residuals *= dx
     return residuals
 

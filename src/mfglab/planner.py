@@ -22,14 +22,11 @@ round-off level, so its iteration counts follow the rounding of its
 terms.  They come from one exact stacked call (Coupling._path_terms
 with exact): the fields of all levels, each bit for bit its own eval's
 one product per slice, and the residual fields of the adjoint source in
-closed form on those products, O(n) per level; F(m[0]) is a 1-D eval.
-The convolution's residual alone is the dense contraction of delta(m)
-per slice, one row block of its one expression at a time
-(model._dense_residual): its closed form needs a second product,
-m @ phi, and every rounding of it tried moved the iteration counts the
-benchmark pins.  The two values cross-validate each other; for
-nonconvex couplings the system route is only a critical point, so the
-descent value is the one used for gaps.
+closed form on those products, O(n) per level, but the convolution's,
+a dense contraction (model._dense_residual); F(m[0]) is a 1-D eval.
+The two values cross-validate each other; for nonconvex couplings the
+system route is only a critical point, so the descent value is the one
+used for gaps.
 scipy.optimize is imported at the first descent, not with the module, so
 code that never runs one does not pay for it.
 """
@@ -43,7 +40,8 @@ import numpy as np
 from .grids import DensityPath, ScalarPath, shift_next, shift_prev
 from .mfg import SolverParams, _heat_flow, fixed_point, solve_mfg
 from .model import Problem, delta_ghat, row_dot
-from .stepping import PeriodicTridiagLU, fp_forward_sweep, fp_residual, upwind_bands
+from .stepping import (PeriodicTridiagLU, fp_forward_sweep, fp_residual,
+                       solve_periodic_tridiag, upwind_bands)
 
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
 DESCENT_GTOL = 1e-12     # L-BFGS projected-gradient tolerance
@@ -222,7 +220,8 @@ class ControlObjective:
         np.multiply(dx, g_field + g_residual, out=rhs[nt - 1])
         bf, _, _, lower, diag, upper = upwind_bands(g, a[:nt])
         # transpose of every step matrix: swap and shift the bands
-        lu = PeriodicTridiagLU(shift_prev(upper), diag, shift_next(lower))
+        lower_t, upper_t = shift_prev(upper), shift_next(lower)
+        lu = PeriodicTridiagLU(lower_t, diag, upper_t)
 
         lam_path = np.empty((nt + 1, n))
         lam = np.zeros(n)
@@ -232,7 +231,7 @@ class ControlObjective:
                 lam = lu.solve_row(rhs[k], k, lam_path[k + 1])
             if not (np.isfinite(rhs).all() and np.isfinite(lam_path[1:]).all()):
                 for k in range(nt - 1, -1, -1):  # the first failing step raises
-                    lu.solve(rhs[k], k)
+                    solve_periodic_tridiag(lower_t[k], diag[k], upper_t[k], rhs[k])
         lam_path[0] = lam_path[1]
 
         # control sensitivity through the upwind face flux, all steps at once

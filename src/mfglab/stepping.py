@@ -34,8 +34,10 @@ afresh.
 Time loops.  The sweeps and the planner's adjoint factor every step
 matrix before their loop; a step then only solves its row (``solve_row``)
 and updates in place, into arrays allocated once per sweep.  The checks
-run once per sweep, after the loop, and raise what a checked step
-raises at the first failing one: type, message and suggested_dt.
+run once per sweep, after the loop; a failing sweep replays its steps
+through the checked solve (a re-factored block is bitwise its block of
+the stack) and raises as a checked step does at the first failing one:
+type, message and suggested_dt.
 """
 
 from __future__ import annotations
@@ -106,20 +108,15 @@ class PeriodicTridiagLU:
         dl, d, du, du2, ipiv, z, ratio, denom = self._rows[row]
         return _sherman_morrison(dgttrs(dl, d, du, du2, ipiv, rhs)[0], z, ratio, denom, out)
 
-    def solve(self, rhs: np.ndarray, row: int | None = None) -> np.ndarray:
-        """solve_row, checked; without a row, x for every system, rhs of the
-        bands' shape as in solve_periodic_tridiag."""
-        shape = self.shape if row is None else (self.n,)
-        if rhs.shape != shape:
-            raise ValueError(f"right-hand side has shape {rhs.shape}, expected {shape}")
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x for every system, checked; rhs has the bands' shape (solve_periodic_tridiag)."""
+        if rhs.shape != self.shape:
+            raise ValueError(f"right-hand side has shape {rhs.shape}, expected {self.shape}")
         if not np.isfinite(rhs).all():
             raise ValueError("periodic tridiagonal system has non-finite right-hand side")
-        if row is not None:
-            x = self.solve_row(rhs, row, np.empty(self.n))
-        else:  # the system runs along axis 0 of y: (n, B)
-            y = dgttrs(*self._stack, rhs.reshape(-1))[0].reshape(self._z.shape).T
-            x = _sherman_morrison(y, self._z.T, self._ratio, self._denom, np.empty_like(y))
-            x = x.T.reshape(rhs.shape)
+        y = dgttrs(*self._stack, rhs.reshape(-1))[0].reshape(self._z.shape).T  # (n, B)
+        x = _sherman_morrison(y, self._z.T, self._ratio, self._denom, np.empty_like(y))
+        x = x.T.reshape(rhs.shape)
         if not np.isfinite(x).all():
             raise LinearSolveError("periodic tridiagonal solve produced non-finite values")
         return x
@@ -185,7 +182,7 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
                     f"needs a smaller step (try dt <= {suggested:.3e})",
                     suggested_dt=min(suggested, 0.5 * dt),
                 )
-            lu.solve(rhs[k], 0)
+            lu.solve(rhs[k])
     return u
 
 

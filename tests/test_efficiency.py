@@ -23,7 +23,7 @@ from mfglab import (
     ub_norm,
     planner_cost,
 )
-from mfglab import harness
+from mfglab import efficiency, harness
 from mfglab.efficiency import EfficiencyReport, _phi_stack, _ramp_running
 from mfglab.errors import MassConservationError
 from mfglab.grids import DensityPath, continuity_residual_1d
@@ -313,6 +313,35 @@ class TestCertificate:
         gap = social_cost(sol, prob) - desc.cost
         assert cert > 1e-9
         assert cert <= gap + 1e-6 * (1 + abs(social_cost(sol, prob)))
+
+    def test_round_off_residual_is_not_priced(self, monkeypatch):
+        # the efficient residuals, running and terminal, are round-off against
+        # their fields: neither variant is priced, and pricing one gives the
+        # same 0.0; the convolution's are not, and both of its variants are priced
+        g = Grid(n=32, nt=64)
+        eps = default_epsilon(g)
+        priced = []
+
+        def counting(sol, pert, hs, prob):
+            priced.append(prob.coupling.label)
+            return _phi_stack(sol, pert, hs, prob)
+
+        monkeypatch.setattr(efficiency, "_phi_stack", counting)
+        for label in ("efficient", "convolution"):
+            prob = make_problem(g, label, terminal=coupling_from_label(g, label, lam=0.5))
+            eq = equilibrium(solve_mfg(prob), prob)
+            cert = certificate(eq, eps)
+            assert priced == ["convolution"] * (2 if label == "convolution" else 0)
+            round_off = [np.abs(r).max() <= efficiency.ROUNDOFF * np.abs(f).max()
+                         for r, f in ((eq.r_path, eq.f_path), (eq.r_g, eq.g))]
+            assert round_off == [label == "efficient"] * 2
+            if label == "efficient":
+                assert cert == 0.0
+                pert = build_perturbation_running(eq, eps)
+                hs = np.geomspace(1e-4 * pert.tau, pert.tau, 32)
+                assert max(0.0, float(np.max(eq.cost - _phi_stack(eq.sol, pert, hs, prob)))) == 0.0
+            else:
+                assert cert > 1e-9
 
     def test_agrees_with_per_h_reference_loop(self):
         # a nonzero terminal cost, so both perturbation variants run; the

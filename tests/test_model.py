@@ -187,6 +187,16 @@ class TestConvention:
             with pytest.raises(ShapeMismatchError, match="does not match grid"):
                 c.delta(bad)
 
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_eval_and_path_terms_check_the_last_axis(self, g, rng, label):
+        c = coupling_from_label(g, label)
+        m = random_density(g, rng)
+        assert c.eval(np.stack([m, m])).shape == c._path_terms(np.stack([m, m]))[1].shape
+        for bad in (m[:-1], np.stack([m[:-1], m[:-1]])):  # a (63,) slice; a (2, 63) stack
+            for call in (c.eval, lambda x: c.eval(x, exact=True), c._path_terms):
+                with pytest.raises(ShapeMismatchError, match="does not match grid"):
+                    call(bad)
+
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_zero_mean_derivative(self, g, rng, label):
         c = coupling_from_label(g, label, lam=1.1)

@@ -24,8 +24,7 @@ kernel's factor) and ``descent_terms`` the descent's terms
 (``Coupling._path_terms`` with ``exact``: the exact stacked products,
 then the closed-form residual fields, or for the convolution the
 contraction of ``delta(m)`` block by block, every level per block),
-both on the nt levels 0..nt-1 (``ControlObjective._dense_terms`` in a
-checkout that has it); these three are µs per level.  They,
+both on the nt levels 0..nt-1; these three are µs per level.  They,
 ``adjoint`` and ``descent_eval`` take the ``--label`` coupling (default
 convolution).  ``cert_step`` is
 ``efficiency._phi_stack``, the certificate's pricing of its H_SAMPLES
@@ -95,7 +94,6 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
     fields = np.cos(2.0 * np.pi * (x + t))
     obj = ControlObjective(problem)
     terms = obj._path_terms(m)
-    dense_terms = getattr(obj, "_dense_terms", None)  # the descent's terms in older checkouts
     bands = upwind_bands(grid, a[:nt])[3:]
     # the path and its drift as an equilibrium record: _phi_stack reads only m and alpha
     sol = MFGSolution(u=ScalarPath(np.zeros_like(m), grid), m=DensityPath(m, grid),
@@ -111,8 +109,7 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
         "factor": lambda: PeriodicTridiagLU(*bands),
         "fields": lambda: problem.coupling.eval(m, exact=True),
         "path_terms": lambda: problem.coupling._path_terms(m[:nt]),
-        "descent_terms": (lambda: dense_terms(problem.coupling, m[:nt])) if dense_terms else
-                         (lambda: problem.coupling._path_terms(m[:nt], exact=True)),
+        "descent_terms": lambda: problem.coupling._path_terms(m[:nt], exact=True),
         "cert_step": lambda: _phi_stack(sol, pert, hs, problem),
     }
     levels = {"fields": nt + 1}
