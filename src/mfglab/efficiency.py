@@ -437,7 +437,7 @@ def full_report(problem: Problem, params: SolverParams | None = None,
     eps = default_epsilon(problem.grid) if eps is None else eps
 
     mfg = solve_mfg(problem, params)
-    descent = solve_planner_descent(problem, params, init=mfg.alpha_star)
+    descent = solve_planner_descent(problem, params, init=mfg)  # its first path is mfg.m
     system = solve_planner_system(problem, params)
 
     # the equilibrium's residual fields, once, for the sups, bounds and certificate

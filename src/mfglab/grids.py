@@ -6,7 +6,9 @@ k = 0..nt.  Spatial fields (densities, values, drifts, fluxes) are
 arrays of shape (n,) and paths are arrays of shape (nt+1, n).
 ``gradient`` and ``laplacian`` are the only central stencils in the
 package: they act along the last axis, so they take a slice, a path or
-any stack of slices.  The forward solver keeps its own upwind fluxes.
+any stack of slices.  ``gradient`` takes ``central_difference`` of
+ghost-padded rows (``ghost_pad``), which the backward sweep keeps.  The
+forward solver keeps its own upwind fluxes.
 """
 
 from __future__ import annotations
@@ -114,9 +116,17 @@ def check_density_slice(m: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# periodic shifts along the last axis (plain slicing: np.roll's generic axis
-# handling costs several times more on the short rows of the time loops)
+# periodic neighbours along the last axis (plain slicing: np.roll costs several
+# times more on short rows) and central periodic stencils (exact on constants)
 # ---------------------------------------------------------------------------
+
+def ghost_pad(f: np.ndarray) -> np.ndarray:
+    """f (..., n) between periodic ghost cells: out (..., n + 2)."""
+    out = np.empty(f.shape[:-1] + (f.shape[-1] + 2,), f.dtype)
+    out[..., 1:-1] = f
+    out[..., 0], out[..., -1] = f[..., -1], f[..., 0]
+    return out
+
 
 def shift_prev(f: np.ndarray) -> np.ndarray:
     """out[..., i] = f[..., i-1], wrapping periodically (np.roll(f, 1, axis=-1))."""
@@ -134,10 +144,6 @@ def shift_next(f: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# central periodic stencils along the last axis (exact on constants)
-# ---------------------------------------------------------------------------
-
 def _check_last_axis(f: np.ndarray, grid: Grid) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape[-1:] != (grid.n,):
@@ -146,10 +152,15 @@ def _check_last_axis(f: np.ndarray, grid: Grid) -> np.ndarray:
     return f
 
 
+def central_difference(p: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Central first difference of ghost-padded rows p (..., n + 2), into out (..., n)."""
+    out = np.subtract(p[..., 2:], p[..., :-2], out=out)
+    return np.divide(out, 2.0 * dx, out=out)
+
+
 def gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Central periodic first difference of a slice, a path or a stack of slices."""
-    f = _check_last_axis(f, grid)
-    return (shift_next(f) - shift_prev(f)) / (2.0 * grid.dx)
+    return central_difference(ghost_pad(_check_last_axis(f, grid)), grid.dx)
 
 
 def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:

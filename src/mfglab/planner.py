@@ -36,11 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgttrs
 
 from .grids import DensityPath, ScalarPath, shift_next, shift_prev
-from .mfg import SolverParams, _heat_flow, fixed_point, solve_mfg
+from .mfg import MFGSolution, SolverParams, _heat_flow, fixed_point, solve_mfg
 from .model import Problem, delta_ghat, row_dot
-from .stepping import (PeriodicTridiagLU, fp_forward_sweep, fp_residual,
+from .stepping import (PeriodicTridiagLU, _sherman_morrison, fp_forward_sweep, fp_residual,
                        solve_periodic_tridiag, upwind_bands)
 
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
@@ -177,10 +178,11 @@ class ControlObjective:
     def forward(self, a: np.ndarray) -> np.ndarray:
         return fp_forward_sweep(self.grid, self.problem.m0, a)
 
-    def evaluate(self, a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-        """(m, J, grad, lam_path) at a: one forward sweep m, its path terms
-        formed once, the cost J on them and one adjoint sweep (gradient)."""
-        m = self.forward(a)
+    def evaluate(self, a: np.ndarray, m: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """(m, J, grad, lam_path) at a: one forward sweep m (unless given),
+        its path terms formed once, the cost J on them and one adjoint sweep."""
+        m = self.forward(a) if m is None else m
         f_0, fields, _, g_field, _ = terms = self._path_terms(m)
         cost = _path_cost(self.problem, m, a, (f_0, *fields), g_field)
         return (m, cost, *self.gradient(a, m, terms))
@@ -226,9 +228,9 @@ class ControlObjective:
         lam_path = np.empty((nt + 1, n))
         lam = np.zeros(n)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for k in range(nt - 1, -1, -1):
+            for k, (lu_k, z, ratio, denom) in zip(range(nt - 1, -1, -1), reversed(lu.rows)):
                 rhs[k] += lam  # step k's source plus the multiplier of level k + 2
-                lam = lu.solve_row(rhs[k], k, lam_path[k + 1])
+                lam = _sherman_morrison(dgttrs(*lu_k, rhs[k])[0], z, ratio, denom, lam_path[k + 1])
             if not (np.isfinite(rhs).all() and np.isfinite(lam_path[1:]).all()):
                 for k in range(nt - 1, -1, -1):  # the first failing step raises
                     solve_periodic_tridiag(lower_t[k], diag[k], upper_t[k], rhs[k])
@@ -253,12 +255,13 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
     The start control is the equilibrium feedback (computed on the fly if
     not supplied), so the first objective value equals the equilibrium
     social cost and every accepted step certifies cost <= equilibrium cost
-    constructively.  Line-search breakdown at machine precision is
-    reported as stagnation, not an error.
+    constructively; from an MFGSolution init, whose m is the forward sweep
+    under its alpha_star, the first evaluation takes that m.  Line-search
+    breakdown at machine precision is reported as stagnation, not an error.
     """
     grid = problem.grid
-    if init is None:
-        init = solve_mfg(problem, params).alpha_star
+    init = solve_mfg(problem, params) if init is None else init
+    m_a0, init = (init.m.values, init.alpha_star) if isinstance(init, MFGSolution) else (None, init)
     a0 = init.values if isinstance(init, ScalarPath) else np.asarray(init, dtype=float)
     shape = (grid.nt + 1, grid.n)
     if a0.shape != shape:
@@ -273,7 +276,7 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
 
     def fun(vec):
         nonlocal latest, accepted
-        m, f, grad, lam_path = obj.evaluate(vec.reshape(shape))
+        m, f, grad, lam_path = obj.evaluate(vec.reshape(shape), m_a0 if accepted is None else None)
         latest = (vec.copy(), m, f, lam_path)
         if accepted is None:  # the first evaluation is at a0
             accepted = latest

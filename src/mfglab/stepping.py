@@ -14,30 +14,29 @@ system solver and the planner descent dynamics:
   update is re-expressed in face-flux form so mass is conserved to
   round-off regardless of the linear-solve residual.
 * Periodic neighbours come from ``grids.shift_prev``/``shift_next``
-  (slicing into a new array), never ``np.roll``.
+  (slicing into a new array) or from ghost-padded rows, never ``np.roll``.
 
 Batches.  ``upwind_bands``, ``fp_step`` and ``solve_periodic_tridiag``
-also take a (B, n) stack, one drift, density or system per row,
-advanced together (the certificate moves its h-samples this way); row b
-of a batched result is bitwise the single call on row b.
-``PeriodicTridiagLU`` reduces each periodic system by Sherman-Morrison
-to an open tridiagonal one and factors all B of them by one LAPACK
-``dgttrf`` call as a block-diagonal matrix of order B*n, whose bands are
-zero where they would couple two blocks.  Elimination never mixes
+also take a (B, n) stack, one drift, density or system per row, advanced
+together (the certificate moves its h-samples this way); row b of a
+batched result is bitwise the single call on row b.  ``_reduce`` turns
+the B periodic systems by Sherman-Morrison into one open block-diagonal
+matrix of order B*n (zero bands between blocks), which
+``solve_periodic_tridiag`` eliminates by one LAPACK ``dgtsv`` call on
+[rhs | u] and ``PeriodicTridiagLU`` factors once by ``dgttrf`` and
+solves by ``dgttrs``, with the same arithmetic.  Elimination never mixes
 blocks: at a block boundary the subdiagonal entry is 0, so the pivot
 test |d| >= |0| keeps the row order and the multiplier 0/d adds nothing
 to the next block, and a row interchange inside a block can only bring
-in the zeroed entry at its edge.  A ``dgttrs`` solve of one block or of
-the stack thus does exactly the arithmetic of eliminating that system
-afresh.
+in the zeroed entry at its edge.  A solve of one block or of the stack
+thus does exactly the arithmetic of eliminating that system afresh.
 
 Time loops.  The sweeps and the planner's adjoint factor every step
-matrix before their loop; a step then only solves its row (``solve_row``)
-and updates in place, into arrays allocated once per sweep.  The checks
-run once per sweep, after the loop; a failing sweep replays its steps
-through the checked solve (a re-factored block is bitwise its block of
-the stack) and raises as a checked step does at the first failing one:
-type, message and suggested_dt.
+matrix before their loop; a step then only solves its row (``dgttrs`` on
+``PeriodicTridiagLU.rows``, then ``_sherman_morrison``) and updates in
+place, into ghost-padded arrays allocated once per sweep.  The checks run
+once per sweep; a failing sweep replays its steps through the checked
+solve and raises as a checked step does at the first failing one.
 """
 
 from __future__ import annotations
@@ -46,12 +45,62 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import LinearSolveError, MassConservationError, TimeStepDivergenceError
-from .grids import Grid, gradient, laplacian, shift_next, shift_prev
+from .grids import Grid, central_difference, gradient, laplacian, shift_next, shift_prev
 
 MASS_DRIFT_RAISE = 1e-10  # larger drift than this indicates a scheme bug
+
+
+def _reduce(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, nrhs: int):
+    """Each block A = A' + u v^T, u = (gamma, 0.., betan), v = (1, 0.., ratio):
+    the stacked open bands dl, d, du of A', the Fortran columns [0 | u] (nrhs
+    zeros) and ratio (B,); gamma = -diag[0], or the scale of row 0 if that is 0."""
+    beta0, betan = lower[..., 0], upper[..., -1]  # A[0, n-1], A[n-1, 0]
+    d0, row0 = diag[..., 0], np.abs(beta0) + np.abs(upper[..., 0])
+    gamma = -np.where(d0 != 0.0, d0, np.where(row0 != 0.0, row0, 1.0))
+    work = np.zeros((4 + nrhs, diag.size))
+    dl, d, du, *_, u = work.reshape((4 + nrhs,) + diag.shape)
+    dl[..., :-1] = lower[..., 1:]
+    d[...] = diag
+    d[..., 0] -= gamma
+    d[..., -1] -= beta0 * betan / gamma
+    du[..., :-1] = upper[..., :-1]
+    u[..., 0], u[..., -1] = gamma, betan
+    if not np.isfinite(work).all():
+        raise ValueError("periodic tridiagonal system has non-finite bands")
+    return work[0], work[1], work[2], work[3:].T, np.reshape(beta0 / gamma, -1)
+
+
+def _denominator(z: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """1 + v^T z of every block of z (B, n), checked nonzero and finite."""
+    denom = 1.0 + (z[:, 0] + ratio * z[:, -1])
+    if not (np.isfinite(z).all() and np.isfinite(denom).all() and denom.all()):
+        raise LinearSolveError("periodic tridiagonal system is singular (rank-one update)")
+    return denom
+
+
+def _sherman_morrison(y, z, ratio, denom, out: np.ndarray) -> np.ndarray:
+    """out = y - z ((y[0] + ratio y[-1]) / denom): the periodic solution from
+    the open one, y, with the system running along axis 0 of y and z."""
+    np.multiply(z, (y[0] + ratio * y[-1]) / denom, out)
+    return np.subtract(y, out, out)
+
+
+def _check_rhs(rhs: np.ndarray, shape: tuple) -> None:
+    if rhs.shape != shape:
+        raise ValueError(f"right-hand side has shape {rhs.shape}, expected {shape}")
+    if not np.isfinite(rhs).all():
+        raise ValueError("periodic tridiagonal system has non-finite right-hand side")
+
+
+def _periodic_solution(y: np.ndarray, z: np.ndarray, ratio, denom, shape: tuple) -> np.ndarray:
+    """The checked periodic solutions, of the given shape, from the open ones y (B, n)."""
+    x = _sherman_morrison(y.T, z.T, ratio, denom, np.empty_like(y.T)).T.reshape(shape)
+    if not np.isfinite(x).all():
+        raise LinearSolveError("periodic tridiagonal solve produced non-finite values")
+    return x
 
 
 class PeriodicTridiagLU:
@@ -64,74 +113,41 @@ class PeriodicTridiagLU:
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        beta0 = lower[..., 0]   # A[0, n-1]
-        betan = upper[..., -1]  # A[n-1, 0]
-        gamma = -diag[..., 0]
-        # the open bands and u = (gamma, 0, ..., 0, betan) of every block;
-        # the band entries that would couple two blocks stay zero
-        work = np.zeros((4,) + diag.shape)
-        dl, d, du, u = work
-        dl[..., :-1] = lower[..., 1:]
-        d[...] = diag
-        d[..., 0] -= gamma
-        d[..., -1] -= beta0 * betan / gamma
-        du[..., :-1] = upper[..., :-1]
-        u[..., 0], u[..., -1] = gamma, betan
-        if not np.isfinite(work).all():
-            raise ValueError("periodic tridiagonal system has non-finite bands")
-        self.shape, size, self.n = diag.shape, diag.size, diag.shape[-1]
-        dl, d, du, u = work.reshape(4, size)
+        dl, d, du, u, self._ratio = _reduce(lower, diag, upper, 0)
+        self.shape, self.n = diag.shape, diag.shape[-1]
         # dgttrf writes the factors over dl, d and du
         *_, du2, ipiv, info = dgttrf(dl[:-1], d, du[:-1], 1, 1, 1)
         if info > 0:
             raise LinearSolveError(f"banded solve failed: singular matrix (pivot {info})")
         self._stack = (dl[:-1], d, du[:-1], du2, ipiv)
         self._z = z = dgttrs(*self._stack, u, overwrite_b=1)[0].reshape(-1, self.n)  # z overwrites u
-        # v = (1, 0, ..., 0, beta0/gamma) applied to z
-        self._ratio = np.reshape(beta0 / gamma, -1)
-        self._denom = 1.0 + (z[:, 0] + self._ratio * z[:, -1])
-        if not (np.isfinite(z).all() and np.isfinite(self._denom).all() and self._denom.all()):
-            raise LinearSolveError("periodic tridiagonal system is singular (rank-one update)")
+        self._denom = _denominator(z, self._ratio)
 
     @cached_property
-    def _rows(self) -> list:
-        """Each block's dgttrs factors, z, ratio and denom, sliced once."""
+    def rows(self) -> list:
+        """Each block's (dgttrs factors, z, ratio, denom), sliced once."""
         (dl, d, du, du2, ipiv), n = self._stack, self.n
         ipiv = ipiv - np.arange(d.size, dtype=ipiv.dtype) // n * n  # pivots within each block
-        return list(zip(*(sliding_window_view(f, n - cut)[::n]
-                          for f, cut in ((dl, 1), (d, 0), (du, 1), (du2, 2), (ipiv, 0))),
+        return list(zip(zip(*(sliding_window_view(f, n - cut)[::n]
+                              for f, cut in ((dl, 1), (d, 0), (du, 1), (du2, 2), (ipiv, 0)))),
                         self._z, self._ratio.tolist(), self._denom.tolist()))
 
     def solve_row(self, rhs: np.ndarray, row: int, out: np.ndarray) -> np.ndarray:
         """x for system ``row`` and rhs (n,), written into out (n,) unchecked:
         the time loops check once per sweep."""
-        dl, d, du, du2, ipiv, z, ratio, denom = self._rows[row]
-        return _sherman_morrison(dgttrs(dl, d, du, du2, ipiv, rhs)[0], z, ratio, denom, out)
+        factors, z, ratio, denom = self.rows[row]
+        return _sherman_morrison(dgttrs(*factors, rhs)[0], z, ratio, denom, out)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x for every system, checked; rhs has the bands' shape (solve_periodic_tridiag)."""
-        if rhs.shape != self.shape:
-            raise ValueError(f"right-hand side has shape {rhs.shape}, expected {self.shape}")
-        if not np.isfinite(rhs).all():
-            raise ValueError("periodic tridiagonal system has non-finite right-hand side")
-        y = dgttrs(*self._stack, rhs.reshape(-1))[0].reshape(self._z.shape).T  # (n, B)
-        x = _sherman_morrison(y, self._z.T, self._ratio, self._denom, np.empty_like(y))
-        x = x.T.reshape(rhs.shape)
-        if not np.isfinite(x).all():
-            raise LinearSolveError("periodic tridiagonal solve produced non-finite values")
-        return x
-
-
-def _sherman_morrison(y, z, ratio, denom, out: np.ndarray) -> np.ndarray:
-    """out = y - z ((y[0] + ratio y[-1]) / denom): the periodic solution from
-    the open one, y, with the system running along axis 0 of y and z."""
-    np.multiply(z, (y[0] + ratio * y[-1]) / denom, out=out)
-    return np.subtract(y, out, out=out)
+        _check_rhs(rhs, self.shape)
+        y = dgttrs(*self._stack, rhs.reshape(-1))[0].reshape(self._z.shape)
+        return _periodic_solution(y, self._z, self._ratio, self._denom, rhs.shape)
 
 
 def solve_periodic_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                            rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for A periodic tridiagonal: factor, then solve.
+    """Solve A x = rhs, A periodic tridiagonal, by one dgtsv call: bitwise PeriodicTridiagLU.solve.
 
     Band convention is "rolled": lower[i] = A[i, i-1] with lower[0] the
     corner A[0, n-1], and upper[i] = A[i, i+1] with upper[n-1] = A[n-1, 0].
@@ -140,7 +156,14 @@ def solve_periodic_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarra
     and LinearSolveError when the system is singular or the solution is
     not finite.
     """
-    return PeriodicTridiagLU(lower, diag, upper).solve(rhs)
+    dl, d, du, cols, ratio = _reduce(lower, diag, upper, 1)
+    _check_rhs(rhs, diag.shape)
+    cols[:, 0] = rhs.reshape(-1)
+    *_, x, info = dgtsv(dl[:-1], d, du[:-1], cols, 1, 1, 1, 1)
+    if info > 0:
+        raise LinearSolveError(f"banded solve failed: singular matrix (pivot {info})")
+    y, z = x.T.reshape(2, -1, diag.shape[-1])
+    return _periodic_solution(y, z, ratio, _denominator(z, ratio), rhs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +183,19 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
     r = dt / dx**2
     lu = PeriodicTridiagLU(np.full(n, -r), np.full(n, 1.0 + 2.0 * r), np.full(n, -r))
 
-    u = np.empty((nt + 1, n))
-    u[nt] = terminal_field
-    rhs, ham = np.empty((nt, n)), np.empty(n)
+    padded = np.empty((nt + 1, n + 2))  # ghost-padded levels (grids.ghost_pad)
+    padded[nt, 1:-1] = terminal_field
+    rhs, ham, g = np.empty((nt, n)), np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(nt - 1, -1, -1):
-            np.subtract(hamiltonian.h0(x, gradient(u[k + 1], grid)), coupling_fields[k], out=ham)
+            later = padded[k + 1]
+            later[0], later[-1] = later[-2], later[1]
+            np.subtract(hamiltonian.h0(x, central_difference(later, dx, g)), coupling_fields[k], ham)
             if source_fields is not None:
                 ham -= source_fields[k]
             ham *= dt
-            lu.solve_row(np.subtract(u[k + 1], ham, out=rhs[k]), 0, u[k])
+            lu.solve_row(np.subtract(later[1:-1], ham, out=rhs[k]), 0, padded[k, 1:-1])
+        u = padded[:, 1:-1]
         if np.isfinite(rhs).all() and np.isfinite(u).all():
             return u
         for k in range(nt - 1, -1, -1):  # the first failing level raises
@@ -231,35 +257,38 @@ def fp_step(grid: Grid, m: np.ndarray, a_cells: np.ndarray) -> np.ndarray:
     a_cells are one slice (n,) or a (B, n) stack stepped row by row.
     """
     _, bp, bm, lower, diag, upper = upwind_bands(grid, a_cells)
-    m_t = solve_periodic_tridiag(lower, diag, upper, m)
-    out, work = np.empty(m.shape), np.empty((2,) + m.shape)
-    _flux_update(grid, m.T, m_t.T, bp.T, bm.T, out.T, work.swapaxes(1, -1))
+    m_t, update = _flux_update(grid, m.T.shape)
+    m_t[...] = solve_periodic_tridiag(lower, diag, upper, m).T
+    out = np.empty(m.shape)
+    update(m.T, bp.T, bm.T, out.T)
     if not np.isfinite(out).all():
         raise TimeStepDivergenceError("non-finite density during forward step",
                                       suggested_dt=0.5 * grid.dt)
     return out
 
 
-def _flux_update(grid: Grid, m: np.ndarray, m_t: np.ndarray, bp: np.ndarray,
-                 bm: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-    """out = m advanced by the face fluxes of the implicit solution m_t (see
-    fp_step).  The grid runs along axis 0 of every array, a slice (n,) or a
-    transposed stack (n, B); work holds two scratch arrays like m."""
-    dx = grid.dx
-    m_left, theta = work
-    # total outgoing face flux: diffusive gradient minus upwind advective flux
-    m_left[1:], m_left[0] = m_t[:-1], m_t[-1]  # shift_prev(m_t)
-    np.subtract(m_t, m_left, out=theta)
-    theta /= dx
-    m_left *= bp
-    np.multiply(bm, m_t, out=out)
-    m_left += out
-    theta -= m_left
-    # out = m + c (shift_next(theta) - theta)
-    np.subtract(theta[1:], theta[:-1], out=out[:-1])
-    out[-1] = theta[0] - theta[-1]
-    out *= grid.dt / dx
-    out += m
+def _flux_update(grid: Grid, shape: tuple):
+    """(m_t, update): update(m, bp, bm, out) sets out = m advanced by the face
+    fluxes of the implicit solution the caller writes into m_t (see fp_step).
+    The grid runs along axis 0 of shape: a slice (n,) or a transposed stack (n, B)."""
+    # 0-d operands and positional outs: the cheapest ufunc calls on short rows
+    dx, c = np.array(grid.dx), np.array(grid.dt / grid.dx)
+    padded, theta, adv = np.empty((3, shape[0] + 1) + shape[1:])  # m_t behind a ghost; scratch
+    m_left, m_t, flux, theta_next, adv = padded[:-1], padded[1:], theta[:-1], theta[1:], adv[:-1]
+
+    def update(m, bp, bm, out):
+        padded[0] = padded[-1]
+        # total outgoing face flux: diffusive gradient minus upwind advective flux
+        np.divide(np.subtract(m_t, m_left, flux), dx, flux)
+        np.multiply(m_left, bp, adv)
+        np.add(adv, np.multiply(bm, m_t, out), adv)
+        np.subtract(flux, adv, flux)
+        # out = m + c (shift_next(flux) - flux), with flux's ghost behind it
+        theta[-1] = theta[0]
+        np.multiply(np.subtract(theta_next, flux, out), c, out)
+        np.add(out, m, out)
+
+    return m_t, update
 
 
 def check_mass_drift(grid: Grid, m: np.ndarray, target: float, step: int) -> None:
@@ -287,12 +316,12 @@ def fp_forward_sweep(grid: Grid, m0: np.ndarray, a_path: np.ndarray) -> np.ndarr
     lu = PeriodicTridiagLU(lower, diag, upper)
     m = np.empty((nt + 1, n))
     m[0] = m0
-    m_t, work = np.empty(n), np.empty((2, n))  # see _flux_update
+    m_t, update = _flux_update(grid, (n,))
     target = m0.sum() * grid.dx
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(nt):
-            lu.solve_row(m[k], k, m_t)
-            _flux_update(grid, m[k], m_t, bp[k], bm[k], m[k + 1], work)
+        for m_k, m_next, bp_k, bm_k, (lu_k, z, ratio, denom) in zip(m, m[1:], bp, bm, lu.rows):
+            _sherman_morrison(dgttrs(*lu_k, m_k)[0], z, ratio, denom, m_t)
+            update(m_k, bp_k, bm_k, m_next)
         # a non-finite solution makes the density of its step non-finite
         if (np.isfinite(m).all()
                 and (abs(m[1:].sum(axis=-1) * grid.dx - target) <= MASS_DRIFT_RAISE).all()):

@@ -375,6 +375,66 @@ class TestPeriodicTridiag:
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(LinearSolveError):
             solve_periodic_tridiag(np.full(n, -1.0), np.full(n, 2.0), np.full(n, -1.0), np.ones(n))
 
+    def test_zero_leading_diagonal_solves(self):
+        # a nonsingular system (condition number 12.3) whose diag[0] is 0: the
+        # reduction must not take gamma = -diag[0]
+        n = 6
+        lower, diag, upper = np.full(n, -1.0), np.full(n, 4.0), np.full(n, -1.0)
+        diag[0] = 0.0
+        a = self.dense(lower, diag, upper)
+        assert np.linalg.cond(a) < 13.0
+        rhs = np.arange(1.0, n + 1.0)
+        expect = np.linalg.solve(a, rhs)
+        for x in (solve_periodic_tridiag(lower, diag, upper, rhs),
+                  PeriodicTridiagLU(lower, diag, upper).solve(rhs)):
+            np.testing.assert_allclose(x, expect, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("dominant", [True, False])
+    @pytest.mark.parametrize("batch", [1, 32])
+    @pytest.mark.parametrize("n", [16, 128, 1024])
+    def test_one_call_solve_is_bitwise_its_stack_block(self, rng, n, batch, dominant):
+        # one dgtsv call on [rhs | u] against the factored stack and its rows;
+        # non-dominant bands make LAPACK swap rows
+        scale = 1.0 if dominant else 3.0
+        lower = rng.uniform(-1, 1, (batch, n)) * scale
+        upper = rng.uniform(-1, 1, (batch, n)) * scale
+        diag = rng.uniform(4, 6, (batch, n)) if dominant else rng.uniform(-1, 1, (batch, n))
+        rhs = rng.standard_normal((batch, n))
+        x = solve_periodic_tridiag(lower, diag, upper, rhs)
+        lu = PeriodicTridiagLU(lower, diag, upper)
+        assert np.array_equal(x, lu.solve(rhs))
+        for b in range(batch):
+            assert np.array_equal(lu.solve_row(rhs[b], b, np.empty(n)), x[b])
+
+    @staticmethod
+    def faults():
+        """(bands, rhs, error, message) of each input the solve refuses."""
+        n = 6
+        bands, rhs = np.full((3, n), -1.0), np.ones(n)
+        bands[1] = 4.0
+        nan_band, nan_rhs, pivot, laplacian = (bands.copy(), bands.copy(), bands.copy(),
+                                               bands.copy())
+        nan_band[2, 3] = np.nan
+        pivot[0, 1] = pivot[0, 2] = pivot[1, 1] = 0.0  # the second pivot is exactly 0
+        laplacian[1] = 2.0  # constants span the kernel
+        bad_rhs = rhs.copy()
+        bad_rhs[2] = np.inf
+        return [(nan_band, rhs, ValueError, "periodic tridiagonal system has non-finite bands"),
+                (nan_rhs, bad_rhs, ValueError,
+                 "periodic tridiagonal system has non-finite right-hand side"),
+                (pivot, rhs, LinearSolveError, "banded solve failed: singular matrix (pivot 2)"),
+                (laplacian, rhs, LinearSolveError,
+                 "periodic tridiagonal system is singular (rank-one update)")]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_one_call_solve_keeps_errors(self, case):
+        bands, rhs, error, message = self.faults()[case]
+        for solve in (lambda: solve_periodic_tridiag(*bands, rhs),
+                      lambda: PeriodicTridiagLU(*bands).solve(rhs)):
+            with pytest.raises(error) as got:
+                solve()
+            assert type(got.value) is error and str(got.value) == message
+
 
 def test_shifts_match_roll(rng):
     f = rng.standard_normal((3, 10))

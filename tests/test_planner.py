@@ -319,6 +319,30 @@ class TestPlannerDescent:
         plan = solve_planner_descent(prob, fast_params)
         assert plan.cost == planner_cost(plan.m_hat.values, plan.control.values, prob)
 
+    @pytest.mark.parametrize("label", COUPLING_LABELS)
+    def test_equilibrium_seed_equals_its_feedback(self, label, fast_params, monkeypatch):
+        # init=mfg takes mfg.m as the path of the first evaluation, which is
+        # bitwise the forward sweep under mfg.alpha_star: one sweep fewer
+        prob = make_problem(Grid(n=32, nt=16), label, lam=1.0)
+        mfg = solve_mfg(prob, fast_params)
+        sweep, sweeps = planner.fp_forward_sweep, []
+
+        def counting_sweep(*args):
+            sweeps[-1] += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(planner, "fp_forward_sweep", counting_sweep)
+        plans = []
+        for init in (mfg, mfg.alpha_star):
+            sweeps.append(0)
+            plans.append(solve_planner_descent(prob, fast_params, init=init))
+        seeded, unseeded = plans
+        assert sweeps[0] == sweeps[1] - 1
+        assert seeded.cost == unseeded.cost and seeded.iterations == unseeded.iterations
+        assert seeded.objective_history == unseeded.objective_history
+        assert np.array_equal(seeded.control.values, unseeded.control.values)
+        assert np.array_equal(seeded.u_hat.values, unseeded.u_hat.values)
+
     def test_bad_init_shape_rejected(self, grid64, fast_params):
         prob = make_problem(grid64, "zero", amplitude=0.0)
         with pytest.raises(ValueError):

@@ -155,3 +155,21 @@ def test_bench_pairs_seeds_and_help():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "PARENT" in done.stdout.upper() and "--workload" in done.stdout
+
+
+def test_stage_split_smoke():
+    script = SCRIPT.parent / "stage_split.py"
+    done = subprocess.run([sys.executable, str(script), "--workload", "desk_catalog",
+                           "--scale", "tiny", "--repeats", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    title, header, *rows = done.stdout.splitlines()
+    assert "best of 1" in title and "tiny scale" in title
+    assert header.split() == ["point", "mfg", "descent", "system", "eq+bounds", "certificate",
+                              "total"]
+    assert [row.split()[0] for row in rows] == [
+        f"desk_catalog/{label}" for label in ("convolution", "efficient", "potential", "xfree")]
+    for row in rows:
+        *stages, total = (float(v) for v in row.split()[1:])
+        # the stages are disjoint parts of the one full_report call
+        assert all(t > 0.0 for t in stages) and sum(stages) <= total
