@@ -86,7 +86,7 @@ def _equilibrium_data(problem: Problem, m: np.ndarray):
     """Backward data of the equilibrium system along the flow m (see fixed_point)."""
     # the exact stacked eval: each slice bit for bit its own eval; the kernel's factor
     # would sum in another order and move the iteration counts that the benchmark's
-    # reference rows pin exactly
+    # reference rows pin exactly (the potential takes the factor: no count follows it)
     return problem.coupling.eval(m, exact=True), problem.terminal.eval(m[-1]), None
 
 

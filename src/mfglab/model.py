@@ -23,13 +23,15 @@ than O(K n^2), within round-off of the dense product.  A callable kernel
 outside the catalog has the factor pair (phi, identity): one dense gemm.
 The equilibrium's fields, planner_cost and the planner descent take the
 exact product, so they keep the rounding of one product per slice: the
-iteration counts follow it, and the benchmark pins them.  The descent's
-residual fields are the closed forms on those exact products, but the
-convolution's: every rounding of its closed form (a second product,
-m @ phi) moved the pinned counts, so it contracts delta(m) row block by
-row block (_dense_residual).  The planner system, the residual helpers,
-the report and the certificate take the factor (Coupling._path_terms),
-with no n x n matrix.
+iteration counts follow it, and the benchmark pins them.  The potential
+alone takes the factor even then: its F drops out of the objective
+(int F m = 0) and of the adjoint source ((1 - 2M) F = -F), so no count
+follows its rounding.  The descent's residual fields are the closed
+forms on those products, but the convolution's: every rounding of its
+closed form (a second product, m @ phi) moved the pinned counts, so it
+contracts delta(m) row block by row block (_dense_residual).  The
+planner system, the residual helpers, the report and the certificate
+take the factor (Coupling._path_terms), with no n x n matrix.
 
 The catalog covers the structurally distinct cases: a convolution
 coupling (never efficient unless m-independent), the efficient-by-
@@ -103,11 +105,12 @@ class Coupling:
     direction], one expression on those products.  Both are None when the
     derivative vanishes.  eval(m) returns the field; for a stack the
     (K, n) fields, through the kernel's factor, each row within round-off
-    of the row's own eval, or with exact each row bit for bit eval(m[k]);
-    a 1-D m takes the dense gemv either way.  eval and _path_terms take m
-    with the grid's last axis, delta(m) one slice, else ShapeMismatchError;
-    delta(m) is the dense reference of the convention and finite-difference
-    checks.  A Coupling holds no state between calls.
+    of the row's own eval, or with exact (but the potential's) each row
+    bit for bit eval(m[k]); a 1-D m takes the dense gemv either way.
+    eval and _path_terms take m with the grid's last axis, delta(m) one
+    slice, else ShapeMismatchError; delta(m) is the dense reference of
+    the convention and finite-difference checks.  A Coupling holds no
+    state between calls.
     """
 
     label: str
@@ -129,7 +132,8 @@ class Coupling:
         kernel's factor, and no n x n matrix: row k is eval(m[k]) and
         (m[k] @ delta(m[k])) dx up to round-off, and a vanishing
         derivative gives an exact zero residual.  With exact, each field
-        is bit for bit eval(m[k]), and the convolution's residual too.
+        but the potential's is bit for bit eval(m[k]), and the
+        convolution's residual too.
         """
         m = _check_last_axis(m, self.grid)
         fields, _, residual = self._slice(m, exact)
@@ -163,7 +167,8 @@ def kernel_products(kernel: np.ndarray, m: np.ndarray, exact: bool = False,
     matrix, run no faster than the whole.  A 1-D m takes the gemv itself.
     Any other stack takes the factor, kernel = factor @ factor.T, as
     (m @ factor) @ factor.T, each row within round-off of the gemv; with
-    no factor, the pair (kernel, identity), it takes one gemm.
+    no factor, the pair (kernel, identity), it takes one gemm.  Only the
+    convolution and the efficient coupling ask for exact (see the module).
     """
     if not exact:
         if factor is None or m.ndim == 1:
@@ -317,7 +322,7 @@ def coupling_potential(grid: Grid, kernel: Callable | None = None,
     dx = grid.dx
 
     def terms(m, exact=False):
-        km = kernel_products(k, m, exact, u) * dx
+        km = kernel_products(k, m, factor=u) * dx  # even with exact: F leaves the objective
         q = row_dot(m, km) * dx
         field = lam * (km - q[..., None])
 

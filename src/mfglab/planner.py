@@ -24,6 +24,8 @@ with exact): the fields of all levels, each bit for bit its own eval's
 one product per slice, and the residual fields of the adjoint source in
 closed form on those products, O(n) per level, but the convolution's,
 a dense contraction (model._dense_residual); F(m[0]) is a 1-D eval.
+The potential's stack takes the factor even there: its F cancels in the
+source and the objective, so its rounding cannot steer the descent.
 The two values cross-validate each other; for nonconvex couplings the
 system route is only a critical point, so the descent value is the one
 used for gaps.
@@ -194,7 +196,8 @@ class ControlObjective:
         field of levels 1..nt-1 (level 0 drives no adjoint step and level
         nt has running weight 0); g_field and g_residual are G's at m[nt].
         Each comes from one exact stacked call (Coupling._path_terms with
-        exact), so every field is bit for bit its level's eval.
+        exact), so every field but the potential's is bit for bit its
+        level's eval.
         """
         p, nt = self.problem, self.grid.nt
         fields, residuals = p.coupling._path_terms(m[1:nt], exact=True)

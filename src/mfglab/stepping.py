@@ -44,7 +44,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import LinearSolveError, MassConservationError, TimeStepDivergenceError
@@ -128,9 +127,10 @@ class PeriodicTridiagLU:
         """Each block's (dgttrs factors, z, ratio, denom), sliced once."""
         (dl, d, du, du2, ipiv), n = self._stack, self.n
         ipiv = ipiv - np.arange(d.size, dtype=ipiv.dtype) // n * n  # pivots within each block
-        return list(zip(zip(*(sliding_window_view(f, n - cut)[::n]
-                              for f, cut in ((dl, 1), (d, 0), (du, 1), (du2, 2), (ipiv, 0)))),
-                        self._z, self._ratio.tolist(), self._denom.tolist()))
+        # block b of every band starts at entry b * n: one strided view per band
+        views = (np.ndarray((d.size // n, n - cut), f.dtype, f, 0, (n * f.itemsize, f.itemsize))
+                 for f, cut in ((dl, 1), (d, 0), (du, 1), (du2, 2), (ipiv, 0)))
+        return list(zip(zip(*views), self._z, self._ratio.tolist(), self._denom.tolist()))
 
     def solve_row(self, rhs: np.ndarray, row: int, out: np.ndarray) -> np.ndarray:
         """x for system ``row`` and rhs (n,), written into out (n,) unchecked:

@@ -55,6 +55,24 @@ def assert_descent_residuals(label: str, got: np.ndarray, dense: np.ndarray) -> 
         assert np.array_equal(got, dense)
 
 
+# the labels whose stacked kernel products take the catalog factor even with
+# exact (model.coupling_potential), so a stack matches its slices within round-off
+FACTOR_PRICED_LABELS = ("potential",)
+
+
+def assert_matches_slices(label: str, got, expect) -> None:
+    """A stacked result against its one-slice reference: bit for bit for an
+    exact-priced label; for a factor-priced label within 1e-13 of the field's
+    scale 1 + max |expect|, or within 1e-12 (1 + |expect|) for a scalar cost."""
+    if label not in FACTOR_PRICED_LABELS:
+        assert np.array_equal(got, expect)
+    elif np.ndim(expect) == 0:
+        assert abs(got - expect) <= 1e-12 * (1.0 + abs(expect))
+    else:
+        assert np.shape(got) == np.shape(expect)
+        assert np.all(np.abs(got - expect) <= 1e-13 * (1.0 + np.abs(expect).max()))
+
+
 @pytest.fixture
 def fast_params():
     return SolverParams(max_iters=100, tol_fixed_point=1e-9)

@@ -171,5 +171,6 @@ def test_stage_split_smoke():
         f"desk_catalog/{label}" for label in ("convolution", "efficient", "potential", "xfree")]
     for row in rows:
         *stages, total = (float(v) for v in row.split()[1:])
-        # the stages are disjoint parts of the one full_report call
-        assert all(t > 0.0 for t in stages) and sum(stages) <= total
+        # the stages are disjoint parts of the one full_report call; each printed
+        # value is rounded to 4 decimals, so their sum may pass the total by 5e-5 each
+        assert all(t > 0.0 for t in stages) and sum(stages) <= total + 5e-5 * (len(stages) + 1)
