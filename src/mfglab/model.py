@@ -201,46 +201,34 @@ def _kernel(grid: Grid, kernel: Callable | None) -> tuple[np.ndarray, np.ndarray
     return out, None if factor is None else factor(x)
 
 
-def _add_outer(out: np.ndarray, alpha: float, col: np.ndarray, row: np.ndarray) -> None:
-    """out += alpha * col[:, None] * row[None, :] in place, one BLAS dger on out.T.
-
-    _dense_residual passes alpha = -1 and a row of ones, so every product
-    is exact and each entry gets one rounded subtraction, on any BLAS,
-    with or without FMA.  out must be C-contiguous: f2py silently copies
-    an out.T that is not F-contiguous, and the update would be lost.
-    """
-    if not out.flags.c_contiguous:
-        raise ValueError("rank-one update: out must be C-contiguous to be written in place")
-    dger(alpha, row, col, 1, 1, out.T, 1, 1, 1)  # incx, incy, a, overwrite_x, _y, _a
-
-
 def _dense_residual(phi: np.ndarray, a1: np.ndarray, lam: float, m: np.ndarray,
                     dx: float) -> np.ndarray:
     """The convolution's (m[k] @ delta(m[k])) dx, bit for bit, for every row k of
     the (K, n) stack m, a1 its exact products times dx; no n x n matrix.
 
     Block by block, every level writes its rows of delta(m[k]) into one
-    (b, n) workspace, b = dense_block_rows(n), bit for bit the expression
-    lam * (phi - a1[k][:, None]): an exact rank-one update (_add_outer),
-    then lam, skipped at 1 (x * 1.0 == x).  It is contracted at once: one
-    BLAS dgemv with beta = 1 adds each block into the zeroed residual row.
-    OpenBLAS's dgemv adds 4-row groups of W in turn, so the blocked sum is
-    the single product bit for bit (TestBlockedContraction).
+    C-contiguous (b, n) workspace w, b = dense_block_rows(n), bit for bit
+    lam * (phi - a1[k][:, None]): the kernel rows, then a dger on w.T
+    (F-contiguous, so f2py writes in place) adding -1 * a1[k] x ones, whose
+    products are exact: one rounding per entry, on any BLAS, with or without
+    FMA; lam is skipped at 1 (x * 1.0 == x).  One dgemv with beta = 1 adds
+    each block into the zeroed residual row; OpenBLAS's dgemv adds 4-row
+    groups of W in turn, so the blocked sum is the single product bit for
+    bit (TestBlockedContraction).
     """
     n = m.shape[-1]
     b = dense_block_rows(n)
-    work = np.empty((b, n))
-    ones = np.ones(n)
-    residuals = np.zeros_like(m)
+    work, ones, residuals = np.empty((b, n)), np.ones(n), np.zeros_like(m)
+    levels = list(zip(m, a1, residuals))
     for r in range(0, n, b):
         w = work[:min(b, n - r)]
-        rows = slice(r, r + b)
-        for m_k, a1_k, y in zip(m, a1, residuals):
-            np.copyto(w, phi[rows])
-            _add_outer(w, -1.0, a1_k[rows], ones)
+        phi_r, w_t = phi[r:r + b], w.T
+        for m_k, a1_k, y in levels:
+            np.copyto(w, phi_r)
+            dger(-1.0, ones, a1_k[r:r + b], 1, 1, w_t, 1, 1, 1)  # incx, incy, a, overwrite_x, _y, _a
             if lam != 1.0:
                 w *= lam
-            dgemv(1.0, w.T, m_k[rows], 1.0, y, overwrite_y=1)  # in place: y is a row
+            dgemv(1.0, w_t, m_k[r:r + b], 1.0, y, overwrite_y=1)  # in place: y is a row
     residuals *= dx
     return residuals
 

@@ -294,6 +294,14 @@ class TestPhi:
             assert abs(phi_eval(sol, pert, h, prob) - c0) <= 1e-10 * (1 + abs(c0))
 
 
+@pytest.fixture(scope="module")
+def convolution_eq():
+    """A convolution equilibrium whose certificate prices both variants, and its eps."""
+    g = Grid(n=32, nt=64)
+    prob = make_problem(g, "convolution", terminal=coupling_from_label(g, "convolution", lam=0.5))
+    return equilibrium(solve_mfg(prob), prob), default_epsilon(g)
+
+
 class TestCertificate:
     def test_zero_problem(self, bench64):
         g, b = bench64
@@ -317,21 +325,26 @@ class TestCertificate:
     def test_round_off_residual_is_not_priced(self, monkeypatch):
         # the efficient residuals, running and terminal, are round-off against
         # their fields: neither variant is priced, and pricing one gives the
-        # same 0.0; the convolution's are not, and both of its variants are priced
+        # same 0.0; the convolution's are not, and both of its variants are
+        # priced (each in two stacks, so the variants are told apart by the
+        # perturbation each stack receives: the running one has the running ramp)
         g = Grid(n=32, nt=64)
         eps = default_epsilon(g)
         priced = []
 
-        def counting(sol, pert, hs, prob):
-            priced.append(prob.coupling.label)
+        def recording(sol, pert, hs, prob):
+            priced.append((prob.coupling.label, pert))
             return _phi_stack(sol, pert, hs, prob)
 
-        monkeypatch.setattr(efficiency, "_phi_stack", counting)
+        monkeypatch.setattr(efficiency, "_phi_stack", recording)
         for label in ("efficient", "convolution"):
             prob = make_problem(g, label, terminal=coupling_from_label(g, label, lam=0.5))
             eq = equilibrium(solve_mfg(prob), prob)
             cert = certificate(eq, eps)
-            assert priced == ["convolution"] * (2 if label == "convolution" else 0)
+            assert {name for name, _ in priced} <= {"convolution"}
+            perts = list({id(pert): pert for _, pert in priced}.values())
+            assert sorted(np.array_equal(p.gamma, _ramp_running(g, eps)) for p in perts) == (
+                [False, True] if label == "convolution" else [])
             round_off = [np.abs(r).max() <= efficiency.ROUNDOFF * np.abs(f).max()
                          for r, f in ((eq.r_path, eq.f_path), (eq.r_g, eq.g))]
             assert round_off == [label == "efficient"] * 2
@@ -342,6 +355,61 @@ class TestCertificate:
                 assert max(0.0, float(np.max(eq.cost - _phi_stack(eq.sol, pert, hs, prob)))) == 0.0
             else:
                 assert cert > 1e-9
+
+    @pytest.mark.parametrize("k", range(efficiency.H_SAMPLES))
+    def test_brackets_the_grid_best(self, convolution_eq, monkeypatch, k):
+        # phi V-shaped over the 32 sample indices with its least value at k:
+        # the coarse stack prices every 4th sample, the second stack the rest
+        # of the coarse best's bracket, which holds k; 11 samples per variant
+        # when the coarse best is sample 0 (k < 3; at k = 2 samples 0 and 4
+        # tie and the first wins), 14 otherwise, none of them twice
+        eq, eps = convolution_eq
+        priced = []
+
+        def v_shaped(sol, pert, hs, prob):
+            tau = pert.tau if np.isfinite(pert.tau) else 1.0
+            grid_h = list(np.geomspace(1e-4 * tau, tau, efficiency.H_SAMPLES))
+            idx = np.array([grid_h.index(h) for h in hs])  # every h is a grid point
+            priced.append((pert, idx))
+            return v(idx)
+
+        def v(idx):
+            return eq.cost - 1.0 + 0.25 * np.abs(idx - k)
+
+        monkeypatch.setattr(efficiency, "_phi_stack", v_shaped)
+        assert certificate(eq, eps) == eq.cost - float(v(np.arange(32)).min())
+        assert len(priced) == 4  # two variants, two stacks each
+        for (pert, coarse), (fine_pert, fine) in (priced[:2], priced[2:]):
+            assert fine_pert is pert
+            assert np.array_equal(coarse, np.arange(0, 32, 4))
+            both = np.concatenate([coarse, fine])
+            assert k in both and len(set(both)) == len(both) == (11 if k < 3 else 14)
+
+    @pytest.mark.parametrize("lam", (1.0, 8.0, 32.0))
+    @pytest.mark.parametrize("terminal", (False, True))
+    @pytest.mark.parametrize("label", ("convolution", "potential", "xfree"))
+    def test_equals_the_full_grid_max(self, monkeypatch, label, terminal, lam):
+        # every h of the grid in one stack, the certificate before the bracket,
+        # gives the same value on these points; with a convolution terminal
+        # both variants are priced, without it the running one alone
+        g = Grid(n=32, nt=64)
+        eps = default_epsilon(g)
+        prob = make_problem(g, label, lam=lam, terminal=(
+            coupling_from_label(g, "convolution", lam=0.5) if terminal else None))
+        eq = equilibrium(solve_mfg(prob), prob)
+        cert = certificate(eq, eps)
+        priced = []
+
+        def full_grid(sol, pert, prob):
+            priced.append(pert)
+            tau = pert.tau if np.isfinite(pert.tau) else 1.0
+            return _phi_stack(sol, pert, np.geomspace(1e-4 * tau, tau, 32), prob)
+
+        monkeypatch.setattr(efficiency, "_bracket_phi", full_grid)
+        full = certificate(eq, eps)
+        assert len(priced) == 1 + terminal
+        assert full > 0.0
+        assert abs(cert - full) <= 1e-12 * (1.0 + abs(eq.cost))
 
     def test_agrees_with_per_h_reference_loop(self):
         # a nonzero terminal cost, so both perturbation variants run; the

@@ -535,24 +535,6 @@ class TestKernelFactors:
                 field = TestFusedTerms.reference_terms(label, g, kernel, 0.7, m)[0]
                 assert np.array_equal(c.eval(m), field)
 
-    def test_rank_one_update_is_in_place_and_exact(self):
-        r = np.random.default_rng(4)
-        work = r.standard_normal((2, 8, 16))
-        before = work.copy()
-        col, row = r.standard_normal(5), r.standard_normal(16)
-        model._add_outer(work[1, 2:7], -1.0, col, np.ones(16))
-        model._add_outer(work[1, 2:7], -2.0, np.ones(5), row)
-        model._add_outer(work[1, 2:7], 0.375, np.ones(5), np.ones(16))
-        expect = before[1, 2:7] - col[:, None]
-        expect = expect - 2.0 * row[None, :]
-        expect = expect + 0.375
-        assert np.array_equal(work[1, 2:7], expect)
-        work[1, 2:7] = before[1, 2:7]
-        assert np.array_equal(work, before)
-        with pytest.raises(ValueError, match="C-contiguous"):  # f2py would update a copy
-            model._add_outer(work[1, :, :8], -1.0, np.ones(8), np.ones(8))
-        assert np.array_equal(work, before)
-
 
 class TestClosedFormResiduals:
     """Coupling._path_terms: closed-form residual fields, no n x n matrix.

@@ -86,6 +86,26 @@ def _load_tool(name):
 bench_pairs = _load_tool("bench_pairs")
 
 
+def test_step_costs_cert_step_runs_the_certificate_stacks(monkeypatch):
+    # cert_step prices a variant as the certificate does: a stack of every
+    # H_STRIDE-th sample, then one of the 3 or 6 unpriced samples around its best
+    from mfglab import efficiency
+
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the tool pins BLAS threads on import; undone after the test
+    tool = _load_tool("step_costs")
+    phi_stack, rows = efficiency._phi_stack, []
+
+    def recording(sol, pert, hs, problem):
+        rows.append(len(hs))
+        return phi_stack(sol, pert, hs, problem)
+
+    monkeypatch.setattr(efficiency, "_phi_stack", recording)
+    assert tool.step_costs(16, 8, 1)["cert_step"] > 0.0
+    assert len(rows) == 2 and rows[0] == efficiency.H_SAMPLES // efficiency.H_STRIDE
+    assert rows[1] in (3, 6)
+
+
 def _run(value, correct=True, failed=0, **more):
     return {"correct": correct, "attempted": 50, "failed": failed, "setup_s": value, **more}
 

@@ -27,10 +27,14 @@ contraction of ``delta(m)`` block by block, every level per block),
 both on the nt levels 0..nt-1; these three are µs per level.  They,
 ``adjoint`` and ``descent_eval`` take the ``--label`` coupling (default
 convolution).  ``cert_step`` is
-``efficiency._phi_stack``, the certificate's pricing of its H_SAMPLES
-perturbation sizes as one stack per time step (one forward step and one
-coupling eval through the kernel's factor), on the running perturbation
-of the same path, in µs per step.  n = 1024 is the benchmark's wide
+``efficiency._bracket_phi``, the certificate's pricing of one
+perturbation variant: a stack of every H_STRIDE-th of its H_SAMPLES
+perturbation sizes, then a stack of the 3 to 6 unpriced sizes around
+the best (each step of a stack is one forward step and one coupling eval
+through the kernel's factor), on the running perturbation of the same
+path, in µs per time step of both stacks together.  A checkout without
+``_bracket_phi`` prices all H_SAMPLES sizes in one ``_phi_stack``, and
+so does its ``cert_step``.  n = 1024 is the benchmark's wide
 grid.  BLAS runs on one thread.
 """
 
@@ -65,13 +69,8 @@ def _best(fn, repeats: int) -> float:
 def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dict:
     """{column: µs per time step} at one grid size (see the module docstring)."""
     from mfglab import Grid, coupling_from_label, density_cosine, quadratic_hamiltonian
-    from mfglab.efficiency import (
-        H_SAMPLES,
-        _phi_stack,
-        build_perturbation_running,
-        default_epsilon,
-        equilibrium,
-    )
+    from mfglab import efficiency
+    from mfglab.efficiency import build_perturbation_running, default_epsilon, equilibrium
     from mfglab.grids import DensityPath, ScalarPath
     from mfglab.mfg import MFGSolution
     from mfglab.model import Problem, coupling_zero
@@ -95,12 +94,13 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
     obj = ControlObjective(problem)
     terms = obj._path_terms(m)
     bands = upwind_bands(grid, a[:nt])[3:]
-    # the path and its drift as an equilibrium record: _phi_stack reads only m and alpha
+    # the path and its drift as an equilibrium record: the stacks read only m and alpha
     sol = MFGSolution(u=ScalarPath(np.zeros_like(m), grid), m=DensityPath(m, grid),
                       alpha_star=ScalarPath(a, grid), iterations=0, fp_residual=0.0,
                       hjb_residual=0.0, fpk_residual=0.0, converged=True)
     pert = build_perturbation_running(equilibrium(sol, problem), default_epsilon(grid))
-    hs = np.geomspace(1e-4 * pert.tau, pert.tau, H_SAMPLES)
+    hs = np.geomspace(1e-4 * pert.tau, pert.tau, efficiency.H_SAMPLES)
+    bracket = getattr(efficiency, "_bracket_phi", None)
     calls = {
         "fp_sweep": lambda: fp_forward_sweep(grid, problem.m0, a),
         "hjb_sweep": lambda: hjb_backward_sweep(grid, problem.hamiltonian, fields, fields[-1]),
@@ -110,7 +110,8 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
         "fields": lambda: problem.coupling.eval(m, exact=True),
         "path_terms": lambda: problem.coupling._path_terms(m[:nt]),
         "descent_terms": lambda: problem.coupling._path_terms(m[:nt], exact=True),
-        "cert_step": lambda: _phi_stack(sol, pert, hs, problem),
+        "cert_step": ((lambda: bracket(sol, pert, problem)) if bracket else
+                      (lambda: efficiency._phi_stack(sol, pert, hs, problem))),
     }
     levels = {"fields": nt + 1}
     return {name: 1e6 * _best(fn, repeats) / levels.get(name, nt) for name, fn in calls.items()}
