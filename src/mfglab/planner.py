@@ -16,15 +16,15 @@ the discrete control objective (the discretize-then-optimize gradient of
 the very quadrature reported as cost), warm-started at the equilibrium
 feedback so its first objective value is the equilibrium social cost.
 Each evaluation (ControlObjective.evaluate) is one forward sweep, one
-set of path terms and one adjoint sweep, and the point L-BFGS returns
-keeps its evaluation's path, cost and multipliers.  Its stop is at
-round-off level, so its iteration counts follow the rounding of its
-terms.  They come from one exact stacked call (Coupling._path_terms
-with exact): the fields of all levels, each bit for bit its own eval's
-one product per slice, and the residual fields of the adjoint source in
-closed form on those products, O(n) per level, but the convolution's,
-a dense contraction (model._dense_residual); F(m[0]) is a 1-D eval.
-The potential's stack takes the factor even there: its F cancels in the
+set of path terms and one stepping.adjoint_sweep, and the point L-BFGS
+returns keeps its evaluation's path, cost and multipliers.  Its stop is
+at round-off level, so its iteration counts follow the rounding of its
+terms.  They come from one exact stacked call (Coupling._path_terms with
+exact): the fields of all levels, each bit for bit its own eval's one
+product per slice, and the residual fields of the adjoint source in
+closed form on those products, O(n) per level, but the convolution's, a
+dense contraction (model._dense_residual); F(m[0]) is a 1-D eval.  The
+potential's stack takes the factor even there: its F cancels in the
 source and the objective, so its rounding cannot steer the descent.
 The two values cross-validate each other; for nonconvex couplings the
 system route is only a critical point, so the descent value is the one
@@ -38,13 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs
 
 from .grids import DensityPath, ScalarPath, shift_next, shift_prev
 from .mfg import MFGSolution, SolverParams, _heat_flow, fixed_point, solve_mfg
 from .model import Problem, delta_ghat, row_dot
-from .stepping import (PeriodicTridiagLU, _sherman_morrison, fp_forward_sweep, fp_residual,
-                       solve_periodic_tridiag, upwind_bands)
+from .stepping import adjoint_sweep, fp_forward_sweep, fp_residual, upwind_bands
 
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
 DESCENT_GTOL = 1e-12     # L-BFGS projected-gradient tolerance
@@ -208,9 +206,8 @@ class ControlObjective:
                  terms: tuple) -> tuple[np.ndarray, np.ndarray]:
         """One backward adjoint sweep: the gradient and the multipliers.
 
-        terms are _path_terms(m).  Returns (grad, lam_path).  lam_path[k]
-        multiplies the step that produces level k; level 0, which no step
-        produces, copies level 1.
+        terms are _path_terms(m).  Returns (grad, lam_path), lam_path[k] the
+        multiplier of the step that produces level k (stepping.adjoint_sweep).
         """
         g = self.grid
         n, nt, dx, dt = g.n, g.nt, g.dx, g.dt
@@ -223,21 +220,8 @@ class ControlObjective:
         np.multiply(self.w[1:nt, None], dx * (self.problem.hamiltonian.l0(self.x, a[1:nt])
                                               + fields + residuals), out=rhs[:nt - 1])
         np.multiply(dx, g_field + g_residual, out=rhs[nt - 1])
-        bf, _, _, lower, diag, upper = upwind_bands(g, a[:nt])
-        # transpose of every step matrix: swap and shift the bands
-        lower_t, upper_t = shift_prev(upper), shift_next(lower)
-        lu = PeriodicTridiagLU(lower_t, diag, upper_t)
-
-        lam_path = np.empty((nt + 1, n))
-        lam = np.zeros(n)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for k, (lu_k, z, ratio, denom) in zip(range(nt - 1, -1, -1), reversed(lu.rows)):
-                rhs[k] += lam  # step k's source plus the multiplier of level k + 2
-                lam = _sherman_morrison(dgttrs(*lu_k, rhs[k])[0], z, ratio, denom, lam_path[k + 1])
-            if not (np.isfinite(rhs).all() and np.isfinite(lam_path[1:]).all()):
-                for k in range(nt - 1, -1, -1):  # the first failing step raises
-                    solve_periodic_tridiag(lower_t[k], diag[k], upper_t[k], rhs[k])
-        lam_path[0] = lam_path[1]
+        bf, _, _, *bands = upwind_bands(g, a[:nt])
+        lam_path = adjoint_sweep(*bands, rhs)
 
         # control sensitivity through the upwind face flux, all steps at once
         dl = (lam_path[1:] - shift_prev(lam_path[1:])) / dx

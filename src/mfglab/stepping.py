@@ -22,26 +22,26 @@ together (the certificate moves its h-samples this way); row b of a
 batched result is bitwise the single call on row b.  ``_reduce`` turns
 the B periodic systems by Sherman-Morrison into one open block-diagonal
 matrix of order B*n (zero bands between blocks), which
-``solve_periodic_tridiag`` eliminates by one LAPACK ``dgtsv`` call on
-[rhs | u] and ``PeriodicTridiagLU`` factors once by ``dgttrf`` and
-solves by ``dgttrs``, with the same arithmetic.  Elimination never mixes
-blocks: at a block boundary the subdiagonal entry is 0, so the pivot
-test |d| >= |0| keeps the row order and the multiplier 0/d adds nothing
-to the next block, and a row interchange inside a block can only bring
-in the zeroed entry at its edge.  A solve of one block or of the stack
-thus does exactly the arithmetic of eliminating that system afresh.
+``solve_periodic_tridiag``, the one checked solve, eliminates by one
+LAPACK ``dgtsv`` call on [rhs | u], and ``PeriodicTridiagLU`` factors
+once by ``dgttrf`` into its blocks' ``rows``, each solved by ``dgttrs``
+with the same arithmetic.  Elimination never mixes blocks: at a block
+boundary the subdiagonal entry is 0, so the pivot test |d| >= |0| keeps
+the row order and the multiplier 0/d adds nothing to the next block,
+and a row interchange inside a block can only bring in the zeroed entry
+at its edge.  A solve of one block or of the stack thus does exactly the
+arithmetic of eliminating that system afresh.
 
-Time loops.  The sweeps and the planner's adjoint factor every step
-matrix before their loop; a step then only solves its row (``dgttrs`` on
-``PeriodicTridiagLU.rows``, then ``_sherman_morrison``) and updates in
-place, into ghost-padded arrays allocated once per sweep.  The checks run
-once per sweep; a failing sweep replays its steps through the checked
-solve and raises as a checked step does at the first failing one.
+Time loops.  The three sweeps (forward, HJB, the planner's adjoint)
+factor every step matrix before their loop; a step then solves its row
+in one form, ``_sherman_morrison(dgttrs(*factors, rhs)[0], z, ratio,
+denom, out)`` on ``PeriodicTridiagLU.rows``, and updates in place.  The
+checks run once per sweep; a failing sweep replays its steps through the
+checked solve (the forward one through ``fp_step``) and raises as a
+checked step does at the first failing one.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
@@ -87,67 +87,35 @@ def _sherman_morrison(y, z, ratio, denom, out: np.ndarray) -> np.ndarray:
     return np.subtract(y, out, out)
 
 
-def _check_rhs(rhs: np.ndarray, shape: tuple) -> None:
-    if rhs.shape != shape:
-        raise ValueError(f"right-hand side has shape {rhs.shape}, expected {shape}")
-    if not np.isfinite(rhs).all():
-        raise ValueError("periodic tridiagonal system has non-finite right-hand side")
-
-
-def _periodic_solution(y: np.ndarray, z: np.ndarray, ratio, denom, shape: tuple) -> np.ndarray:
-    """The checked periodic solutions, of the given shape, from the open ones y (B, n)."""
-    x = _sherman_morrison(y.T, z.T, ratio, denom, np.empty_like(y.T)).T.reshape(shape)
-    if not np.isfinite(x).all():
-        raise LinearSolveError("periodic tridiagonal solve produced non-finite values")
-    return x
-
-
 class PeriodicTridiagLU:
     """LU factors of a periodic tridiagonal matrix (n,) or stack (B, n).
 
     Bands as in solve_periodic_tridiag.  Construction does the
-    Sherman-Morrison reduction, one dgttrf call and the solve of every
-    rank-one column; it raises ValueError for non-finite bands and
+    Sherman-Morrison reduction, one dgttrf call, the solve of every
+    rank-one column and ``rows``, each block's (dgttrs factors, z, ratio,
+    denom); it raises ValueError for non-finite bands and
     LinearSolveError for a singular system.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        dl, d, du, u, self._ratio = _reduce(lower, diag, upper, 0)
-        self.shape, self.n = diag.shape, diag.shape[-1]
+        dl, d, du, u, ratio = _reduce(lower, diag, upper, 0)
+        n = diag.shape[-1]
         # dgttrf writes the factors over dl, d and du
         *_, du2, ipiv, info = dgttrf(dl[:-1], d, du[:-1], 1, 1, 1)
         if info > 0:
             raise LinearSolveError(f"banded solve failed: singular matrix (pivot {info})")
-        self._stack = (dl[:-1], d, du[:-1], du2, ipiv)
-        self._z = z = dgttrs(*self._stack, u, overwrite_b=1)[0].reshape(-1, self.n)  # z overwrites u
-        self._denom = _denominator(z, self._ratio)
-
-    @cached_property
-    def rows(self) -> list:
-        """Each block's (dgttrs factors, z, ratio, denom), sliced once."""
-        (dl, d, du, du2, ipiv), n = self._stack, self.n
+        z = dgttrs(dl[:-1], d, du[:-1], du2, ipiv, u, overwrite_b=1)[0].reshape(-1, n)  # over u
+        denom = _denominator(z, ratio)
         ipiv = ipiv - np.arange(d.size, dtype=ipiv.dtype) // n * n  # pivots within each block
         # block b of every band starts at entry b * n: one strided view per band
         views = (np.ndarray((d.size // n, n - cut), f.dtype, f, 0, (n * f.itemsize, f.itemsize))
                  for f, cut in ((dl, 1), (d, 0), (du, 1), (du2, 2), (ipiv, 0)))
-        return list(zip(zip(*views), self._z, self._ratio.tolist(), self._denom.tolist()))
-
-    def solve_row(self, rhs: np.ndarray, row: int, out: np.ndarray) -> np.ndarray:
-        """x for system ``row`` and rhs (n,), written into out (n,) unchecked:
-        the time loops check once per sweep."""
-        factors, z, ratio, denom = self.rows[row]
-        return _sherman_morrison(dgttrs(*factors, rhs)[0], z, ratio, denom, out)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x for every system, checked; rhs has the bands' shape (solve_periodic_tridiag)."""
-        _check_rhs(rhs, self.shape)
-        y = dgttrs(*self._stack, rhs.reshape(-1))[0].reshape(self._z.shape)
-        return _periodic_solution(y, self._z, self._ratio, self._denom, rhs.shape)
+        self.rows = list(zip(zip(*views), z, ratio.tolist(), denom.tolist()))
 
 
 def solve_periodic_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                            rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs, A periodic tridiagonal, by one dgtsv call: bitwise PeriodicTridiagLU.solve.
+    """Solve A x = rhs, A periodic tridiagonal, by one dgtsv call: the checked solve.
 
     Band convention is "rolled": lower[i] = A[i, i-1] with lower[0] the
     corner A[0, n-1], and upper[i] = A[i, i+1] with upper[n-1] = A[n-1, 0].
@@ -157,13 +125,19 @@ def solve_periodic_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarra
     not finite.
     """
     dl, d, du, cols, ratio = _reduce(lower, diag, upper, 1)
-    _check_rhs(rhs, diag.shape)
+    if rhs.shape != diag.shape:
+        raise ValueError(f"right-hand side has shape {rhs.shape}, expected {diag.shape}")
+    if not np.isfinite(rhs).all():
+        raise ValueError("periodic tridiagonal system has non-finite right-hand side")
     cols[:, 0] = rhs.reshape(-1)
     *_, x, info = dgtsv(dl[:-1], d, du[:-1], cols, 1, 1, 1, 1)
     if info > 0:
         raise LinearSolveError(f"banded solve failed: singular matrix (pivot {info})")
     y, z = x.T.reshape(2, -1, diag.shape[-1])
-    return _periodic_solution(y, z, ratio, _denominator(z, ratio), rhs.shape)
+    x = _sherman_morrison(y.T, z.T, ratio, _denominator(z, ratio), np.empty_like(y.T)).T
+    if not np.isfinite(x).all():
+        raise LinearSolveError("periodic tridiagonal solve produced non-finite values")
+    return x.reshape(rhs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +155,8 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
     n, nt, dt, dx = grid.n, grid.nt, grid.dt, grid.dx
     x = grid.xs()
     r = dt / dx**2
-    lu = PeriodicTridiagLU(np.full(n, -r), np.full(n, 1.0 + 2.0 * r), np.full(n, -r))
+    bands = (np.full(n, -r), np.full(n, 1.0 + 2.0 * r), np.full(n, -r))
+    (factors, z, ratio, denom), = PeriodicTridiagLU(*bands).rows
 
     padded = np.empty((nt + 1, n + 2))  # ghost-padded levels (grids.ghost_pad)
     padded[nt, 1:-1] = terminal_field
@@ -194,7 +169,8 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
             if source_fields is not None:
                 ham -= source_fields[k]
             ham *= dt
-            lu.solve_row(np.subtract(later[1:-1], ham, out=rhs[k]), 0, padded[k, 1:-1])
+            np.subtract(later[1:-1], ham, rhs[k])
+            _sherman_morrison(dgttrs(*factors, rhs[k])[0], z, ratio, denom, padded[k, 1:-1])
         u = padded[:, 1:-1]
         if np.isfinite(rhs).all() and np.isfinite(u).all():
             return u
@@ -208,7 +184,7 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
                     f"needs a smaller step (try dt <= {suggested:.3e})",
                     suggested_dt=min(suggested, 0.5 * dt),
                 )
-            lu.solve(rhs[k])
+            solve_periodic_tridiag(*bands, rhs[k])
     return u
 
 
@@ -225,7 +201,7 @@ def hjb_residual(grid: Grid, hamiltonian, u: np.ndarray, coupling_fields: np.nda
 
 
 # ---------------------------------------------------------------------------
-# forward Fokker-Planck sweep (implicit upwind transport + diffusion)
+# forward Fokker-Planck sweep (implicit upwind transport + diffusion) and its adjoint
 # ---------------------------------------------------------------------------
 
 def upwind_bands(grid: Grid, a_cells: np.ndarray):
@@ -319,8 +295,8 @@ def fp_forward_sweep(grid: Grid, m0: np.ndarray, a_path: np.ndarray) -> np.ndarr
     m_t, update = _flux_update(grid, (n,))
     target = m0.sum() * grid.dx
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for m_k, m_next, bp_k, bm_k, (lu_k, z, ratio, denom) in zip(m, m[1:], bp, bm, lu.rows):
-            _sherman_morrison(dgttrs(*lu_k, m_k)[0], z, ratio, denom, m_t)
+        for m_k, m_next, bp_k, bm_k, (factors, z, ratio, denom) in zip(m, m[1:], bp, bm, lu.rows):
+            _sherman_morrison(dgttrs(*factors, m_k)[0], z, ratio, denom, m_t)
             update(m_k, bp_k, bm_k, m_next)
         # a non-finite solution makes the density of its step non-finite
         if (np.isfinite(m).all()
@@ -329,6 +305,32 @@ def fp_forward_sweep(grid: Grid, m0: np.ndarray, a_path: np.ndarray) -> np.ndarr
         for k in range(nt):  # fp_step repeats step k bitwise, with its checks
             check_mass_drift(grid, fp_step(grid, m[k], a_path[k]), target, k + 1)
     return m
+
+
+def adjoint_sweep(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """The planner's adjoint: the multipliers of the forward steps, swept backward.
+
+    lower, diag, upper are the (nt, n) bands of the step matrices A_k
+    (upwind_bands).  From k = nt - 1 down, lam_path[k + 1] solves A_k^T
+    lam = rhs[k] + lam_path[k + 2] (0 past level nt), the sum overwriting
+    rhs[k].  Level 0 of lam_path (nt + 1, n), which no step produces, copies level 1.
+    """
+    nt, n = diag.shape
+    # transpose of every step matrix: swap and shift the bands
+    lower_t, upper_t = shift_prev(upper), shift_next(lower)
+    lu = PeriodicTridiagLU(lower_t, diag, upper_t)
+    lam_path = np.empty((nt + 1, n))
+    lam = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, (factors, z, ratio, denom) in zip(range(nt - 1, -1, -1), reversed(lu.rows)):
+            rhs[k] += lam  # step k's source plus the multiplier of level k + 2
+            lam = _sherman_morrison(dgttrs(*factors, rhs[k])[0], z, ratio, denom, lam_path[k + 1])
+        if not (np.isfinite(rhs).all() and np.isfinite(lam_path[1:]).all()):
+            for k in range(nt - 1, -1, -1):  # the first failing step raises
+                solve_periodic_tridiag(lower_t[k], diag[k], upper_t[k], rhs[k])
+    lam_path[0] = lam_path[1]
+    return lam_path
 
 
 def fp_residual(grid: Grid, m: np.ndarray, a_path: np.ndarray) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrs
 
 from mfglab import (
     DensityPath,
@@ -261,10 +261,16 @@ class TestPeriodicTridiag:
         rhs = rng.standard_normal((3, n))
         with pytest.raises(ValueError, match=r"shape \(32, 3\), expected \(3, 32\)"):
             solve_periodic_tridiag(lower, diag, upper, rhs.T.copy())
-        lu = PeriodicTridiagLU(lower, diag, upper)
         for wrong in (rhs.reshape(-1), rhs[1]):  # the flat stack, one system's rhs
             with pytest.raises(ValueError, match=r"expected \(3, 32\)"):
-                lu.solve(wrong)
+                solve_periodic_tridiag(lower, diag, upper, wrong)
+
+    @staticmethod
+    def row_solve(lu, b, rhs, out=None):
+        """System b of a factorization, solved in the time loops' row form."""
+        factors, z, ratio, denom = lu.rows[b]
+        out = np.empty(rhs.size) if out is None else out
+        return stepping._sherman_morrison(dgttrs(*factors, rhs)[0], z, ratio, denom, out)
 
     @staticmethod
     def dense(lower, diag, upper):
@@ -315,15 +321,16 @@ class TestPeriodicTridiag:
         diag = rng.uniform(4, 6, (batch, n)) if dominant else rng.uniform(-1, 1, (batch, n))
         rhs = rng.standard_normal((batch, n))
         lu = PeriodicTridiagLU(lower, diag, upper)
+        assert len(lu.rows) == batch
         for b in reversed(range(batch)):
             single = solve_periodic_tridiag(lower[b], diag[b], upper[b], rhs[b])
             out = np.empty(n)
-            assert lu.solve_row(rhs[b], b, out) is out
+            assert self.row_solve(lu, b, rhs[b], out) is out
             assert np.array_equal(out, single)
             assert np.array_equal(single, self.dgtsv_solve(lower[b], diag[b], upper[b], rhs[b]))
             lu_b = PeriodicTridiagLU(lower[b], diag[b], upper[b])
-            assert np.array_equal(lu_b.solve(rhs[b]), single)
-            assert np.array_equal(lu_b.solve_row(rhs[b], 0, np.empty(n)), single)
+            assert len(lu_b.rows) == 1
+            assert np.array_equal(self.row_solve(lu_b, 0, rhs[b]), single)
 
     def test_factor_singular_raises_without_warning(self):
         # the kernel detects 1 + v'z = 0 itself; no floating-point warning
@@ -349,11 +356,11 @@ class TestPeriodicTridiag:
     def test_factor_non_finite_rejected(self, bad):
         bands = np.full((3, 3, 16), -1.0)
         bands[1] = 4.0
-        lu = PeriodicTridiagLU(*bands)
+        PeriodicTridiagLU(*bands)
         rhs = np.ones((3, 16))
         rhs[1, 3] = bad
         with pytest.raises(ValueError, match="non-finite right-hand side"):
-            lu.solve(rhs)
+            solve_periodic_tridiag(*bands, rhs)
         bands[2, 1, 5] = bad
         with pytest.raises(ValueError):
             PeriodicTridiagLU(*bands)
@@ -385,15 +392,15 @@ class TestPeriodicTridiag:
         assert np.linalg.cond(a) < 13.0
         rhs = np.arange(1.0, n + 1.0)
         expect = np.linalg.solve(a, rhs)
-        for x in (solve_periodic_tridiag(lower, diag, upper, rhs),
-                  PeriodicTridiagLU(lower, diag, upper).solve(rhs)):
-            np.testing.assert_allclose(x, expect, rtol=0.0, atol=1e-13)
+        x = solve_periodic_tridiag(lower, diag, upper, rhs)
+        np.testing.assert_allclose(x, expect, rtol=0.0, atol=1e-13)
+        assert np.array_equal(self.row_solve(PeriodicTridiagLU(lower, diag, upper), 0, rhs), x)
 
     @pytest.mark.parametrize("dominant", [True, False])
     @pytest.mark.parametrize("batch", [1, 32])
     @pytest.mark.parametrize("n", [16, 128, 1024])
     def test_one_call_solve_is_bitwise_its_stack_block(self, rng, n, batch, dominant):
-        # one dgtsv call on [rhs | u] against the factored stack and its rows;
+        # one dgtsv call on [rhs | u] against the factored stack's rows;
         # non-dominant bands make LAPACK swap rows
         scale = 1.0 if dominant else 3.0
         lower = rng.uniform(-1, 1, (batch, n)) * scale
@@ -402,9 +409,8 @@ class TestPeriodicTridiag:
         rhs = rng.standard_normal((batch, n))
         x = solve_periodic_tridiag(lower, diag, upper, rhs)
         lu = PeriodicTridiagLU(lower, diag, upper)
-        assert np.array_equal(x, lu.solve(rhs))
         for b in range(batch):
-            assert np.array_equal(lu.solve_row(rhs[b], b, np.empty(n)), x[b])
+            assert np.array_equal(self.row_solve(lu, b, rhs[b]), x[b])
 
     @staticmethod
     def faults():
@@ -429,8 +435,10 @@ class TestPeriodicTridiag:
     @pytest.mark.parametrize("case", range(4))
     def test_one_call_solve_keeps_errors(self, case):
         bands, rhs, error, message = self.faults()[case]
-        for solve in (lambda: solve_periodic_tridiag(*bands, rhs),
-                      lambda: PeriodicTridiagLU(*bands).solve(rhs)):
+        solves = [lambda: solve_periodic_tridiag(*bands, rhs)]
+        if case != 1:  # the factorization takes no rhs: it refuses the band faults
+            solves.append(lambda: PeriodicTridiagLU(*bands))
+        for solve in solves:
             with pytest.raises(error) as got:
                 solve()
             assert type(got.value) is error and str(got.value) == message
@@ -582,6 +590,19 @@ class TestSweeps:
         err = same_error(lambda: hjb_backward_sweep(g, ham, fields, terminal),
                          lambda: hjb_reference(g, ham, fields, terminal))
         assert isinstance(err, TimeStepDivergenceError) and err.suggested_dt < g.dt
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 64])
+    def test_backward_solve_overflow_raises_as_solve_loop(self, n):
+        # a flat terminal has Du = 0, so every rhs stays finite and the solve
+        # itself overflows: the sweep's replay raises through the checked solve
+        g = Grid(n=n, nt=12)
+        ham = quadratic_hamiltonian()
+        fields = np.zeros((g.nt + 1, g.n))
+        terminal = np.full(g.n, 1e308)
+        err = same_error(lambda: hjb_backward_sweep(g, ham, fields, terminal),
+                         lambda: hjb_reference(g, ham, fields, terminal))
+        assert type(err) is LinearSolveError
+        assert str(err) == "periodic tridiagonal solve produced non-finite values"
 
     def test_adjoint_non_finite_source_raises_as_solve_loop(self, rng, monkeypatch):
         g = Grid(n=24, nt=12)

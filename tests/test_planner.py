@@ -378,8 +378,8 @@ class TestPlannerDescent:
         prob = make_problem(grid, label, lam=1.0)
         mfg = solve_mfg(prob, fast_params)
         a0 = mfg.alpha_star.values
-        sweep, gradient, minimize, lu = (planner.fp_forward_sweep, ControlObjective.gradient,
-                                         planner.minimize, planner.PeriodicTridiagLU)
+        sweep, gradient, minimize, adjoint = (planner.fp_forward_sweep, ControlObjective.gradient,
+                                              planner.minimize, planner.adjoint_sweep)
         counts = {"sweeps": 0, "gradients": 0, "adjoints": 0, "evals": 0}
         accepted = []
 
@@ -391,9 +391,9 @@ class TestPlannerDescent:
             counts["gradients"] += 1
             return gradient(self, *args)
 
-        def counting_lu(*args):  # one factorization per adjoint sweep
+        def counting_adjoint(*args):
             counts["adjoints"] += 1
-            return lu(*args)
+            return adjoint(*args)
 
         def recording_minimize(fun, x0, callback=None, **kwargs):
             def counting_fun(vec):
@@ -407,7 +407,7 @@ class TestPlannerDescent:
 
         monkeypatch.setattr(planner, "fp_forward_sweep", counting_sweep)
         monkeypatch.setattr(ControlObjective, "gradient", counting_gradient)
-        monkeypatch.setattr(planner, "PeriodicTridiagLU", counting_lu)
+        monkeypatch.setattr(planner, "adjoint_sweep", counting_adjoint)
         monkeypatch.setattr(planner, "minimize", recording_minimize)
         plan = solve_planner_descent(prob, fast_params, init=mfg.alpha_star)
         monkeypatch.undo()

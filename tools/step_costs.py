@@ -7,13 +7,14 @@
 Each column is the best of ``--repeats`` calls divided by nt, in µs per
 time step: ``fp_sweep`` is ``stepping.fp_forward_sweep``, ``hjb_sweep``
 is ``stepping.hjb_backward_sweep`` (no source term), ``adjoint`` is
-``planner.ControlObjective.gradient``, one adjoint sweep on path terms
-formed outside the timed call, ``descent_eval`` is one
-``ControlObjective.evaluate``, the unit the descent repeats (forward
-sweep, path terms, cost and adjoint sweep), and ``factor`` is one
-``PeriodicTridiagLU`` of the nt forward step matrices.  The sweeps
+``planner.ControlObjective.gradient``, whose solve loop is
+``stepping.adjoint_sweep``, on path terms formed outside the timed call,
+``descent_eval`` is one ``ControlObjective.evaluate``, the unit the
+descent repeats (forward sweep, path terms, cost and adjoint sweep), and
+``factor`` is one ``PeriodicTridiagLU`` of the nt forward step matrices
+together with its ``rows``, which is what every sweep pays.  The sweeps
 include their own band building and factorization, so
-``fp_sweep - factor`` is the forward loop itself.
+``fp_sweep - factor`` is the band building plus the forward loop.
 ``fields`` is the equilibrium's coupling fields of the nt + 1 levels
 (``Coupling.eval(m, exact=True)``: the exact stacked eval, each level's kernel
 products bit for bit its own, one cache-sized row block of the kernel
@@ -106,7 +107,7 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
         "hjb_sweep": lambda: hjb_backward_sweep(grid, problem.hamiltonian, fields, fields[-1]),
         "adjoint": lambda: obj.gradient(a, m, terms),
         "descent_eval": lambda: obj.evaluate(a),
-        "factor": lambda: PeriodicTridiagLU(*bands),
+        "factor": lambda: PeriodicTridiagLU(*bands).rows,
         "fields": lambda: problem.coupling.eval(m, exact=True),
         "path_terms": lambda: problem.coupling._path_terms(m[:nt]),
         "descent_terms": lambda: problem.coupling._path_terms(m[:nt], exact=True),
