@@ -335,9 +335,11 @@ def duality_check(mfg: MFGSolution, plan: PlannerSolution,
       - int (G(x, m(T)) - dGhat/dm(m_hat(T), x)) (m(T) - m_hat(T)),
 
     and slack = rhs - lhs is nonnegative (up to discretization) whenever
-    the averaged coupling functionals are convex.  Expects the planner
-    solution from the system route (its u_hat is a value function).
+    the averaged coupling functionals are convex.  Takes the planner
+    solution of the system route only (its u_hat is a value function).
     """
+    if plan.method != "system":
+        raise ValueError(f"duality_check needs the system route's plan, not {plan.method!r}")
     grid = problem.grid
     ham = problem.hamiltonian
     x = grid.xs()
@@ -357,7 +359,7 @@ def duality_check(mfg: MFGSolution, plan: PlannerSolution,
         rhs -= w[k] * float(f_term @ (m[k] - mh[k])) * grid.dx
     g_term = problem.terminal.eval(m[-1]) - delta_ghat(problem.terminal, mh[-1])
     rhs -= float(g_term @ (m[-1] - mh[-1])) * grid.dx
-    return DualityReport(lhs=lhs, rhs=rhs)
+    return DualityReport(lhs=float(lhs), rhs=float(rhs))
 
 
 # ---------------------------------------------------------------------------

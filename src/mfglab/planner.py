@@ -16,19 +16,19 @@ the discrete control objective (the discretize-then-optimize gradient of
 the very quadrature reported as cost), warm-started at the equilibrium
 feedback so its first objective value is the equilibrium social cost.
 Each evaluation (ControlObjective.evaluate) is one forward sweep, one
-set of path terms and one stepping.adjoint_sweep, and the point L-BFGS
-returns keeps its evaluation's path, cost and multipliers.  Its stop is
-at round-off level, so its iteration counts follow the rounding of its
-terms.  They come from one exact stacked call (Coupling._path_terms with
-exact): the fields of all levels, each bit for bit its own eval's one
-product per slice, and the residual fields of the adjoint source in
-closed form on those products, O(n) per level, but the convolution's, a
-dense contraction (model._dense_residual); F(m[0]) is a 1-D eval.  The
-potential's stack takes the factor even there: its F cancels in the
-source and the objective, so its rounding cannot steer the descent.
-The two values cross-validate each other; for nonconvex couplings the
-system route is only a critical point, so the descent value is the one
-used for gaps.
+set of path terms and one stepping.adjoint_sweep, which owns the upwind
+scheme's derivative, and the point L-BFGS returns keeps its evaluation's
+path, cost and multipliers.  Its stop is at round-off level, so its
+iteration counts follow the rounding of its terms.  They come from one
+exact stacked call (Coupling._path_terms with exact): the fields of all
+levels, each bit for bit its own eval's one product per slice, and the
+residual fields of the adjoint source in closed form on those products,
+O(n) per level, but the convolution's, a dense contraction
+(model._dense_residual); F(m[0]) is a 1-D eval.  The potential's stack
+takes the factor even there: its F cancels in the source and the
+objective, so its rounding cannot steer the descent.  The two values
+cross-validate each other; for nonconvex couplings the system route is
+only a critical point, so the descent value is the one used for gaps.
 scipy.optimize is imported at the first descent, not with the module, so
 code that never runs one does not pay for it.
 """
@@ -39,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DensityPath, ScalarPath, shift_next, shift_prev
+from .errors import ShapeMismatchError
+from .grids import DensityPath, ScalarPath
 from .mfg import MFGSolution, SolverParams, _heat_flow, fixed_point, solve_mfg
 from .model import Problem, delta_ghat, row_dot
-from .stepping import adjoint_sweep, fp_forward_sweep, fp_residual, upwind_bands
+from .stepping import adjoint_sweep, fp_forward_sweep, fp_residual
 
 DESCENT_MAX_ITERS = 500  # L-BFGS iteration cap of solve_planner_descent
 DESCENT_GTOL = 1e-12     # L-BFGS projected-gradient tolerance
@@ -175,14 +176,11 @@ class ControlObjective:
         self.w = np.full(g.nt + 1, g.dt)
         self.w[g.nt] = 0.0
 
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        return fp_forward_sweep(self.grid, self.problem.m0, a)
-
     def evaluate(self, a: np.ndarray, m: np.ndarray | None = None
                  ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
         """(m, J, grad, lam_path) at a: one forward sweep m (unless given),
         its path terms formed once, the cost J on them and one adjoint sweep."""
-        m = self.forward(a) if m is None else m
+        m = fp_forward_sweep(self.grid, self.problem.m0, a) if m is None else m
         f_0, fields, _, g_field, _ = terms = self._path_terms(m)
         cost = _path_cost(self.problem, m, a, (f_0, *fields), g_field)
         return (m, cost, *self.gradient(a, m, terms))
@@ -206,11 +204,11 @@ class ControlObjective:
                  terms: tuple) -> tuple[np.ndarray, np.ndarray]:
         """One backward adjoint sweep: the gradient and the multipliers.
 
-        terms are _path_terms(m).  Returns (grad, lam_path), lam_path[k] the
-        multiplier of the step that produces level k (stepping.adjoint_sweep).
+        terms are _path_terms(m).  The adjoint's sources and the kinetic term
+        are formed here, the drift's term in stepping.adjoint_sweep.  Returns
+        (grad, lam_path), lam_path[k] the multiplier of the step that produces level k.
         """
-        g = self.grid
-        n, nt, dx, dt = g.n, g.nt, g.dx, g.dt
+        n, nt, dx = self.grid.n, self.grid.nt, self.grid.dx
         _, fields, residuals, g_field, g_residual = terms
         # weighted running-cost gradient of level k + 1, the source of step k:
         # d/dm_i of sum_j [l0 + F] m_j dx, up to an additive constant that
@@ -220,18 +218,9 @@ class ControlObjective:
         np.multiply(self.w[1:nt, None], dx * (self.problem.hamiltonian.l0(self.x, a[1:nt])
                                               + fields + residuals), out=rhs[:nt - 1])
         np.multiply(dx, g_field + g_residual, out=rhs[nt - 1])
-        bf, _, _, *bands = upwind_bands(g, a[:nt])
-        lam_path = adjoint_sweep(*bands, rhs)
-
-        # control sensitivity through the upwind face flux, all steps at once
-        dl = (lam_path[1:] - shift_prev(lam_path[1:])) / dx
-        m_next = m[1:]
-        m_left = shift_prev(m_next)
-        h_face = np.where(bf > 0.0, m_left,
-                          np.where(bf < 0.0, m_next, 0.5 * (m_left + m_next)))
-        t_face = dl * h_face
+        sensitivity, lam_path = adjoint_sweep(self.grid, a, m, rhs)
         grad = self.w[:, None] * self.problem.hamiltonian.da_l0(self.x, a) * m * dx
-        grad[:nt] += 0.5 * dt * (t_face + shift_next(t_face))
+        grad[:nt] += sensitivity
         return grad, lam_path
 
 
@@ -243,12 +232,15 @@ def solve_planner_descent(problem: Problem, params: SolverParams | None = None,
     not supplied), so the first objective value equals the equilibrium
     social cost and every accepted step certifies cost <= equilibrium cost
     constructively; from an MFGSolution init, whose m is the forward sweep
-    under its alpha_star, the first evaluation takes that m.  Line-search
-    breakdown at machine precision is reported as stagnation, not an error.
+    under its alpha_star, the first evaluation takes that m; an init on
+    another grid is a ShapeMismatchError.  Line-search breakdown at machine
+    precision is reported as stagnation, not an error.
     """
     grid = problem.grid
     init = solve_mfg(problem, params) if init is None else init
     m_a0, init = (init.m.values, init.alpha_star) if isinstance(init, MFGSolution) else (None, init)
+    if isinstance(init, ScalarPath) and init.grid != grid:
+        raise ShapeMismatchError("init lives on a different grid")
     a0 = init.values if isinstance(init, ScalarPath) else np.asarray(init, dtype=float)
     shape = (grid.nt + 1, grid.n)
     if a0.shape != shape:

@@ -23,22 +23,23 @@ batched result is bitwise the single call on row b.  ``_reduce`` turns
 the B periodic systems by Sherman-Morrison into one open block-diagonal
 matrix of order B*n (zero bands between blocks), which
 ``solve_periodic_tridiag``, the one checked solve, eliminates by one
-LAPACK ``dgtsv`` call on [rhs | u], and ``PeriodicTridiagLU`` factors
-once by ``dgttrf`` into its blocks' ``rows``, each solved by ``dgttrs``
-with the same arithmetic.  Elimination never mixes blocks: at a block
+LAPACK ``dgtsv`` call on [rhs | u], and ``factor_rows`` factors once
+by ``dgttrf`` into one row per block, each solved by ``dgttrs`` with
+the same arithmetic.  Elimination never mixes blocks: at a block
 boundary the subdiagonal entry is 0, so the pivot test |d| >= |0| keeps
 the row order and the multiplier 0/d adds nothing to the next block,
 and a row interchange inside a block can only bring in the zeroed entry
 at its edge.  A solve of one block or of the stack thus does exactly the
 arithmetic of eliminating that system afresh.
 
-Time loops.  The three sweeps (forward, HJB, the planner's adjoint)
-factor every step matrix before their loop; a step then solves its row
-in one form, ``_sherman_morrison(dgttrs(*factors, rhs)[0], z, ratio,
-denom, out)`` on ``PeriodicTridiagLU.rows``, and updates in place.  The
-checks run once per sweep; a failing sweep replays its steps through the
-checked solve (the forward one through ``fp_step``) and raises as a
-checked step does at the first failing one.
+Time loops.  The three sweeps (forward, HJB, the planner's adjoint, which
+builds its bands from the drift and returns the drift sensitivity through
+the upwind face flux) factor every step matrix before their loop; a step
+then solves its row in one form, ``_sherman_morrison(dgttrs(*factors,
+rhs)[0], z, ratio, denom, out)`` on a row of ``factor_rows``, and updates
+in place.  The checks run once per sweep; a failing sweep replays its
+steps through the checked solve (the forward one through ``fp_step``)
+and raises as a checked step does at the first failing one.
 """
 
 from __future__ import annotations
@@ -87,30 +88,25 @@ def _sherman_morrison(y, z, ratio, denom, out: np.ndarray) -> np.ndarray:
     return np.subtract(y, out, out)
 
 
-class PeriodicTridiagLU:
-    """LU factors of a periodic tridiagonal matrix (n,) or stack (B, n).
+def factor_rows(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> list:
+    """LU factors of a periodic tridiagonal matrix (n,) or stack (B, n), one row per block.
 
-    Bands as in solve_periodic_tridiag.  Construction does the
-    Sherman-Morrison reduction, one dgttrf call, the solve of every
-    rank-one column and ``rows``, each block's (dgttrs factors, z, ratio,
-    denom); it raises ValueError for non-finite bands and
-    LinearSolveError for a singular system.
+    Bands as in solve_periodic_tridiag; a row is its block's (dgttrs factors, z, ratio,
+    denom).  Raises ValueError for non-finite bands, LinearSolveError for a singular system.
     """
-
-    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        dl, d, du, u, ratio = _reduce(lower, diag, upper, 0)
-        n = diag.shape[-1]
-        # dgttrf writes the factors over dl, d and du
-        *_, du2, ipiv, info = dgttrf(dl[:-1], d, du[:-1], 1, 1, 1)
-        if info > 0:
-            raise LinearSolveError(f"banded solve failed: singular matrix (pivot {info})")
-        z = dgttrs(dl[:-1], d, du[:-1], du2, ipiv, u, overwrite_b=1)[0].reshape(-1, n)  # over u
-        denom = _denominator(z, ratio)
-        ipiv = ipiv - np.arange(d.size, dtype=ipiv.dtype) // n * n  # pivots within each block
-        # block b of every band starts at entry b * n: one strided view per band
-        views = (np.ndarray((d.size // n, n - cut), f.dtype, f, 0, (n * f.itemsize, f.itemsize))
-                 for f, cut in ((dl, 1), (d, 0), (du, 1), (du2, 2), (ipiv, 0)))
-        self.rows = list(zip(zip(*views), z, ratio.tolist(), denom.tolist()))
+    dl, d, du, u, ratio = _reduce(lower, diag, upper, 0)
+    n = diag.shape[-1]
+    # dgttrf writes the factors over dl, d and du
+    *_, du2, ipiv, info = dgttrf(dl[:-1], d, du[:-1], 1, 1, 1)
+    if info > 0:
+        raise LinearSolveError(f"banded solve failed: singular matrix (pivot {info})")
+    z = dgttrs(dl[:-1], d, du[:-1], du2, ipiv, u, overwrite_b=1)[0].reshape(-1, n)  # over u
+    denom = _denominator(z, ratio)
+    ipiv = ipiv - np.arange(d.size, dtype=ipiv.dtype) // n * n  # pivots within each block
+    # block b of every band starts at entry b * n: one strided view per band
+    views = (np.ndarray((d.size // n, n - cut), f.dtype, f, 0, (n * f.itemsize, f.itemsize))
+             for f, cut in ((dl, 1), (d, 0), (du, 1), (du2, 2), (ipiv, 0)))
+    return list(zip(zip(*views), z, ratio.tolist(), denom.tolist()))
 
 
 def solve_periodic_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -156,7 +152,7 @@ def hjb_backward_sweep(grid: Grid, hamiltonian, coupling_fields: np.ndarray,
     x = grid.xs()
     r = dt / dx**2
     bands = (np.full(n, -r), np.full(n, 1.0 + 2.0 * r), np.full(n, -r))
-    (factors, z, ratio, denom), = PeriodicTridiagLU(*bands).rows
+    (factors, z, ratio, denom), = factor_rows(*bands)
 
     padded = np.empty((nt + 1, n + 2))  # ghost-padded levels (grids.ghost_pad)
     padded[nt, 1:-1] = terminal_field
@@ -289,13 +285,13 @@ def fp_forward_sweep(grid: Grid, m0: np.ndarray, a_path: np.ndarray) -> np.ndarr
     """
     n, nt = grid.n, grid.nt
     _, bp, bm, lower, diag, upper = upwind_bands(grid, a_path[:nt])
-    lu = PeriodicTridiagLU(lower, diag, upper)
+    rows = factor_rows(lower, diag, upper)
     m = np.empty((nt + 1, n))
     m[0] = m0
     m_t, update = _flux_update(grid, (n,))
     target = m0.sum() * grid.dx
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for m_k, m_next, bp_k, bm_k, (factors, z, ratio, denom) in zip(m, m[1:], bp, bm, lu.rows):
+        for m_k, m_next, bp_k, bm_k, (factors, z, ratio, denom) in zip(m, m[1:], bp, bm, rows):
             _sherman_morrison(dgttrs(*factors, m_k)[0], z, ratio, denom, m_t)
             update(m_k, bp_k, bm_k, m_next)
         # a non-finite solution makes the density of its step non-finite
@@ -307,30 +303,39 @@ def fp_forward_sweep(grid: Grid, m0: np.ndarray, a_path: np.ndarray) -> np.ndarr
     return m
 
 
-def adjoint_sweep(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
+def adjoint_sweep(grid: Grid, a_path: np.ndarray, m: np.ndarray,
+                  rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The planner's adjoint: the multipliers of the forward steps, swept backward.
 
-    lower, diag, upper are the (nt, n) bands of the step matrices A_k
-    (upwind_bands).  From k = nt - 1 down, lam_path[k + 1] solves A_k^T
-    lam = rhs[k] + lam_path[k + 2] (0 past level nt), the sum overwriting
-    rhs[k].  Level 0 of lam_path (nt + 1, n), which no step produces, copies level 1.
+    A_k are the step matrices of m, the forward sweep under a_path.  From k = nt - 1
+    down, lam_path[k + 1] solves A_k^T lam = rhs[k] + lam_path[k + 2] (0 past level nt),
+    the sum overwriting rhs[k]; level 0, which no step produces, copies level 1.  Returns
+    (sensitivity, lam_path), sensitivity[k] (nt, n) the derivative in a_path[k] of
+    lam_path[k + 1] . (m[k] - A_k m[k + 1]) at fixed m: the drift's part of the gradient.
     """
-    nt, n = diag.shape
+    n, nt, dx = grid.n, grid.nt, grid.dx
+    bf, _, _, lower, diag, upper = upwind_bands(grid, a_path[:nt])
     # transpose of every step matrix: swap and shift the bands
     lower_t, upper_t = shift_prev(upper), shift_next(lower)
-    lu = PeriodicTridiagLU(lower_t, diag, upper_t)
+    rows = factor_rows(lower_t, diag, upper_t)
     lam_path = np.empty((nt + 1, n))
     lam = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, (factors, z, ratio, denom) in zip(range(nt - 1, -1, -1), reversed(lu.rows)):
+        for k, (factors, z, ratio, denom) in zip(range(nt - 1, -1, -1), reversed(rows)):
             rhs[k] += lam  # step k's source plus the multiplier of level k + 2
             lam = _sherman_morrison(dgttrs(*factors, rhs[k])[0], z, ratio, denom, lam_path[k + 1])
         if not (np.isfinite(rhs).all() and np.isfinite(lam_path[1:]).all()):
             for k in range(nt - 1, -1, -1):  # the first failing step raises
                 solve_periodic_tridiag(lower_t[k], diag[k], upper_t[k], rhs[k])
     lam_path[0] = lam_path[1]
-    return lam_path
+    del rows, factors, z, lower_t, upper_t  # freed before the face-flux temporaries
+    dl = (lam_path[1:] - shift_prev(lam_path[1:])) / dx
+    m_next = m[1:]
+    m_left = shift_prev(m_next)
+    h_face = np.where(bf > 0.0, m_left,
+                      np.where(bf < 0.0, m_next, 0.5 * (m_left + m_next)))
+    t_face = dl * h_face
+    return 0.5 * grid.dt * (t_face + shift_next(t_face)), lam_path
 
 
 def fp_residual(grid: Grid, m: np.ndarray, a_path: np.ndarray) -> float:

@@ -124,6 +124,24 @@ class TestCriterion2:
         report(2, ok, "phi(h) >= C*_descent - 1e-6 scale and cert in [0, gap+tol] -- "
                + "; ".join(details))
 
+    def test_strict_certificate_bounds(self, desk):
+        # the same bounds at round-off scale: phi is never below the descent
+        # optimum and the certificate never above the gap
+        details = []
+        ok = True
+        for label in CATALOG:
+            b = desk[label]
+            phis = phi_samples(b)
+            cert = certificate(equilibrium(b.sol, b.problem), b.eps)
+            worst = float((phis - b.desc.cost).min()) if phis.size else 0.0
+            ok_phi = worst >= -1e-12 * (1.0 + abs(b.desc.cost))
+            ok_cert = cert <= b.gap + 1e-12 * (1.0 + b.cost)
+            ok = ok and ok_phi and ok_cert
+            details.append(f"{label}: min(phi-C*)={worst:+.2e}, cert={cert:.2e}, "
+                           f"gap={b.gap:.2e}")
+        report(2, ok, "phi(h) >= C*_descent - 1e-12 scale and certificate <= gap + 1e-12 "
+               "scale -- " + "; ".join(details))
+
 
 class TestCriterion3:
     def test_strict_inefficiency_detection(self):

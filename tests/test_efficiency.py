@@ -462,6 +462,16 @@ class TestDuality:
         assert rep.lhs <= 1e-8
         assert abs(rep.rhs) <= 1e-8
 
+    def test_system_plan_only_and_float_sides(self, bench64, fast_params):
+        # a descent plan's u_hat is a rescaled adjoint, not a value function
+        g, b = bench64
+        prob, sol = b["convolution"]
+        plan = solve_planner_system(prob, fast_params)
+        with pytest.raises(ValueError, match="'descent'"):
+            duality_check(sol, dataclasses.replace(plan, method="descent"), prob)
+        rep = duality_check(sol, plan, prob)
+        assert type(rep.lhs) is float and type(rep.rhs) is float
+
 
 class TestHolder:
     def test_label_guard(self, bench64):

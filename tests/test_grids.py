@@ -24,8 +24,8 @@ from mfglab.grids import check_density_slice, shift_next, shift_prev
 from mfglab.model import quadratic_hamiltonian
 from mfglab.planner import ControlObjective
 from mfglab.stepping import (
-    PeriodicTridiagLU,
     check_mass_drift,
+    factor_rows,
     fp_forward_sweep,
     fp_step,
     hjb_backward_sweep,
@@ -266,9 +266,9 @@ class TestPeriodicTridiag:
                 solve_periodic_tridiag(lower, diag, upper, wrong)
 
     @staticmethod
-    def row_solve(lu, b, rhs, out=None):
+    def row_solve(rows, b, rhs, out=None):
         """System b of a factorization, solved in the time loops' row form."""
-        factors, z, ratio, denom = lu.rows[b]
+        factors, z, ratio, denom = rows[b]
         out = np.empty(rhs.size) if out is None else out
         return stepping._sherman_morrison(dgttrs(*factors, rhs)[0], z, ratio, denom, out)
 
@@ -320,17 +320,17 @@ class TestPeriodicTridiag:
         upper = rng.uniform(-1, 1, (batch, n)) * (1.0 if dominant else 3.0)
         diag = rng.uniform(4, 6, (batch, n)) if dominant else rng.uniform(-1, 1, (batch, n))
         rhs = rng.standard_normal((batch, n))
-        lu = PeriodicTridiagLU(lower, diag, upper)
-        assert len(lu.rows) == batch
+        rows = factor_rows(lower, diag, upper)
+        assert len(rows) == batch
         for b in reversed(range(batch)):
             single = solve_periodic_tridiag(lower[b], diag[b], upper[b], rhs[b])
             out = np.empty(n)
-            assert self.row_solve(lu, b, rhs[b], out) is out
+            assert self.row_solve(rows, b, rhs[b], out) is out
             assert np.array_equal(out, single)
             assert np.array_equal(single, self.dgtsv_solve(lower[b], diag[b], upper[b], rhs[b]))
-            lu_b = PeriodicTridiagLU(lower[b], diag[b], upper[b])
-            assert len(lu_b.rows) == 1
-            assert np.array_equal(self.row_solve(lu_b, 0, rhs[b]), single)
+            rows_b = factor_rows(lower[b], diag[b], upper[b])
+            assert len(rows_b) == 1
+            assert np.array_equal(self.row_solve(rows_b, 0, rhs[b]), single)
 
     def test_factor_singular_raises_without_warning(self):
         # the kernel detects 1 + v'z = 0 itself; no floating-point warning
@@ -339,9 +339,9 @@ class TestPeriodicTridiag:
         bands[1] = 4.0
         bands[1, 1] = 2.0  # the middle system is the periodic Laplacian
         with pytest.raises(LinearSolveError):
-            PeriodicTridiagLU(*bands)
+            factor_rows(*bands)
         with pytest.raises(LinearSolveError):
-            PeriodicTridiagLU(*bands[:, 1])
+            factor_rows(*bands[:, 1])
 
     def test_factor_zero_pivot_raises(self):
         # finite open bands whose second pivot is exactly 0: no elimination in
@@ -350,20 +350,20 @@ class TestPeriodicTridiag:
         lower, diag, upper = np.full(n, -1.0), np.full(n, 4.0), np.full(n, -1.0)
         lower[1] = lower[2] = diag[1] = 0.0
         with pytest.raises(LinearSolveError, match=r"singular matrix \(pivot 2\)"):
-            PeriodicTridiagLU(lower, diag, upper)
+            factor_rows(lower, diag, upper)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_factor_non_finite_rejected(self, bad):
         bands = np.full((3, 3, 16), -1.0)
         bands[1] = 4.0
-        PeriodicTridiagLU(*bands)
+        factor_rows(*bands)
         rhs = np.ones((3, 16))
         rhs[1, 3] = bad
         with pytest.raises(ValueError, match="non-finite right-hand side"):
             solve_periodic_tridiag(*bands, rhs)
         bands[2, 1, 5] = bad
         with pytest.raises(ValueError):
-            PeriodicTridiagLU(*bands)
+            factor_rows(*bands)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("which", range(4))
@@ -394,7 +394,7 @@ class TestPeriodicTridiag:
         expect = np.linalg.solve(a, rhs)
         x = solve_periodic_tridiag(lower, diag, upper, rhs)
         np.testing.assert_allclose(x, expect, rtol=0.0, atol=1e-13)
-        assert np.array_equal(self.row_solve(PeriodicTridiagLU(lower, diag, upper), 0, rhs), x)
+        assert np.array_equal(self.row_solve(factor_rows(lower, diag, upper), 0, rhs), x)
 
     @pytest.mark.parametrize("dominant", [True, False])
     @pytest.mark.parametrize("batch", [1, 32])
@@ -408,9 +408,9 @@ class TestPeriodicTridiag:
         diag = rng.uniform(4, 6, (batch, n)) if dominant else rng.uniform(-1, 1, (batch, n))
         rhs = rng.standard_normal((batch, n))
         x = solve_periodic_tridiag(lower, diag, upper, rhs)
-        lu = PeriodicTridiagLU(lower, diag, upper)
+        rows = factor_rows(lower, diag, upper)
         for b in range(batch):
-            assert np.array_equal(self.row_solve(lu, b, rhs[b]), x[b])
+            assert np.array_equal(self.row_solve(rows, b, rhs[b]), x[b])
 
     @staticmethod
     def faults():
@@ -437,7 +437,7 @@ class TestPeriodicTridiag:
         bands, rhs, error, message = self.faults()[case]
         solves = [lambda: solve_periodic_tridiag(*bands, rhs)]
         if case != 1:  # the factorization takes no rhs: it refuses the band faults
-            solves.append(lambda: PeriodicTridiagLU(*bands))
+            solves.append(lambda: factor_rows(*bands))
         for solve in solves:
             with pytest.raises(error) as got:
                 solve()
@@ -550,7 +550,7 @@ class TestSweeps:
         g = Grid(n=24, nt=12)
         obj = ControlObjective(make_problem(g, label, lam=2.0))
         a = 2.0 * rng.standard_normal((g.nt + 1, g.n))
-        m = obj.forward(a)
+        m = fp_forward_sweep(g, obj.problem.m0, a)
         grad, lam_path = obj.gradient(a, m, obj._path_terms(m))
         ref_grad, ref_lam = adjoint_reference(obj, a, m)
         assert np.array_equal(grad, ref_grad)
@@ -608,7 +608,7 @@ class TestSweeps:
         g = Grid(n=24, nt=12)
         obj = ControlObjective(make_problem(g, "convolution"))
         a = rng.standard_normal((g.nt + 1, g.n))
-        m = obj.forward(a)
+        m = fp_forward_sweep(g, obj.problem.m0, a)
         f_0, fields, residuals, g_field, g_residual = obj._path_terms(m)
         fields = fields.copy()
         fields[6, 3] = np.inf

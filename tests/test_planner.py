@@ -16,6 +16,7 @@ from mfglab import (
 )
 from mfglab import model, planner
 from mfglab.efficiency import _window_levels, holder_diagnostic
+from mfglab.errors import ShapeMismatchError
 from mfglab.mfg import feedback_drift
 from mfglab.model import (
     COUPLING_LABELS,
@@ -24,6 +25,7 @@ from mfglab.model import (
     dense_block_rows,
 )
 from mfglab.planner import ControlObjective
+from mfglab.stepping import fp_forward_sweep
 
 from conftest import assert_descent_residuals, assert_matches_slices, make_problem, random_density
 
@@ -72,7 +74,7 @@ class TestPlannerCost:
                             terminal=coupling_from_label(g, label, lam=0.5))
         a = 0.3 * rng.standard_normal((g.nt + 1, g.n))
         obj = ControlObjective(prob)
-        m = obj.forward(a)
+        m = fp_forward_sweep(g, prob.m0, a)
         x, dx = g.xs(), g.dx
         fields = np.stack([prob.coupling.eval(m[k]) for k in range(g.nt)])
         levels = [float(prob.hamiltonian.l0(x, a[k]) @ m[k]) * dx + float(fields[k] @ m[k]) * dx
@@ -182,7 +184,7 @@ class TestExactStackedCallers:
         prob = make_problem(g, label, lam=0.7, terminal=coupling_from_label(g, label, lam=0.5))
         r = np.random.default_rng(n)
         a = 0.3 * r.standard_normal((g.nt + 1, g.n))
-        m = ControlObjective(prob).forward(a)
+        m = fp_forward_sweep(g, prob.m0, a)
         # the old loops, one eval per slice
         fields = np.stack([prob.coupling.eval(m[k]) for k in range(g.nt + 1)])
         assert_matches_slices(label, prob.coupling.eval(m, exact=True), fields)
@@ -351,6 +353,16 @@ class TestPlannerDescent:
         prob = make_problem(grid64, "zero", amplitude=0.0)
         with pytest.raises(ValueError):
             solve_planner_descent(prob, fast_params, init=np.zeros((3, grid64.n)))
+
+    def test_init_on_another_grid_rejected(self, fast_params):
+        # the same (nt + 1, n) shape on a longer horizon: the warm start (and an
+        # MFGSolution's flow, the first evaluation's path) belongs to another problem
+        prob = make_problem(Grid(n=16, nt=8), "convolution", lam=1.0)
+        other = solve_mfg(make_problem(Grid(n=16, nt=8, T=2.0), "convolution", lam=1.0),
+                          fast_params)
+        for init in (other, other.alpha_star):
+            with pytest.raises(ShapeMismatchError, match="^init lives on a different grid$"):
+                solve_planner_descent(prob, fast_params, init=init)
 
     def test_a_returned_point_never_evaluated_raises(self, monkeypatch):
         grid = Grid(n=16, nt=8)

@@ -1,20 +1,20 @@
 """Print the cost per time step of the time loops, one path factorization and the coupling terms.
 
     python3 tools/step_costs.py                    # n in {64, 128, 256, 512, 1024}, nt=256
-    python3 tools/step_costs.py --src OLD/src      # the same table for another checkout
     python3 tools/step_costs.py --label potential  # coupling terms of another catalog coupling
 
 Each column is the best of ``--repeats`` calls divided by nt, in µs per
 time step: ``fp_sweep`` is ``stepping.fp_forward_sweep``, ``hjb_sweep``
 is ``stepping.hjb_backward_sweep`` (no source term), ``adjoint`` is
-``planner.ControlObjective.gradient``, whose solve loop is
-``stepping.adjoint_sweep``, on path terms formed outside the timed call,
-``descent_eval`` is one ``ControlObjective.evaluate``, the unit the
-descent repeats (forward sweep, path terms, cost and adjoint sweep), and
-``factor`` is one ``PeriodicTridiagLU`` of the nt forward step matrices
-together with its ``rows``, which is what every sweep pays.  The sweeps
-include their own band building and factorization, so
-``fp_sweep - factor`` is the band building plus the forward loop.
+``planner.ControlObjective.gradient``, whose bands, solve loop and
+drift sensitivity are ``stepping.adjoint_sweep``, on path terms formed
+outside the timed call, ``descent_eval`` is one
+``ControlObjective.evaluate``, the unit the descent repeats (forward
+sweep, path terms, cost and adjoint sweep), and ``factor`` is one
+``stepping.factor_rows`` of the nt forward step matrices, which is what
+every sweep pays.  The sweeps include their own band building and
+factorization, so ``fp_sweep - factor`` is the band building plus the
+forward loop.
 ``fields`` is the equilibrium's coupling fields of the nt + 1 levels
 (``Coupling.eval(m, exact=True)``: the exact stacked eval, each level's kernel
 products bit for bit its own, one cache-sized row block of the kernel
@@ -33,10 +33,14 @@ perturbation variant: a stack of every H_STRIDE-th of its H_SAMPLES
 perturbation sizes, then a stack of the 3 to 6 unpriced sizes around
 the best (each step of a stack is one forward step and one coupling eval
 through the kernel's factor), on the running perturbation of the same
-path, in µs per time step of both stacks together.  A checkout without
-``_bracket_phi`` prices all H_SAMPLES sizes in one ``_phi_stack``, and
-so does its ``cert_step``.  n = 1024 is the benchmark's wide
-grid.  BLAS runs on one thread.
+path, in µs per time step of both stacks together.  n = 1024 is the
+benchmark's wide grid.  BLAS runs on one thread.
+
+The tool times the checkout it lives in.  To compare two checkouts, run
+each checkout's own ``tools/step_costs.py``, each in a fresh process,
+alternating which checkout runs first, for at least two rounds: run back
+to back, the first process has read its columns 30-75% slower whichever
+tree it timed, so one round mixes the order into the difference.
 """
 
 from __future__ import annotations
@@ -76,12 +80,7 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
     from mfglab.mfg import MFGSolution
     from mfglab.model import Problem, coupling_zero
     from mfglab.planner import ControlObjective
-    from mfglab.stepping import (
-        PeriodicTridiagLU,
-        fp_forward_sweep,
-        hjb_backward_sweep,
-        upwind_bands,
-    )
+    from mfglab.stepping import factor_rows, fp_forward_sweep, hjb_backward_sweep, upwind_bands
 
     grid = Grid(n=n, nt=nt)
     rng = np.random.default_rng(0)
@@ -100,19 +99,16 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
                       alpha_star=ScalarPath(a, grid), iterations=0, fp_residual=0.0,
                       hjb_residual=0.0, fpk_residual=0.0, converged=True)
     pert = build_perturbation_running(equilibrium(sol, problem), default_epsilon(grid))
-    hs = np.geomspace(1e-4 * pert.tau, pert.tau, efficiency.H_SAMPLES)
-    bracket = getattr(efficiency, "_bracket_phi", None)
     calls = {
         "fp_sweep": lambda: fp_forward_sweep(grid, problem.m0, a),
         "hjb_sweep": lambda: hjb_backward_sweep(grid, problem.hamiltonian, fields, fields[-1]),
         "adjoint": lambda: obj.gradient(a, m, terms),
         "descent_eval": lambda: obj.evaluate(a),
-        "factor": lambda: PeriodicTridiagLU(*bands).rows,
+        "factor": lambda: factor_rows(*bands),
         "fields": lambda: problem.coupling.eval(m, exact=True),
         "path_terms": lambda: problem.coupling._path_terms(m[:nt]),
         "descent_terms": lambda: problem.coupling._path_terms(m[:nt], exact=True),
-        "cert_step": ((lambda: bracket(sol, pert, problem)) if bracket else
-                      (lambda: efficiency._phi_stack(sol, pert, hs, problem))),
+        "cert_step": lambda: efficiency._bracket_phi(sol, pert, problem),
     }
     levels = {"fields": nt + 1}
     return {name: 1e6 * _best(fn, repeats) / levels.get(name, nt) for name, fn in calls.items()}
@@ -120,8 +116,6 @@ def step_costs(n: int, nt: int, repeats: int, label: str = "convolution") -> dic
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="directory holding the mfglab package to time (default: ./src)")
     ap.add_argument("--n", type=int, nargs="+", default=[64, 128, 256, 512, 1024])
     ap.add_argument("--nt", type=int, default=256)
     ap.add_argument("--repeats", type=int, default=5)
@@ -130,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="catalog coupling of adjoint, descent_eval, fields, path_terms "
                          "and descent_terms (default: convolution)")
     args = ap.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    sys.path.insert(0, str(ROOT / "src"))
 
     print(f"µs per time step, nt={args.nt}, best of {args.repeats}, 1 BLAS thread, "
           f"{args.label} coupling")
